@@ -352,9 +352,12 @@ class ControlProcess:
     lives in the *driver* closure returned by :meth:`make_driver`, so one
     control instance may safely drive many simulations (also concurrently).
     A driver is called once per time step as ``driver(k, b_hist)`` where
-    ``b_hist`` is the read-only path history ``(n_paths, k+1)`` up to and
-    including step ``k``; it returns the volatility levels applied on
-    ``[t_k, t_{k+1})`` for every path.
+    ``b_hist`` is the path history ``(n_paths, k+1)`` up to and including
+    step ``k``; it returns the volatility levels applied on
+    ``[t_k, t_{k+1})`` for every path.  ``b_hist`` is a read-only view
+    (writing into it raises ``ValueError``) whose memory layout is
+    unspecified: index it, do not rely on its strides, and copy what must
+    outlive the call.
     """
 
     band: GParams

@@ -191,12 +191,7 @@ def export_surface_csv(surface: ValueSurface, path, time_stride: int = 1) -> int
     if time_stride < 1:
         raise UsageError("time_stride must be >= 1")
     _, du_dx, d2u = derivative_fields(surface)
-    times = surface.time_grid.times()
-    if surface.orientation == "forward":
-        # export in elapsed-time coordinate, matching the rows
-        t_coord = times
-    else:
-        t_coord = times
+    times = surface.time_grid.times()   # row i is at times[i] in both orientations
     xs = surface.space_grid.points()
     rows = 0
     with open(path, "w", newline="") as fh:
@@ -207,7 +202,7 @@ def export_surface_csv(surface: ValueSurface, path, time_stride: int = 1) -> int
             idx.append(len(times) - 1)
         for i in idx:
             for j in range(len(xs)):
-                w.writerow([repr(float(t_coord[i])), repr(float(xs[j])),
+                w.writerow([repr(float(times[i])), repr(float(xs[j])),
                             repr(float(surface.values[i, j])),
                             repr(float(du_dx[i, j])), repr(float(d2u[i, j]))])
                 rows += 1

@@ -2,13 +2,19 @@
 
 Paths follow the Euler recursion ``B_{k+1} = B_k + h_k sqrt(dt) z_k`` where
 ``h`` is an adapted control with values in the band and the ``z`` are
-standard normals from a counter-based generator (Philox) keyed by the run
-seed: path p consumes stream positions ``[p * n_steps, (p+1) * n_steps)``
-(row-major fill), so chunked or parallel reproduction of a bundle can
-advance the counter instead of redrawing.  The accumulated variance is
-carried alongside the path exactly as ``sum h_k^2 dt`` — the simulation's
-quadratic-variation ledger, which stays inside the band's bounds pathwise
-by construction.
+standard normals from a counter-based generator (Philox) keyed by
+``(seed, stream)``.  A bundle's normals are one row-major
+``(n_paths, n_steps)`` draw: path p takes row p.  The ziggurat sampler
+consumes a variable number of raw counter values per normal, so path p
+cannot be reached by advancing the counter a fixed amount; what does hold
+is that consecutive draws continue one stream, so drawing the rows in path
+chunks reproduces the single big draw bit for bit.  The engine uses that
+to march time-major: normals, paths and levels live in
+``(n_steps, n_paths)`` buffers whose rows are contiguous, and the finished
+paths and levels are transposed once into the path-major bundle arrays.
+The accumulated variance is carried alongside the path exactly as
+``sum h_k^2 dt`` — the simulation's quadratic-variation ledger, which
+stays inside the band's bounds pathwise by construction.
 
 The perturbation tools rewrite an m-block self-dependent control on dyadic
 sub-blocks while preserving each block's exact squared-level budget; the
@@ -117,23 +123,63 @@ def _estimate(values: np.ndarray, seed: int) -> McEstimate:
 # simulation
 # ---------------------------------------------------------------------------
 
-def _run_euler(control: ControlProcess, time_grid: TimeGrid,
-               z: np.ndarray, seed: int) -> PathBundle:
-    """Euler recursion with an explicit normal matrix (testing hook)."""
-    n_paths, n_steps = z.shape
-    if n_steps != time_grid.n_steps:
-        raise UsageError("normal matrix does not match the time grid")
-    dt = time_grid.dt
-    sqdt = math.sqrt(dt)
-    b = np.zeros((n_paths, n_steps + 1))
-    h = np.empty((n_paths, n_steps))
+# Paths per normal draw.  Each draw continues the generator's row-major
+# stream, so the chunk size never changes a number; it only bounds the
+# path-major scratch block that is transposed into the time-major buffer.
+_DRAW_CHUNK = 256
+
+
+def _normals(seed: int, stream: int, n_paths: int, n_steps: int) -> np.ndarray:
+    """Time-major ``(n_steps, n_paths)`` transpose of one row-major draw."""
+    gen = _philox(seed, stream)
+    zt = np.empty((n_steps, n_paths))
+    block = np.empty((min(_DRAW_CHUNK, n_paths), n_steps))
+    for p0 in range(0, n_paths, _DRAW_CHUNK):
+        p1 = min(p0 + _DRAW_CHUNK, n_paths)
+        chunk = block[:p1 - p0]
+        gen.standard_normal(out=chunk)
+        zt[:, p0:p1] = chunk.T
+    return zt
+
+
+def _march(control: ControlProcess, time_grid: TimeGrid,
+           zt: np.ndarray) -> tuple:
+    """Time-major Euler march; returns path-major ``(b_paths, control_paths)``.
+
+    ``zt`` holds the normals as ``(n_steps, n_paths)``.  Every step reads
+    and writes whole contiguous rows.  Drivers see the history through a
+    non-writeable view, so a driver that writes into it raises
+    ``ValueError`` instead of corrupting the paths.
+    """
+    n_steps, n_paths = zt.shape
+    sqdt = math.sqrt(time_grid.dt)
+    bt = np.empty((n_steps + 1, n_paths))
+    bt[0] = 0.0
+    ht = np.empty((n_steps, n_paths))
+    hist = bt.view()
+    hist.flags.writeable = False
     driver = control.make_driver(time_grid, n_paths)
     for k in range(n_steps):
-        lvl = driver(k, b[:, :k + 1])
-        h[:, k] = lvl
-        b[:, k + 1] = b[:, k] + h[:, k] * sqdt * z[:, k]
-    qv = _qv_ledger(h, dt)
-    return PathBundle(control.band, time_grid, b, qv, h, seed)
+        ht[k] = driver(k, hist[:k + 1].T)
+        # b + h * sqdt * z, rounded in that order, in place on row k + 1
+        np.multiply(ht[k], sqdt, out=bt[k + 1])
+        bt[k + 1] *= zt[k]
+        bt[k + 1] += bt[k]
+    del hist, driver            # no view of bt may outlive the transpose
+    b = np.ascontiguousarray(bt.T)
+    del bt
+    return b, np.ascontiguousarray(ht.T)
+
+
+def _run_euler(control: ControlProcess, time_grid: TimeGrid,
+               z: np.ndarray, seed: int) -> PathBundle:
+    """Euler recursion with an explicit ``(n_paths, n_steps)`` normal matrix
+    (testing hook)."""
+    if z.ndim != 2 or z.shape[1] != time_grid.n_steps:
+        raise UsageError("normal matrix does not match the time grid")
+    b, h = _march(control, time_grid, np.ascontiguousarray(z.T))
+    return PathBundle(control.band, time_grid, b, _qv_ledger(h, time_grid.dt),
+                      h, seed)
 
 
 def simulate(control: ControlProcess, time_grid: TimeGrid, n_paths: int,
@@ -146,14 +192,20 @@ def simulate(control: ControlProcess, time_grid: TimeGrid, n_paths: int,
     """
     if n_paths < 2:
         raise UsageError("need at least 2 paths for variance estimates")
-    gen = _philox(seed, stream)
-    z = gen.standard_normal((n_paths, time_grid.n_steps))
-    return _run_euler(control, time_grid, z, seed)
+    # the normals are freed as soon as the march returns
+    b, h = _march(control, time_grid,
+                  _normals(seed, stream, n_paths, time_grid.n_steps))
+    return PathBundle(control.band, time_grid, b, _qv_ledger(h, time_grid.dt),
+                      h, seed)
 
 
 def mc_expectation(xi: CylinderFunctional, bundle: PathBundle) -> McEstimate:
-    """Sample sublinear-free expectation of a functional on one bundle.
+    """Sample mean of a functional on one bundle.
 
+    This estimates the linear expectation under the bundle's single
+    control, which is a lower bound for the sublinear expectation, not the
+    sublinear expectation itself; ``sup_over_controls`` maximises it over
+    a family.
     The bundle's grid must contain every monitoring date of the
     functional; otherwise the evaluation would silently interpolate path
     values, which is refused.
@@ -169,25 +221,18 @@ def sup_over_controls(xi: CylinderFunctional, family, time_grid: TimeGrid,
 
     All controls are issued the *same* normals (common random numbers), so
     enlarging the family can only raise the estimate.  Returns the
-    maximising control and its estimate; the full table is available via
-    ``sup_over_controls_table``.
+    maximising control and its estimate (the first one on ties); the full
+    table is available via ``sup_over_controls_table``.
     """
-    best = None
-    best_est = None
-    for control in family:
-        bundle = simulate(control, time_grid, n_paths, seed)
-        est = mc_expectation(xi, bundle)
-        del bundle
-        if best_est is None or est.mean > best_est.mean:
-            best, best_est = control, est
-    if best is None:
+    rows = sup_over_controls_table(xi, family, time_grid, n_paths, seed)
+    if not rows:
         raise UsageError("empty control family")
-    return best, best_est
+    return max(rows, key=lambda row: row[1].mean)
 
 
 def sup_over_controls_table(xi: CylinderFunctional, family,
                             time_grid: TimeGrid, n_paths: int, seed: int):
-    """Per-control estimates (same seeds as ``sup_over_controls``)."""
+    """Per-control ``(control, estimate)`` rows on common random numbers."""
     rows = []
     for control in family:
         bundle = simulate(control, time_grid, n_paths, seed)

@@ -168,6 +168,40 @@ def compensating_level(xi_sq, alpha, sub_sq):
 
 
 # ----------------------------------------------------------------------
+# Reference Euler engine (path-major, one big draw)
+# ----------------------------------------------------------------------
+
+
+def philox_normals(seed, stream, n_paths, n_steps):
+    """One row-major ``(n_paths, n_steps)`` standard-normal draw from the
+    Philox generator keyed by the two 64-bit words ``(seed, stream)``."""
+    mask = 0xFFFFFFFFFFFFFFFF
+    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.standard_normal((n_paths, n_steps))
+
+
+def euler_path_major(driver, z, dt):
+    """Plain path-major Euler loop: ``B_{k+1} = B_k + h_k sqrt(dt) z_k``.
+
+    ``driver(k, b_hist)`` returns the levels on step k from the history
+    ``b[:, :k+1]``.  Column k of C-ordered ``(n_paths, n_steps+1)`` arrays
+    is written on every step.  Returns ``(b, qv, h)`` with the qv ledger
+    as the running sum of ``h^2 dt``.
+    """
+    n_paths, n_steps = z.shape
+    sqdt = math.sqrt(dt)
+    b = np.zeros((n_paths, n_steps + 1))
+    h = np.empty((n_paths, n_steps))
+    for k in range(n_steps):
+        h[:, k] = driver(k, b[:, :k + 1])
+        b[:, k + 1] = b[:, k] + h[:, k] * sqdt * z[:, k]
+    qv = np.zeros((n_paths, n_steps + 1))
+    qv[:, 1:] = np.cumsum(h * h * dt, axis=1)
+    return b, qv, h
+
+
+# ----------------------------------------------------------------------
 # Closed forms used as frozen expectations
 # ----------------------------------------------------------------------
 

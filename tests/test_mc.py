@@ -13,6 +13,7 @@ import pytest
 
 from gbrownian import (
     ConstantControl,
+    ControlProcess,
     CylinderFunctional,
     DomainError,
     FeedbackControl,
@@ -35,7 +36,7 @@ from gbrownian import (
     sup_over_controls_table,
     weak_convergence_probe,
 )
-from gbrownian.mc import PathBundle, _run_euler
+from gbrownian.mc import _DRAW_CHUNK, PathBundle, _run_euler
 
 import oracles
 
@@ -97,6 +98,60 @@ class TestSimulate:
         assert np.array_equal(ref.b_paths[:, :k + 1], alt.b_paths[:, :k + 1])
         assert np.array_equal(ref.control_paths[:, :k], alt.control_paths[:, :k])
         assert not np.array_equal(ref.b_paths[:, -1], alt.b_paths[:, -1])
+
+    def test_drivers_cannot_write_the_history(self):
+        class Vandal(ControlProcess):
+            band = BAND
+            kind = "vandal"
+
+            def make_driver(self, time_grid, n_paths):
+                def driver(k, b_hist):
+                    b_hist[:, -1] = 1.0
+                    return np.ones(n_paths)
+                return driver
+
+        # numpy's own refusal, raised at the write, not a later ledger check
+        with pytest.raises(ValueError, match="read-only"):
+            simulate(Vandal(), GRID, 4, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            _run_euler(Vandal(), GRID, np.zeros((4, GRID.n_steps)), seed=1)
+
+
+class TestTimeMajorEngine:
+    # more paths than one normal draw chunk, and not a multiple of it
+    N_PATHS = 2 * _DRAW_CHUNK + 37
+
+    def controls(self):
+        base = SelfDependentControl(band=BAND, rules=(
+            math.sqrt(2.5),
+            lambda inc: np.where(inc > 0.0, math.sqrt(3.25), math.sqrt(1.75))))
+        sched = PerturbationSchedule(refinement=2, alpha=0.25,
+                                     sub_control=ConstantControl(band=BAND, level=1.0))
+        return [
+            ConstantControl(band=BAND, level=1.5),
+            StepControl(band=BAND, breaks=(0.0, 0.25, 1.0),
+                        levels=(2.0, lambda x: np.where(x > 0.0, 1.0, 2.0))),
+            FeedbackControl(band=BAND, surface=solve_gheat(
+                oracles.butterfly, BAND, TimeGrid(1.0, 300),
+                SpaceGrid(-12.0, 12.0, 201))),
+            base,
+            perturb_control(base, sched),
+        ]
+
+    @pytest.mark.parametrize("stream", [0, 3])
+    def test_bitwise_equal_to_the_path_major_loop(self, stream):
+        n = self.N_PATHS
+        assert n > _DRAW_CHUNK and n % _DRAW_CHUNK != 0
+        z = oracles.philox_normals(19, stream, n, GRID.n_steps)
+        for control in self.controls():
+            bundle = simulate(control, GRID, n, seed=19, stream=stream)
+            b, qv, h = oracles.euler_path_major(
+                control.make_driver(GRID, n), z, GRID.dt)
+            assert np.array_equal(bundle.b_paths, b), control.kind
+            assert np.array_equal(bundle.qv_paths, qv), control.kind
+            assert np.array_equal(bundle.control_paths, h), control.kind
+            assert bundle.b_paths.flags.c_contiguous
+            assert bundle.control_paths.flags.c_contiguous
 
 
 class TestPathBundleValidation:
