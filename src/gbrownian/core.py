@@ -110,9 +110,7 @@ def g_eps_value(band: GParams, eps: float, a):
             f"eps={eps!r} outside [0, (var_hi - var_lo)/2] = [0, {limit!r}]"
         )
     arr, scalar = _as_float_array(a)
-    out = (0.5 * (band.var_hi * np.maximum(arr, 0.0)
-                  - band.var_lo * np.maximum(-arr, 0.0))
-           - 0.5 * eps * np.abs(arr))
+    out = g_value(band, arr) - 0.5 * eps * np.abs(arr)
     return float(out) if scalar else out
 
 

@@ -41,7 +41,7 @@ from .errors import (
     ExtrapolationError,
     UsageError,
 )
-from .gheat import ValueSurface, check_cfl, g_apply
+from .gheat import ValueSurface, check_cfl
 from .mc import PathBundle
 from .ito import stochastic_integral
 
@@ -248,7 +248,7 @@ class GBSDESolution:
             z[:, j] = np.interp(x, pts, zrow)
             curv[:, j] = np.interp(x, pts, crow)
         dqv = np.diff(bundle.qv_paths, axis=-1)
-        steps = 0.5 * curv[:, :-1] * dqv - g_apply(self.problem.band,
+        steps = 0.5 * curv[:, :-1] * dqv - g_value(self.problem.band,
                                                    curv[:, :-1]) * dt
         k = np.zeros_like(bundle.b_paths)
         np.cumsum(steps, axis=-1, out=k[:, 1:])
@@ -300,7 +300,7 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
         else:
             fy = source_rows[i + 1]
         out = values[i]
-        out[1:-1] = v[1:-1] + dt * (g_apply(band, curv) + fy[1:-1])
+        out[1:-1] = v[1:-1] + dt * (g_value(band, curv) + fy[1:-1])
         out[0] = v[0] + dt * fy[0]
         out[-1] = v[-1] + dt * fy[-1]
     return values
@@ -440,7 +440,7 @@ def ppde_residual(solution: GBSDESolution) -> float:
         curv = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
         dv = (v[2:] - v[:-2]) / (2.0 * dx)
         fy = np.asarray(f(times[i + 1], v[1:-1], dv), dtype=float)
-        resid = (v[1:-1] - y[i, 1:-1]) / dt + g_apply(band, curv) + fy
+        resid = (v[1:-1] - y[i, 1:-1]) / dt + g_value(band, curv) + fy
         worst = max(worst, float(np.max(np.abs(resid))))
     return worst
 

@@ -9,7 +9,10 @@ condition for the earlier interval is obtained by setting the newly
 observed value equal to the current position (a diagonal slice).
 
 Cost and memory scale like ``n_steps * n_points ** n``; the number of
-monitoring dates is therefore capped (see ``N_MAX``).  Conditional values
+monitoring dates is therefore capped (see ``N_MAX``).  Each interval is
+marched by ``gheat.march_steps``, one cache-sized block of rows at a time,
+so the sweep's scratch is bounded by one block on top of ``u`` and the
+recorded frames.  Conditional values
 are multilinearly interpolated in the observed values and the current
 position.
 """

@@ -31,7 +31,6 @@ from scipy.interpolate import RegularGridInterpolator
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value, g_value
 from .errors import DomainError, ExtrapolationError, UsageError
 from .gexp import conditional_frames
-from .gheat import g_apply
 from .mc import PathBundle, simulate
 
 
@@ -152,7 +151,7 @@ def k_process(varsigma, bundle: PathBundle) -> np.ndarray:
     vs = _integrand_on_grid(varsigma, bundle)
     dqv = np.diff(bundle.qv_paths, axis=-1)
     dt = bundle.time_grid.dt
-    steps = vs * dqv - 2.0 * g_apply(bundle.band, vs) * dt
+    steps = vs * dqv - 2.0 * g_value(bundle.band, vs) * dt
     out = np.zeros_like(bundle.qv_paths)
     np.cumsum(steps, axis=-1, out=out[:, 1:])
     return out
@@ -256,7 +255,7 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
         curv[:, j] = _eval_frame(d2u, pts, coords)
 
     dqv = np.diff(bundle.qv_paths, axis=-1)
-    k_steps = 0.5 * curv[:, :-1] * dqv - g_apply(band, curv[:, :-1]) * dt
+    k_steps = 0.5 * curv[:, :-1] * dqv - g_value(band, curv[:, :-1]) * dt
     k_paths = np.zeros_like(bundle.b_paths)
     np.cumsum(k_steps, axis=-1, out=k_paths[:, 1:])
 

@@ -102,6 +102,22 @@ def band_heat_origin_value(payoff, var_lo, var_hi, horizon, x_max=8.0,
     return float(u[mid])
 
 
+def march_steps_reference(u, band, dt, n, dx):
+    """Whole-array band-stencil march, one step at a time, in place.
+
+    The package kernel as first written: ``n`` explicit steps
+    ``u[..., 1:-1] += dt * G(second difference)`` along the last axis,
+    allocating fresh temporaries on every step.  ``band`` needs only
+    ``var_lo`` and ``var_hi``.  The blocked kernel must match it bitwise.
+    """
+    inv_dx2 = 1.0 / (dx * dx)
+    for _ in range(n):
+        curv = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) * inv_dx2
+        u[..., 1:-1] += dt * (0.5 * (band.var_hi * np.maximum(curv, 0.0)
+                                     - band.var_lo * np.maximum(-curv, 0.0)))
+    return u
+
+
 # ----------------------------------------------------------------------
 # Exact rational references for the oscillator and block budgets
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from gbrownian import (
     pde_residual,
     solve_gheat,
 )
+from gbrownian import gheat
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -176,6 +177,67 @@ class TestSolveGheat:
         with pytest.raises(UsageError):
             solve_gheat(bad, BAND, TIME, SPACE)
 
+
+
+def _kinked_rows(leading, kink):
+    """Payoff ``kink(mean of coordinates)`` on a mesh whose last axis is
+    the space grid and whose leading axes carry coarser grids."""
+    axes = [np.linspace(-2.0, 2.0, k) for k in leading] + [SPACE.points()]
+    mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return np.asarray(kink(sum(mesh) / len(mesh)), dtype=float)
+
+
+KINKS = {
+    "max": lambda m: np.maximum(m, 0.0),
+    "-max": lambda m: -np.maximum(m, 0.0),
+    "abs_mean": np.abs,
+}
+
+
+class TestMarchSteps:
+    """The blocked kernel against the whole-array reference loop.
+
+    At 241 points one block holds 135 rows, so the 300- and 150-row
+    shapes end on a partial block.
+    """
+
+    DT, DX = TIME.dt, SPACE.dx
+
+    @pytest.mark.parametrize("leading", [(), (300,), (3, 50)])
+    @pytest.mark.parametrize("kink", sorted(KINKS))
+    @pytest.mark.parametrize("n", [0, 1, 400])
+    def test_bitwise_equal_to_the_reference(self, leading, kink, n):
+        u0 = _kinked_rows(leading, KINKS[kink])
+        expect = oracles.march_steps_reference(u0.copy(), BAND, self.DT, n, self.DX)
+        u = u0.copy()
+        assert gheat.march_steps(u, BAND, self.DT, n, self.DX) is u
+        assert np.array_equal(u, expect)
+        assert np.array_equal(u[..., [0, -1]], u0[..., [0, -1]])
+        if n > 0:
+            assert not np.array_equal(u, u0)
+
+    @pytest.mark.parametrize("leading", [(), (300,), (3, 50)])
+    def test_result_does_not_depend_on_the_block(self, leading, monkeypatch):
+        u0 = _kinked_rows(leading, KINKS["abs_mean"])
+        expect = oracles.march_steps_reference(u0.copy(), BAND, self.DT, 57, self.DX)
+        monkeypatch.setattr(gheat, "_BLOCK_BYTES", 1)  # one row per block
+        u = gheat.march_steps(u0.copy(), BAND, self.DT, 57, self.DX)
+        assert np.array_equal(u, expect)
+
+    def test_strided_rows_are_updated_in_place(self):
+        big = _kinked_rows((40,), KINKS["max"])
+        u0 = big.copy()
+        gheat.march_steps(big[::2], BAND, self.DT, 25, self.DX)
+        expect = oracles.march_steps_reference(u0[::2].copy(), BAND, self.DT, 25, self.DX)
+        assert np.array_equal(big[::2], expect)
+        assert np.array_equal(big[1::2], u0[1::2])
+
+    def test_refuses_views_that_need_a_copy(self):
+        big = _kinked_rows((4, 3), KINKS["max"])
+        u0 = big.copy()
+        with pytest.raises(UsageError, match="u of shape"):
+            gheat.march_steps(big[::2], BAND, self.DT, 5, self.DX)
+        assert np.array_equal(big, u0)
 
 class TestValueSurface:
     def test_value_at_nodes(self, square_surface):
