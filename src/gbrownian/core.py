@@ -153,6 +153,14 @@ def delta_kalpha(k: int, alpha: float, s):
     return float(out) if scalar else out
 
 
+def running_sum(steps: np.ndarray) -> np.ndarray:
+    """Running sum of per-step increments along the last axis, on nodes:
+    column 0 is zero and column ``k`` sums steps ``0 .. k-1``."""
+    out = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # grids
 # ---------------------------------------------------------------------------
@@ -196,6 +204,10 @@ class SpaceGrid:
     n_points: int
 
     def __post_init__(self) -> None:
+        for name in ("x_min", "x_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if not (self.x_min < self.x_max):
             raise ConfigurationError(
                 f"x_min must be < x_max, got [{self.x_min!r}, {self.x_max!r}]"

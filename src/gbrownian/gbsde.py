@@ -4,8 +4,11 @@ The scheme solves the terminal-value problem
 
     D_t u + G(D2_x u) + f(t, u, D_x u) = 0,   u(T, .) = payoff,
 
-by explicit backward marching on a space grid (monotone under the CFL
-bound for the G part plus a Lipschitz bound on the driver).  From the
+by explicit backward marching on a space grid.  The guards are the CFL
+bound ``dt <= dx^2 / var_hi`` of the G part and the driver step bound
+``dt * L * (1 + 1/dx) <= 0.5``, L the declared Lipschitz constant.  They
+do not make the scheme monotone: ``f = -y`` on the CFL-maximal grid
+passes both with centre weight about -1e-4.  From the
 solved surface the backward-equation triple is read off:
 
     Y_t = u(t, B_t),
@@ -34,16 +37,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value
+from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value, running_sum
 from .errors import (
     CapabilityError,
     ConfigurationError,
-    ExtrapolationError,
     UsageError,
 )
-from .gheat import ValueSurface, check_cfl
+from .gheat import ValueSurface, check_cfl, curvature, gradient
 from .mc import PathBundle
-from .ito import stochastic_integral
+from .ito import check_paths_inside, eval_on_paths, k_ledger, stochastic_integral
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +160,11 @@ class GBSDEProblem:
     """Terminal functional + driver + band.
 
     ``driver(t, y, z)`` must be vectorised in (y, z); ``driver_lipschitz``
-    is the caller's Lipschitz bound in (y, z), used for the explicit
-    stability check.  The terminal functional must monitor a single date
-    (Markovian scope); richer terminals raise :class:`CapabilityError`.
+    is the caller's Lipschitz bound in (y, z).  It is used only in the step
+    bound ``dt * driver_lipschitz * (1 + 1/dx) <= 0.5``, which is not a
+    monotonicity condition (see the module docstring).  The terminal
+    functional must monitor a single date (Markovian scope); richer
+    terminals raise :class:`CapabilityError`.
     """
 
     terminal: CylinderFunctional
@@ -222,45 +226,13 @@ class GBSDESolution:
         """(Y, Z, K) along the bundle's paths at the bundle's nodes."""
         if bundle.band != self.problem.band:
             raise UsageError("bundle band differs from the problem band")
-        lo, hi = float(bundle.b_paths.min()), float(bundle.b_paths.max())
         sg = self.space_grid
-        if lo < sg.x_min or hi > sg.x_max:
-            raise ExtrapolationError(
-                f"paths span [{lo!r}, {hi!r}] outside the solution grid"
-            )
+        check_paths_inside(bundle, sg)
         stride = self._stride_for(bundle)
-        pts = sg.points()
-        dx = sg.dx
-        n = bundle.time_grid.n_steps
-        dt = bundle.time_grid.dt
-        y = np.empty_like(bundle.b_paths)
-        z = np.empty_like(bundle.b_paths)
-        curv = np.empty_like(bundle.b_paths)
-        for j in range(n + 1):
-            row = self.y_values[j * stride]
-            zrow = self.z_values[j * stride]
-            crow = np.empty_like(row)
-            crow[1:-1] = (row[2:] - 2.0 * row[1:-1] + row[:-2]) / (dx * dx)
-            crow[0] = crow[1]
-            crow[-1] = crow[-2]
-            x = bundle.b_paths[:, j]
-            y[:, j] = np.interp(x, pts, row)
-            z[:, j] = np.interp(x, pts, zrow)
-            curv[:, j] = np.interp(x, pts, crow)
-        dqv = np.diff(bundle.qv_paths, axis=-1)
-        steps = 0.5 * curv[:, :-1] * dqv - g_value(self.problem.band,
-                                                   curv[:, :-1]) * dt
-        k = np.zeros_like(bundle.b_paths)
-        np.cumsum(steps, axis=-1, out=k[:, 1:])
-        return y, z, k
-
-
-def _z_rows(values: np.ndarray, dx: float) -> np.ndarray:
-    z = np.empty_like(values)
-    z[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
-    z[:, 0] = (values[:, 1] - values[:, 0]) / dx
-    z[:, -1] = (values[:, -1] - values[:, -2]) / dx
-    return z
+        y, z, curv = eval_on_paths(self.y_values[::stride],
+                                   lambda j: [bundle.b_paths[:, j]],
+                                   sg.points(), sg.dx)
+        return y, z, k_ledger(0.5 * curv[:, :-1], bundle)
 
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -273,6 +245,8 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     is exact, and for localised data it only perturbs the frozen-data
     boundary at the level the domain truncation already does.
     """
+    if abs(time_grid.horizon - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
+        raise UsageError("time grid horizon must equal the terminal horizon")
     dt, dx = time_grid.dt, space_grid.dx
     check_cfl(problem.band, dt, space_grid)
     _check_driver_stability(problem, dt, dx)
@@ -291,12 +265,8 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
         v = values[i + 1]
         t_right = times[i + 1]
         curv = (v[2:] - 2.0 * v[1:-1] + v[:-2]) * inv_dx2
-        dv = np.empty_like(v)
-        dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
-        dv[0] = (v[1] - v[0]) / dx
-        dv[-1] = (v[-1] - v[-2]) / dx
         if source_rows is None:
-            fy = np.asarray(f(t_right, v, dv), dtype=float)
+            fy = np.asarray(f(t_right, v, gradient(v, dx)), dtype=float)
         else:
             fy = source_rows[i + 1]
         out = values[i]
@@ -309,11 +279,9 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
 def solve_ppde(problem: GBSDEProblem, time_grid: TimeGrid,
                space_grid: SpaceGrid) -> GBSDESolution:
     """Solve the backward equation by direct explicit marching."""
-    if abs(time_grid.horizon - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
-        raise UsageError("time grid horizon must equal the terminal horizon")
     values = _march_backward(problem, time_grid, space_grid)
     return GBSDESolution(problem, time_grid, space_grid, values,
-                         _z_rows(values, space_grid.dx))
+                         gradient(values, space_grid.dx))
 
 
 def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -325,8 +293,6 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
     direct scheme: both converge to the same explicit fixed point, so the
     sup-gap after convergence is a genuine consistency signal.
     """
-    if abs(time_grid.horizon - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
-        raise UsageError("time grid horizon must equal the terminal horizon")
     zero_driver = GBSDEProblem(problem.terminal, lambda t, y, z: np.zeros_like(y),
                                problem.band, 0.0, problem.name)
     values = _march_backward(zero_driver, time_grid, space_grid)
@@ -335,7 +301,7 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
     f = problem.driver
     times = time_grid.times()
     for iterations in range(1, max_iter + 1):
-        z = _z_rows(values, space_grid.dx)
+        z = gradient(values, space_grid.dx)
         source = np.empty_like(values)
         for i in range(time_grid.n_steps + 1):
             source[i] = np.asarray(f(times[i], values[i], z[i]), dtype=float)
@@ -346,7 +312,7 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
         if delta <= tol:
             break
     return (GBSDESolution(problem, time_grid, space_grid, values,
-                          _z_rows(values, space_grid.dx)),
+                          gradient(values, space_grid.dx)),
             iterations, delta)
 
 
@@ -380,8 +346,7 @@ def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidual
     f_vals = np.empty((bundle.n_paths, bundle.time_grid.n_steps))
     for j in range(bundle.time_grid.n_steps):
         f_vals[:, j] = solution.problem.driver(times[j], y[:, j], z[:, j])
-    cum_f = np.zeros_like(y)
-    np.cumsum(f_vals * dt, axis=-1, out=cum_f[:, 1:])
+    cum_f = running_sum(f_vals * dt)
     tail_f = cum_f[:, -1][:, None] - cum_f
     zint = stochastic_integral(z, bundle.b_paths)
     tail_z = zint[:, -1][:, None] - zint
@@ -437,8 +402,7 @@ def ppde_residual(solution: GBSDESolution) -> float:
     worst = 0.0
     for i in range(solution.time_grid.n_steps):
         v = y[i + 1]
-        curv = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-        dv = (v[2:] - v[:-2]) / (2.0 * dx)
+        dv, curv = gradient(v, dx)[1:-1], curvature(v, dx)[1:-1]
         fy = np.asarray(f(times[i + 1], v[1:-1], dv), dtype=float)
         resid = (v[1:-1] - y[i, 1:-1]) / dt + g_value(band, curv) + fy
         worst = max(worst, float(np.max(np.abs(resid))))

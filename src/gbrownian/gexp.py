@@ -118,19 +118,24 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
     return frames
 
 
+def eval_frame(frame: np.ndarray, pts: np.ndarray, coords: list) -> np.ndarray:
+    """Multilinear value of a frame on the grid ``pts`` at ``coords``, one
+    array of points per frame axis (observed values first)."""
+    if frame.ndim == 1:
+        return np.interp(coords[0], pts, frame)
+    interp = RegularGridInterpolator((pts,) * frame.ndim, frame, method="linear")
+    return interp(np.stack(coords, axis=-1))
+
+
 def _interp_frame(frame: np.ndarray, space_grid: SpaceGrid, coords) -> float:
-    pts = space_grid.points()
-    coords = [float(c) for c in coords]
     for c in coords:
         if not space_grid.covers(c):
             raise ExtrapolationError(
-                f"prefix value {c!r} outside the space grid "
+                f"prefix value {float(c)!r} outside the space grid "
                 f"[{space_grid.x_min}, {space_grid.x_max}]"
             )
-    if frame.ndim == 1:
-        return float(np.interp(coords[0], pts, frame))
-    interp = RegularGridInterpolator((pts,) * frame.ndim, frame, method="linear")
-    return float(interp(np.asarray(coords)[None, :])[0])
+    point = [np.array([float(c)]) for c in coords]
+    return float(eval_frame(frame, space_grid.points(), point)[0])
 
 
 def g_expectation(xi: CylinderFunctional, band: GParams,

@@ -167,6 +167,24 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
     return ValueSurface(band, time_grid, space_grid, values, "forward", name)
 
 
+def gradient(u: np.ndarray, dx: float) -> np.ndarray:
+    """First difference along the last axis: centred, one-sided at the edges."""
+    du = np.empty_like(u)
+    du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
+    du[..., 0] = (u[..., 1] - u[..., 0]) / dx
+    du[..., -1] = (u[..., -1] - u[..., -2]) / dx
+    return du
+
+
+def curvature(u: np.ndarray, dx: float) -> np.ndarray:
+    """Centred second difference along the last axis; edges copy their neighbour."""
+    d2u = np.empty_like(u)
+    d2u[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (dx * dx)
+    d2u[..., 0] = d2u[..., 1]
+    d2u[..., -1] = d2u[..., -2]
+    return d2u
+
+
 def derivative_fields(surface: ValueSurface):
     """Finite-difference derivative fields (du_dt, du_dx, d2u_dx2).
 
@@ -174,8 +192,8 @@ def derivative_fields(surface: ValueSurface):
     marching scheme advances with, so the interior PDE residual computed
     from these fields vanishes identically for solved surfaces; centred
     time differences would instead pick up the scheme's own smoothing lag
-    near kinked data.  Space derivatives are centred inside, one-sided on
-    the edge columns (the curvature column is replicated at the edges).
+    near kinked data.  Space derivatives are :func:`gradient` and
+    :func:`curvature`.
     """
     u = surface.values
     dt, dx = surface.time_grid.dt, surface.space_grid.dx
@@ -183,17 +201,7 @@ def derivative_fields(surface: ValueSurface):
     du_dt = np.empty_like(u)
     du_dt[:-1] = (u[1:] - u[:-1]) / dt
     du_dt[-1] = (u[-1] - u[-2]) / dt
-
-    du_dx = np.empty_like(u)
-    du_dx[:, 1:-1] = (u[:, 2:] - u[:, :-2]) / (2.0 * dx)
-    du_dx[:, 0] = (u[:, 1] - u[:, 0]) / dx
-    du_dx[:, -1] = (u[:, -1] - u[:, -2]) / dx
-
-    d2u_dx2 = np.empty_like(u)
-    d2u_dx2[:, 1:-1] = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (dx * dx)
-    d2u_dx2[:, 0] = d2u_dx2[:, 1]
-    d2u_dx2[:, -1] = d2u_dx2[:, -2]
-    return du_dt, du_dx, d2u_dx2
+    return du_dt, gradient(u, dx), curvature(u, dx)
 
 
 def pde_residual(surface: ValueSurface) -> np.ndarray:
@@ -216,7 +224,7 @@ def feedback_field(surface: ValueSurface) -> np.ndarray:
     Values are exactly sigma_lo or sigma_hi everywhere; edge columns copy
     their interior neighbour since curvature is not defined there.
     """
-    _, _, d2u = derivative_fields(surface)
+    d2u = curvature(surface.values, surface.space_grid.dx)
     return np.asarray(sign_vol(surface.band, d2u))
 
 

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
-from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value, g_value
+from .core import (CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value,
+                   g_value, running_sum)
 from .errors import DomainError, ExtrapolationError, UsageError
-from .gexp import conditional_frames
+from .gexp import conditional_frames, eval_frame
+from .gheat import curvature, gradient
 from .mc import PathBundle, simulate
 
 
@@ -58,28 +59,27 @@ def stochastic_integral(integrand: np.ndarray, driver: np.ndarray) -> np.ndarray
             f"integrand has {integrand.shape[-1]} columns; expected {n} "
             f"(per step) or {n + 1} (per node)"
         )
-    out = np.zeros_like(driver)
-    np.cumsum(integrand * np.diff(driver, axis=-1), axis=-1, out=out[..., 1:])
-    return out
+    return running_sum(integrand * np.diff(driver, axis=-1))
 
 
 def realized_qv(b_paths: np.ndarray) -> np.ndarray:
     """Running sum of squared path increments at the simulation resolution."""
     b = np.asarray(b_paths, dtype=float)
-    out = np.zeros_like(b)
-    np.cumsum(np.diff(b, axis=-1) ** 2, axis=-1, out=out[..., 1:])
-    return out
+    return running_sum(np.diff(b, axis=-1) ** 2)
 
 
-def _dyadic_block(n_steps: int, level: int) -> int:
+def _dyadic_anchor(b_paths, level: int) -> tuple:
+    """Paths as rows, and for each step the level at its dyadic block's start."""
+    b = np.atleast_2d(np.asarray(b_paths, dtype=float))
+    n_steps = b.shape[-1] - 1
     if level < 0:
         raise DomainError(f"dyadic level must be >= 0, got {level}")
-    blocks = 2 ** level
-    if n_steps % blocks != 0:
+    if n_steps % 2 ** level != 0:
         raise UsageError(
             f"2**{level} dyadic blocks do not divide {n_steps} grid steps"
         )
-    return n_steps // blocks
+    block = n_steps // 2 ** level
+    return b, b[:, (np.arange(n_steps) // block) * block]
 
 
 def qn_quadratic_variation(b_paths: np.ndarray, level: int) -> np.ndarray:
@@ -89,24 +89,16 @@ def qn_quadratic_variation(b_paths: np.ndarray, level: int) -> np.ndarray:
     at a grid node is the sum of squared completed-block increments plus
     the squared running increment of the open block.
     """
-    b = np.atleast_2d(np.asarray(b_paths, dtype=float))
-    block = _dyadic_block(b.shape[-1] - 1, level)
-    steps = np.arange(b.shape[-1] - 1)
-    anchor = b[:, (steps // block) * block]
+    b, anchor = _dyadic_anchor(b_paths, level)
     contrib = (b[:, 1:] - anchor) ** 2 - (b[:, :-1] - anchor) ** 2
-    out = np.zeros_like(b)
-    np.cumsum(contrib, axis=-1, out=out[:, 1:])
-    return out.reshape(np.asarray(b_paths).shape[:-1] + (b.shape[-1],))
+    return running_sum(contrib).reshape(np.shape(b_paths)[:-1] + (b.shape[-1],))
 
 
 def qn_integrand(b_paths: np.ndarray, level: int) -> np.ndarray:
     """Integrand ``2 (B_t - B_{block anchor})`` sampled at the left nodes."""
-    b = np.atleast_2d(np.asarray(b_paths, dtype=float))
-    block = _dyadic_block(b.shape[-1] - 1, level)
-    steps = np.arange(b.shape[-1] - 1)
-    anchor = b[:, (steps // block) * block]
+    b, anchor = _dyadic_anchor(b_paths, level)
     lam = 2.0 * (b[:, :-1] - anchor)
-    return lam.reshape(np.asarray(b_paths).shape[:-1] + (b.shape[-1] - 1,))
+    return lam.reshape(np.shape(b_paths)[:-1] + (b.shape[-1] - 1,))
 
 
 def step_values_on_grid(breaks, values, time_grid: TimeGrid) -> np.ndarray:
@@ -148,13 +140,17 @@ def k_process(varsigma, bundle: PathBundle) -> np.ndarray:
     inequality behind this process being a martingale under the band's
     sublinear expectation.
     """
-    vs = _integrand_on_grid(varsigma, bundle)
+    return k_ledger(_integrand_on_grid(varsigma, bundle), bundle)
+
+
+def k_ledger(varsigma: np.ndarray, bundle: PathBundle) -> np.ndarray:
+    """Running sum of ``varsigma dqv - 2 G(varsigma) dt``, one column per step.
+
+    Given half the curvature c this is ``0.5 c dqv - G(c) dt`` bitwise.
+    """
     dqv = np.diff(bundle.qv_paths, axis=-1)
     dt = bundle.time_grid.dt
-    steps = vs * dqv - 2.0 * g_value(bundle.band, vs) * dt
-    out = np.zeros_like(bundle.qv_paths)
-    np.cumsum(steps, axis=-1, out=out[:, 1:])
-    return out
+    return running_sum(varsigma * dqv - 2.0 * g_value(bundle.band, varsigma) * dt)
 
 
 # ---------------------------------------------------------------------------
@@ -182,25 +178,31 @@ class ItoDecomposition:
         return np.max(np.abs(self.m_paths - self.reconstruction()), axis=-1)
 
 
-def _frame_gradients(frame: np.ndarray, dx: float):
-    """Central differences along the current-position axis of a frame."""
-    du = np.empty_like(frame)
-    du[..., 1:-1] = (frame[..., 2:] - frame[..., :-2]) / (2.0 * dx)
-    du[..., 0] = (frame[..., 1] - frame[..., 0]) / dx
-    du[..., -1] = (frame[..., -1] - frame[..., -2]) / dx
-    d2u = np.empty_like(frame)
-    d2u[..., 1:-1] = (frame[..., 2:] - 2.0 * frame[..., 1:-1] + frame[..., :-2]) / (dx * dx)
-    d2u[..., 0] = d2u[..., 1]
-    d2u[..., -1] = d2u[..., -2]
-    return du, d2u
+def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
+    """Refuse a bundle whose paths leave the space grid (no extrapolation)."""
+    lo, hi = float(bundle.b_paths.min()), float(bundle.b_paths.max())
+    if lo < space_grid.x_min or hi > space_grid.x_max:
+        raise ExtrapolationError(
+            f"paths span [{lo!r}, {hi!r}], outside the space grid "
+            f"[{space_grid.x_min}, {space_grid.x_max}]; widen the grid"
+        )
 
 
-def _eval_frame(frame: np.ndarray, pts: np.ndarray, coords: list) -> np.ndarray:
-    """Evaluate a frame at per-path coordinates (multilinear)."""
-    if frame.ndim == 1:
-        return np.interp(coords[0], pts, frame)
-    interp = RegularGridInterpolator((pts,) * frame.ndim, frame, method="linear")
-    return interp(np.stack(coords, axis=-1))
+def eval_on_paths(frames, coords_at, pts: np.ndarray, dx: float) -> tuple:
+    """(value, gradient, curvature) of ``frames[j]`` at ``coords_at(j)``, as
+    three ``(n_paths, n_nodes)`` arrays.  ``coords_at(j)`` gives one per-path
+    array per frame axis, the current position (the derivatives' axis) last.
+    """
+    n_paths = len(coords_at(0)[-1])
+    fields = tuple(np.empty((n_paths, len(frames))) for _ in range(3))
+    for j, frame in enumerate(frames):
+        coords = coords_at(j)
+        if len(coords) != frame.ndim:
+            raise UsageError("frame arity mismatch while walking the bundle")
+        for out, arr in zip(fields, (frame, gradient(frame, dx),
+                                     curvature(frame, dx))):
+            out[:, j] = eval_frame(arr, pts, coords)
+    return fields
 
 
 def martingale_decomposition(xi: CylinderFunctional, band: GParams,
@@ -217,51 +219,28 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
         raise UsageError("bundle band differs from the requested band")
     if abs(bundle.time_grid.horizon - xi.horizon) > 1e-9 * max(1.0, xi.horizon):
         raise UsageError("bundle horizon must equal the functional horizon")
-    for t in xi.times:
-        bundle.time_grid.index_of(t)  # raises if the grid does not refine
-    lo, hi = float(bundle.b_paths.min()), float(bundle.b_paths.max())
-    if lo < space_grid.x_min or hi > space_grid.x_max:
-        raise ExtrapolationError(
-            f"paths span [{lo!r}, {hi!r}], outside the space grid "
-            f"[{space_grid.x_min}, {space_grid.x_max}]; widen the grid"
-        )
+    # raises if the bundle grid misses a monitoring date
+    cyl_idx = [bundle.time_grid.index_of(t) for t in xi.times]
+    check_paths_inside(bundle, space_grid)
 
     rec_times = bundle.time_grid.times()
     frames = conditional_frames(xi, band, space_grid, rec_times, time_grid.dt)
-    pts = space_grid.points()
-    dx = space_grid.dx
-    dt = bundle.time_grid.dt
-    n = bundle.time_grid.n_steps
     tol = 1e-12 * max(1.0, xi.horizon)
-    cyl_idx = [bundle.time_grid.index_of(t) for t in xi.times]
 
-    m_paths = np.empty_like(bundle.b_paths)
-    z_paths = np.empty_like(bundle.b_paths)
-    curv = np.empty_like(bundle.b_paths)
-    for j in range(n + 1):
-        frame = frames[j]
+    def coords_at(j):
         observed = [bundle.b_paths[:, ci] for ci, t in zip(cyl_idx, xi.times)
                     if t <= rec_times[j] + tol]
         if rec_times[j] >= xi.horizon - tol:
             # the terminal frame is the raw payoff mesh: its last axis is
             # the final observation, which IS the current position there
             observed = observed[:-1]
-        coords = observed + [bundle.b_paths[:, j]]
-        if len(coords) != frame.ndim:
-            raise UsageError("frame arity mismatch while walking the bundle")
-        du, d2u = _frame_gradients(frame, dx)
-        m_paths[:, j] = _eval_frame(frame, pts, coords)
-        z_paths[:, j] = _eval_frame(du, pts, coords)
-        curv[:, j] = _eval_frame(d2u, pts, coords)
+        return observed + [bundle.b_paths[:, j]]
 
-    dqv = np.diff(bundle.qv_paths, axis=-1)
-    k_steps = 0.5 * curv[:, :-1] * dqv - g_value(band, curv[:, :-1]) * dt
-    k_paths = np.zeros_like(bundle.b_paths)
-    np.cumsum(k_steps, axis=-1, out=k_paths[:, 1:])
-
-    initial = float(np.interp(0.0, pts, frames[0])) if frames[0].ndim == 1 \
-        else float(_eval_frame(frames[0], pts, [np.zeros(1)] * frames[0].ndim)[0])
-    return ItoDecomposition(initial, m_paths, z_paths, k_paths, bundle)
+    m_paths, z_paths, curv = eval_on_paths(frames, coords_at, space_grid.points(),
+                                           space_grid.dx)
+    k_paths = k_ledger(0.5 * curv[:, :-1], bundle)
+    # every path starts at 0, so column 0 holds the value at the origin
+    return ItoDecomposition(float(m_paths[0, 0]), m_paths, z_paths, k_paths, bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .core import (
     PerturbationSchedule,
     SelfDependentControl,
     TimeGrid,
+    running_sum,
 )
 from .errors import DomainError, UsageError
 
@@ -92,11 +93,7 @@ class PathBundle:
 
 
 def _qv_ledger(control_paths: np.ndarray, dt: float) -> np.ndarray:
-    n_paths = control_paths.shape[0]
-    out = np.empty((n_paths, control_paths.shape[1] + 1))
-    out[:, 0] = 0.0
-    np.cumsum(control_paths * control_paths * dt, axis=1, out=out[:, 1:])
-    return out
+    return running_sum(control_paths * control_paths * dt)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,42 @@ def march_steps_reference(u, band, dt, n, dx):
     return u
 
 
+def gradient_reference(u, dx):
+    """First difference along the last axis of ``u``, one node at a time.
+
+    ``(u[i+1] - u[i-1]) / (2 dx)`` at interior nodes, the one-sided
+    difference on the two edge nodes.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    m = u.shape[-1]
+    for lead in np.ndindex(u.shape[:-1]):
+        row, res = u[lead], out[lead]
+        res[0] = (row[1] - row[0]) / dx
+        for i in range(1, m - 1):
+            res[i] = (row[i + 1] - row[i - 1]) / (2.0 * dx)
+        res[m - 1] = (row[m - 1] - row[m - 2]) / dx
+    return out
+
+
+def curvature_reference(u, dx):
+    """Second difference along the last axis of ``u``, one node at a time.
+
+    ``(u[i+1] - 2 u[i] + u[i-1]) / dx^2`` at interior nodes; each edge node
+    copies its interior neighbour.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.empty_like(u)
+    m = u.shape[-1]
+    for lead in np.ndindex(u.shape[:-1]):
+        row, res = u[lead], out[lead]
+        for i in range(1, m - 1):
+            res[i] = (row[i + 1] - 2.0 * row[i] + row[i - 1]) / (dx * dx)
+        res[0] = res[1]
+        res[m - 1] = res[m - 2]
+    return out
+
+
 # ----------------------------------------------------------------------
 # Exact rational references for the oscillator and block budgets
 # ----------------------------------------------------------------------

@@ -77,6 +77,12 @@ class TestConfigRejection:
         cfg["grids"]["n_steps"] = 50
         self.rejects(tmp_path, capsys, cfg, "experiments[0]")
 
+    def test_infinite_grid_bound(self, tmp_path, capsys):
+        # json writes and reads the bound as -Infinity
+        cfg = base_config(experiments=[{"name": "gexp"}])
+        cfg["grids"]["x_min"] = -math.inf
+        self.rejects(tmp_path, capsys, cfg, "experiments[0]", "x_min")
+
     def test_wrong_number_of_dates(self, tmp_path, capsys):
         cfg = base_config(experiments=[
             {"name": "gexp", "payoff": "max2", "dates": [1.0]}])

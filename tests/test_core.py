@@ -219,6 +219,13 @@ class TestGrids:
         with pytest.raises(ConfigurationError):
             SpaceGrid(-1.0, 1.0, 2)
 
+    @pytest.mark.parametrize("bounds, name", [((-math.inf, 6.0), "x_min"),
+                                              ((-6.0, math.inf), "x_max"),
+                                              ((math.nan, 6.0), "x_min")])
+    def test_space_grid_rejects_non_finite_bounds(self, bounds, name):
+        with pytest.raises(ConfigurationError, match=name):
+            SpaceGrid(*bounds, 11)
+
 
 class TestCylinderFunctional:
     def test_levels_evaluation(self):

@@ -239,6 +239,26 @@ class TestMarchSteps:
             gheat.march_steps(big[::2], BAND, self.DT, 5, self.DX)
         assert np.array_equal(big, u0)
 
+
+class TestStencils:
+    """The one gradient and curvature against plain per-node loops."""
+
+    @pytest.mark.parametrize("shape", [(3,), (241,), (5, 3), (7, 241), (2, 3, 17)])
+    def test_bitwise_equal_to_the_reference(self, shape):
+        u = np.random.default_rng(sum(shape)).normal(size=shape)
+        for stencil, reference in ((gheat.gradient, oracles.gradient_reference),
+                                   (gheat.curvature, oracles.curvature_reference)):
+            got = stencil(u, SPACE.dx)
+            assert got.shape == u.shape
+            assert np.array_equal(got, reference(u, SPACE.dx))
+
+    def test_derivative_fields_use_them(self, butterfly_surface):
+        _, du_dx, d2u = derivative_fields(butterfly_surface)
+        u, dx = butterfly_surface.values, SPACE.dx
+        assert np.array_equal(du_dx, oracles.gradient_reference(u, dx))
+        assert np.array_equal(d2u, oracles.curvature_reference(u, dx))
+
+
 class TestValueSurface:
     def test_value_at_nodes(self, square_surface):
         i = TIME.index_of(0.5)

@@ -158,6 +158,18 @@ class TestKProcess:
         np.testing.assert_array_equal(k_process(1.0, bundle),
                                       k_process(per_step, bundle))
 
+    def test_half_curvature_gives_the_decomposition_ledger(self):
+        # K = 0.5 c dqv - G(c) dt summed, as the decompositions book it;
+        # halving and doubling are exact, so the two agree bit for bit
+        bundle = lo_bundle(64)
+        c = np.random.default_rng(131).normal(scale=3.0, size=(64, GRID.n_steps))
+        g = 0.5 * (BAND.var_hi * np.maximum(c, 0.0)
+                   - BAND.var_lo * np.maximum(-c, 0.0))
+        steps = 0.5 * c * np.diff(bundle.qv_paths, axis=-1) - g * GRID.dt
+        expect = np.zeros_like(bundle.qv_paths)
+        expect[:, 1:] = np.cumsum(steps, axis=-1)
+        assert np.array_equal(k_process(0.5 * c, bundle), expect)
+
 
 class TestMartingaleDecomposition:
     SPACE = SpaceGrid(-10.0, 10.0, 401)
