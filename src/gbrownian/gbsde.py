@@ -4,12 +4,13 @@ The scheme solves the terminal-value problem
 
     D_t u + G(D2_x u) + f(t, u, D_x u) = 0,   u(T, .) = payoff,
 
-by explicit backward marching on a space grid.  The guards are the CFL
-bound ``dt <= dx^2 / var_hi`` of the G part and the driver step bound
+by explicit backward marching on a space grid: one ``gheat.march_steps``
+step of the later row, then ``+ dt * f`` on that row.  The guards are the
+CFL bound ``dt <= dx^2 / var_hi`` and the driver step bound
 ``dt * L * (1 + 1/dx) <= 0.5``, L the declared Lipschitz constant.  They
 do not make the scheme monotone: ``f = -y`` on the CFL-maximal grid
-passes both with centre weight about -1e-4.  From the
-solved surface the backward-equation triple is read off:
+passes both with centre weight about -1e-4.  From the solved surface the
+backward-equation triple is read off:
 
     Y_t = u(t, B_t),
     Z_t = D_x u(t, B_t),
@@ -43,7 +44,7 @@ from .errors import (
     ConfigurationError,
     UsageError,
 )
-from .gheat import ValueSurface, check_cfl, curvature, gradient
+from .gheat import ValueSurface, check_cfl, gradient, march_steps, pde_residual
 from .mc import PathBundle
 from .ito import check_paths_inside, eval_on_paths, k_ledger, stochastic_integral
 
@@ -236,52 +237,54 @@ class GBSDESolution:
 
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
-                    space_grid: SpaceGrid, source_rows=None) -> np.ndarray:
-    """Explicit backward sweep.  ``source_rows`` freezes the driver input
-    to a previous iterate (Picard mode); None evaluates it on the fly.
+                    space_grid: SpaceGrid, driver_row) -> np.ndarray:
+    """Explicit backward sweep: row i is one :func:`march_steps` step of
+    row i+1, then ``+ dt * driver_row(i + 1, row i+1)``; ``driver_row(k, v)``
+    is the driver on row k (values v), live or a frozen Picard iterate.
 
-    Boundary nodes carry the zero-curvature reduced equation
-    ``v' = -f(t, v, one-sided D_x v)``: for x-independent solutions this
-    is exact, and for localised data it only perturbs the frozen-data
-    boundary at the level the domain truncation already does.
+    ``march_steps`` holds the boundary nodes, so they carry the
+    zero-curvature reduced equation ``v' = -f(t, v, one-sided D_x v)``:
+    for x-independent solutions this is exact, and for localised data it
+    only perturbs the frozen-data boundary at the level the domain
+    truncation already does.
     """
     if abs(time_grid.horizon - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
         raise UsageError("time grid horizon must equal the terminal horizon")
     dt, dx = time_grid.dt, space_grid.dx
     check_cfl(problem.band, dt, space_grid)
     _check_driver_stability(problem, dt, dx)
-    x = space_grid.points()
     n = time_grid.n_steps
-    times = time_grid.times()
-    band = problem.band
-    f = problem.driver
 
     values = np.empty((n + 1, space_grid.n_points))
-    values[n] = np.asarray(problem.terminal.as_levels()(x), dtype=float)
+    values[n] = np.asarray(problem.terminal.as_levels()(space_grid.points()),
+                           dtype=float)
     if not np.all(np.isfinite(values[n])):
         raise UsageError("terminal payoff produced non-finite values")
-    inv_dx2 = 1.0 / (dx * dx)
     for i in range(n - 1, -1, -1):
-        v = values[i + 1]
-        t_right = times[i + 1]
-        curv = (v[2:] - 2.0 * v[1:-1] + v[:-2]) * inv_dx2
-        if source_rows is None:
-            fy = np.asarray(f(t_right, v, gradient(v, dx)), dtype=float)
-        else:
-            fy = source_rows[i + 1]
-        out = values[i]
-        out[1:-1] = v[1:-1] + dt * (g_value(band, curv) + fy[1:-1])
-        out[0] = v[0] + dt * fy[0]
-        out[-1] = v[-1] + dt * fy[-1]
+        values[i] = values[i + 1]
+        march_steps(values[i], problem.band, dt, 1, dx)
+        values[i] += dt * driver_row(i + 1, values[i + 1])
     return values
+
+
+def _driver_field(problem: GBSDEProblem, time_grid: TimeGrid,
+                  y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``f(t_i, y_i, z_i)`` row by row over a solved surface."""
+    field = np.empty_like(y)
+    for i, t in enumerate(time_grid.times()):
+        field[i] = problem.driver(t, y[i], z[i])
+    return field
 
 
 def solve_ppde(problem: GBSDEProblem, time_grid: TimeGrid,
                space_grid: SpaceGrid) -> GBSDESolution:
     """Solve the backward equation by direct explicit marching."""
-    values = _march_backward(problem, time_grid, space_grid)
+    times, dx = time_grid.times(), space_grid.dx
+    values = _march_backward(
+        problem, time_grid, space_grid,
+        lambda k, v: problem.driver(times[k], v, gradient(v, dx)))
     return GBSDESolution(problem, time_grid, space_grid, values,
-                         gradient(values, space_grid.dx))
+                         gradient(values, dx))
 
 
 def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -289,30 +292,27 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
                       tol: float = 1e-10) -> tuple:
     """Picard iteration on the driver: freeze f at the previous iterate.
 
-    Returns ``(solution, iterations, final_delta)``.  Cross-validates the
-    direct scheme: both converge to the same explicit fixed point, so the
-    sup-gap after convergence is a genuine consistency signal.
+    Starts from f = 0; returns ``(solution, iterations, final_delta)``.
+    Cross-validates the direct scheme: both converge to the same explicit
+    fixed point, so the sup-gap after convergence is a genuine consistency
+    signal.
     """
-    zero_driver = GBSDEProblem(problem.terminal, lambda t, y, z: np.zeros_like(y),
-                               problem.band, 0.0, problem.name)
-    values = _march_backward(zero_driver, time_grid, space_grid)
+    dx = space_grid.dx
+    source = np.zeros((time_grid.n_steps + 1, space_grid.n_points))
+    values = _march_backward(problem, time_grid, space_grid,
+                             lambda k, v: source[k])
     delta = math.inf
     iterations = 0
-    f = problem.driver
-    times = time_grid.times()
     for iterations in range(1, max_iter + 1):
-        z = gradient(values, space_grid.dx)
-        source = np.empty_like(values)
-        for i in range(time_grid.n_steps + 1):
-            source[i] = np.asarray(f(times[i], values[i], z[i]), dtype=float)
+        source = _driver_field(problem, time_grid, values, gradient(values, dx))
         new_values = _march_backward(problem, time_grid, space_grid,
-                                     source_rows=source)
+                                     lambda k, v: source[k])
         delta = float(np.max(np.abs(new_values - values)))
         values = new_values
         if delta <= tol:
             break
     return (GBSDESolution(problem, time_grid, space_grid, values,
-                          gradient(values, space_grid.dx)),
+                          gradient(values, dx)),
             iterations, delta)
 
 
@@ -364,9 +364,13 @@ def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidual
 @dataclass(frozen=True)
 class EquivalenceReport:
     pde_residual: float
-    bsde_residual: float
+    relation: GBSDEResidualReport    # the backward relation along the paths
     pde_tol: float
     bsde_tol: float
+
+    @property
+    def bsde_residual(self) -> float:
+        return self.relation.max_residual
 
     @property
     def pde_ok(self) -> bool:
@@ -390,23 +394,15 @@ class EquivalenceReport:
 def ppde_residual(solution: GBSDESolution) -> float:
     """Interior residual of the discrete equation the sweep advanced.
 
-    Uses the scheme's own differencing (backward in time, centred in
-    space), so the value is rounding noise for genuine solutions and O(1)
-    for surfaces that do not solve the equation.
+    The :func:`pde_residual` of the backward surface (backward in time,
+    centred in space) plus the driver field on the rows the sweep read, so
+    the value is rounding noise for genuine solutions and O(1) for
+    surfaces that do not solve the equation.
     """
-    y = solution.y_values
-    dt, dx = solution.time_grid.dt, solution.space_grid.dx
-    times = solution.time_grid.times()
-    band = solution.problem.band
-    f = solution.problem.driver
-    worst = 0.0
-    for i in range(solution.time_grid.n_steps):
-        v = y[i + 1]
-        dv, curv = gradient(v, dx)[1:-1], curvature(v, dx)[1:-1]
-        fy = np.asarray(f(times[i + 1], v[1:-1], dv), dtype=float)
-        resid = (v[1:-1] - y[i, 1:-1]) / dt + g_value(band, curv) + fy
-        worst = max(worst, float(np.max(np.abs(resid))))
-    return worst
+    f = _driver_field(solution.problem, solution.time_grid,
+                      solution.y_values, solution.z_values)
+    resid = pde_residual(solution.y_surface()) + f[1:, 1:-1]
+    return float(np.max(np.abs(resid)))
 
 
 def equivalence_check(solution: GBSDESolution, bundle: PathBundle,
@@ -428,6 +424,6 @@ def equivalence_check(solution: GBSDESolution, bundle: PathBundle,
     if bsde_tol is None:
         tg = bundle.time_grid
         bsde_tol = 8.0 * solution.problem.band.var_hi * math.sqrt(tg.dt * tg.horizon)
-    report = gbsde_residual(solution, bundle)
-    return EquivalenceReport(ppde_residual(solution), report.max_residual,
+    return EquivalenceReport(ppde_residual(solution),
+                             gbsde_residual(solution, bundle),
                              float(pde_tol), float(bsde_tol))

@@ -160,10 +160,9 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
 
     values = np.empty((time_grid.n_steps + 1, space_grid.n_points))
     values[0] = data
-    u = data.copy()
     for i in range(1, time_grid.n_steps + 1):
-        march_steps(u, band, dt, 1, dx)
-        values[i] = u
+        values[i] = values[i - 1]
+        march_steps(values[i], band, dt, 1, dx)
     return ValueSurface(band, time_grid, space_grid, values, "forward", name)
 
 
@@ -188,12 +187,12 @@ def curvature(u: np.ndarray, dx: float) -> np.ndarray:
 def derivative_fields(surface: ValueSurface):
     """Finite-difference derivative fields (du_dt, du_dx, d2u_dx2).
 
-    The time derivative uses the same one-sided (forward) difference the
-    marching scheme advances with, so the interior PDE residual computed
-    from these fields vanishes identically for solved surfaces; centred
-    time differences would instead pick up the scheme's own smoothing lag
-    near kinked data.  Space derivatives are :func:`gradient` and
-    :func:`curvature`.
+    The time derivative is the one-sided difference ``(u[i+1] - u[i]) / dt``
+    the marching scheme advances with; :func:`pde_residual` pairs it with
+    the curvature of the row the scheme read, which leaves rounding noise
+    for solved surfaces.  Centred time differences would instead pick up
+    the scheme's own smoothing lag near kinked data.  Space derivatives
+    are :func:`gradient` and :func:`curvature`.
     """
     u = surface.values
     dt, dx = surface.time_grid.dt, surface.space_grid.dx
@@ -207,15 +206,18 @@ def derivative_fields(surface: ValueSurface):
 def pde_residual(surface: ValueSurface) -> np.ndarray:
     """Interior residual ``du_dt -/+ G(d2u_dx2)`` of a solved surface.
 
-    Forward surfaces solve ``u_t - G(u_xx) = 0``; backward ones solve
-    ``u_t + G(u_xx) = 0``.  For surfaces produced by the marching kernel
-    the interior residual is zero to rounding by construction, so this is
-    a self-consistency check, not an accuracy estimate.
+    Forward surfaces solve ``u_t - G(u_xx) = 0`` and backward ones
+    ``u_t + G(u_xx) = 0``; row i pairs ``(u[i+1] - u[i]) / dt`` with the
+    curvature of the row the scheme read (i forward, i+1 backward).  For
+    surfaces produced by the marching kernel the interior residual is zero
+    to rounding by construction, so this is a self-consistency check, not
+    an accuracy estimate.
     """
     du_dt, _, d2u = derivative_fields(surface)
-    sgn = -1.0 if surface.orientation == "forward" else 1.0
-    resid = du_dt + sgn * g_value(surface.band, d2u)
-    return resid[:-1, 1:-1]
+    g = g_value(surface.band, d2u)
+    if surface.orientation == "forward":
+        return (du_dt - g)[:-1, 1:-1]
+    return (du_dt[:-1] + g[1:])[:, 1:-1]
 
 
 def feedback_field(surface: ValueSurface) -> np.ndarray:

@@ -118,6 +118,33 @@ def march_steps_reference(u, band, dt, n, dx):
     return u
 
 
+def march_backward_reference(terminal, driver, band, times, dt, dx):
+    """Explicit backward sweep of ``D_t u + G(D2_x u) + f = 0``, as first written.
+
+    Row i is ``v + dt * (G(second difference of v) + f)`` at interior nodes
+    and ``v + dt * f`` at the two boundary nodes, where v is row i+1 and
+    ``f = driver(times[i+1], v, D_x v)`` with the centred gradient,
+    one-sided at the edges.  Row ``len(times) - 1`` is ``terminal``.
+    """
+    inv_dx2 = 1.0 / (dx * dx)
+    values = np.empty((len(times), len(terminal)))
+    values[-1] = terminal
+    for i in range(len(times) - 2, -1, -1):
+        v = values[i + 1]
+        dv = np.empty_like(v)
+        dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * dx)
+        dv[0] = (v[1] - v[0]) / dx
+        dv[-1] = (v[-1] - v[-2]) / dx
+        fy = np.asarray(driver(times[i + 1], v, dv), dtype=float)
+        curv = (v[2:] - 2.0 * v[1:-1] + v[:-2]) * inv_dx2
+        g = 0.5 * (band.var_hi * np.maximum(curv, 0.0)
+                   - band.var_lo * np.maximum(-curv, 0.0))
+        values[i, 1:-1] = v[1:-1] + dt * (g + fy[1:-1])
+        values[i, 0] = v[0] + dt * fy[0]
+        values[i, -1] = v[-1] + dt * fy[-1]
+    return values
+
+
 def gradient_reference(u, dx):
     """First difference along the last axis of ``u``, one node at a time.
 

@@ -36,6 +36,8 @@ from gbrownian import (
 )
 from gbrownian.errors import ExtrapolationError
 
+import oracles
+
 BAND = GParams(1.0, 2.0)
 SPACE = SpaceGrid(-8.0, 8.0, 321)
 TIME = TimeGrid(1.0, 1600)
@@ -171,6 +173,22 @@ class TestSolvePpde:
         problem = GBSDEProblem(terminal_square(), zero_driver, BAND)
         with pytest.raises(UsageError):
             solve_ppde(problem, TimeGrid(2.0, 3200), SPACE)
+
+    @pytest.mark.parametrize("driver, lipschitz", [
+        (lambda t, y, z: -0.1 * y, 0.1),
+        (lambda t, y, z: 0.1 + 0.2 * y + 0.1 * z, 0.3),
+        (lambda t, y, z: np.full_like(y, 0.7), 0.0),
+    ], ids=["discount", "affine", "constant"])
+    def test_sweep_matches_the_inline_reference(self, driver, lipschitz):
+        # march_steps then + dt*f rounds as (v + dt*G) + dt*f, the inline
+        # loop as v + dt*(G + f): equal up to accumulated rounding
+        problem = GBSDEProblem(terminal_square(), driver, BAND,
+                               driver_lipschitz=lipschitz)
+        solution = solve_ppde(problem, TIME, SPACE)
+        want = oracles.march_backward_reference(
+            SPACE.points() ** 2, driver, BAND, TIME.times(), TIME.dt, SPACE.dx)
+        gap = float(np.max(np.abs(solution.y_values - want)))
+        assert gap <= 1e-12 * float(np.max(np.abs(want)))
 
 
 class TestPicard:

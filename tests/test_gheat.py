@@ -306,6 +306,16 @@ class TestDerivativeFields:
         resid = pde_residual(butterfly_surface)
         assert np.max(np.abs(resid)) <= 10.0 * (TIME.dt + SPACE.dx**2)
 
+    def test_backward_residual_reads_the_later_row(self, butterfly_surface):
+        # the reversed forward surface is the zero-driver backward sweep,
+        # whose row i was marched from the curvature of row i+1
+        backward = gheat.ValueSurface(BAND, TIME, SPACE,
+                                      butterfly_surface.values[::-1], "backward")
+        resid = pde_residual(backward)
+        assert np.array_equal(resid, -pde_residual(butterfly_surface)[::-1])
+        scale = max(1.0, float(np.max(np.abs(backward.values))))
+        assert np.max(np.abs(resid)) <= 1e-9 * scale
+
 
 class TestFeedbackField:
     def test_convex_payoff_runs_at_the_top(self, square_surface):
