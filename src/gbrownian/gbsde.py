@@ -39,11 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value, running_sum
-from .errors import (
-    CapabilityError,
-    ConfigurationError,
-    UsageError,
-)
+from .errors import CapabilityError, ConfigurationError, UsageError
 from .gheat import ValueSurface, check_cfl, gradient, march_steps, pde_residual
 from .mc import PathBundle
 from .ito import check_paths_inside, eval_on_paths, k_ledger, stochastic_integral

@@ -21,7 +21,6 @@ the step size shrinks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +31,7 @@ from .core import (CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value
 from .errors import DomainError, ExtrapolationError, UsageError
 from .gexp import conditional_frames, eval_frame
 from .gheat import curvature, gradient
-from .mc import PathBundle, simulate
+from .mc import PathBundle, _simulate_reduce
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +121,7 @@ def _integrand_on_grid(integrand, bundle: PathBundle) -> np.ndarray:
         return np.broadcast_to(step_values_on_grid(*integrand, bundle.time_grid),
                                (bundle.n_paths, n))
     arr = np.asarray(integrand, dtype=float)
-    if arr.ndim == 0:
-        return np.broadcast_to(arr, (bundle.n_paths, n))
-    if arr.ndim == 1 and arr.shape[0] == n:
+    if arr.ndim == 0 or arr.shape == (n,):
         return np.broadcast_to(arr, (bundle.n_paths, n))
     if arr.shape == (bundle.n_paths, n):
         return arr
@@ -275,49 +272,42 @@ def martingale_test(process_builder, family, pairs, time_grid: TimeGrid,
     expectation, the supremum of ``E[X_t - X_s]`` over *all* admissible
     controls is zero; over a finite family the estimate can therefore only
     refute the property (sup significantly away from zero), never certify
-    it — a family that misses the maximiser biases the sup low.  All
-    controls see identical normals (common random numbers).
+    it — a family that misses the maximiser biases the sup low.  Each
+    control's bundle goes through ``mc._simulate_reduce``, which issues
+    every control identical normals (common random numbers) and reduces
+    the per-path window differences ``X_t - X_s`` to estimates.
 
     ``process_builder(bundle)`` must return node-shaped paths
     ``(n_paths, n_steps + 1)``.  Verdict: consistent iff the sup estimate
     lies within three of its standard errors of zero on every window.
     """
-    family = list(family)
-    if not family:
-        raise UsageError("empty control family")
     idx_pairs = [(time_grid.index_of(s), time_grid.index_of(t)) for s, t in pairs]
     for (i, j), (s, t) in zip(idx_pairs, pairs):
         if not i < j:
             raise UsageError(f"window ({s}, {t}) is not increasing")
 
-    stats = []  # per control: list of (mean, se) per pair
-    for control in family:
-        bundle = simulate(control, time_grid, n_paths, seed)
+    def window_differences(bundle):
         x = np.asarray(process_builder(bundle), dtype=float)
         if x.shape != bundle.b_paths.shape:
             raise UsageError("process builder must return node-shaped paths")
-        per_pair = []
-        for i, j in idx_pairs:
-            d = x[:, j] - x[:, i]
-            per_pair.append((float(d.mean()),
-                             float(d.std(ddof=1) / math.sqrt(len(d)))))
-        stats.append(per_pair)
-        del bundle, x
+        return [x[:, j] - x[:, i] for i, j in idx_pairs]
+
+    stats = _simulate_reduce(family, time_grid, n_paths, seed,
+                             window_differences)
 
     rows = []
     consistent = True
     for p, (s, t) in enumerate(pairs):
-        means = [stats[c][p][0] for c in range(len(family))]
+        means = [ests[p].mean for ests in stats]
         c_sup = int(np.argmax(means))
         c_min = int(np.argmin(means))
-        sup_mean, sup_se = stats[c_sup][p]
-        min_mean, min_se = stats[c_min][p]
-        ok = abs(sup_mean) <= 3.0 * sup_se
+        sup, low = stats[c_sup][p], stats[c_min][p]
+        ok = abs(sup.mean) <= 3.0 * sup.stderr
         consistent = consistent and ok
         rows.append({
             "s": float(s), "t": float(t),
-            "sup_mean": sup_mean, "sup_stderr": sup_se, "sup_control": c_sup,
-            "min_mean": min_mean, "min_stderr": min_se, "min_control": c_min,
+            "sup_mean": sup.mean, "sup_stderr": sup.stderr, "sup_control": c_sup,
+            "min_mean": low.mean, "min_stderr": low.stderr, "min_control": c_min,
             "window_consistent": ok,
         })
     return MartingaleReport(tuple(rows), consistent, n_paths, seed)
@@ -344,27 +334,22 @@ def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
     values = [float(v) for v in values]
     if len(breaks) != len(values) + 1:
         raise UsageError("eta must be (breaks, values) with one more break")
-    family = list(family)
-    if not family:
-        raise UsageError("empty control family")
-    qv_means = []
-    for control in family:
-        bundle = simulate(control, time_grid, n_paths, seed)
-        qv_means.append(bundle.qv_paths.mean(axis=0))
-        del bundle
+    nodes = [time_grid.index_of(b) for b in breaks]
+
+    def interval_gains(bundle):
+        qv = bundle.qv_paths
+        return [qv[:, hi] - qv[:, lo] for lo, hi in zip(nodes, nodes[1:])]
+
+    gains = _simulate_reduce(family, time_grid, n_paths, seed, interval_gains)
     eps_max = 0.5 * band.var_spread
 
     out = []
     for i, a in enumerate(values):
-        i_lo = time_grid.index_of(breaks[i])
-        i_hi = time_grid.index_of(breaks[i + 1])
         length = breaks[i + 1] - breaks[i]
-        sup_gain = max(a * (qm[i_hi] - qm[i_lo]) for qm in qv_means)
+        sup_gain = max(a * ests[i].mean for ests in gains)
         lo = 2.0 * g_eps_value(band, eps_max, a)
         hi = 2.0 * g_value(band, a) + 0.5 * band.var_spread
-        f_lo = sup_gain - lo * length
-        f_hi = sup_gain - hi * length
-        if f_lo < -1e-12 or f_hi > 1e-12:
+        if sup_gain - lo * length < -1e-12 or sup_gain - hi * length > 1e-12:
             raise UsageError(
                 f"bisection bracket [{lo}, {hi}] does not straddle the root "
                 f"on [{breaks[i]}, {breaks[i + 1]}]; is the family missing "

@@ -196,6 +196,33 @@ def simulate(control: ControlProcess, time_grid: TimeGrid, n_paths: int,
                       h, seed)
 
 
+def _simulate_reduce(family, time_grid: TimeGrid, n_paths: int, seed: int,
+                     per_path, streams=None) -> list:
+    """The one Monte Carlo pass: one tuple of estimates per control.
+
+    Each control's bundle goes to ``per_path(bundle)``, which returns one
+    ``(n_paths,)`` vector per statistic, entry p depending on path p only;
+    ``_estimate`` turns each vector into an :class:`McEstimate`, and the
+    bundle is released before the next control.  Streams: by default every
+    control runs on stream 0 of the seed (common random numbers); runs
+    compared as independent samples pass distinct ``streams``.
+    """
+    family = list(family)
+    if not family:
+        raise UsageError("empty control family")
+    return [tuple(_estimate(v, seed) for v in per_path(
+                simulate(control, time_grid, n_paths, seed, stream)))
+            for control, stream in zip(family, streams or [0] * len(family))]
+
+
+def _functional_on_paths(xi: CylinderFunctional, bundle: PathBundle) -> np.ndarray:
+    """Per-path ``(n_paths,)`` values of ``xi`` at its monitoring dates (see
+    ``mc_expectation``); a scalar payoff is broadcast to every path."""
+    idx = [bundle.time_grid.index_of(t) for t in xi.times]
+    values = xi.evaluate_levels(*(bundle.b_paths[:, i] for i in idx))
+    return np.broadcast_to(np.asarray(values, dtype=float), (bundle.n_paths,))
+
+
 def mc_expectation(xi: CylinderFunctional, bundle: PathBundle) -> McEstimate:
     """Sample mean of a functional on one bundle.
 
@@ -207,35 +234,29 @@ def mc_expectation(xi: CylinderFunctional, bundle: PathBundle) -> McEstimate:
     functional; otherwise the evaluation would silently interpolate path
     values, which is refused.
     """
-    idx = [bundle.time_grid.index_of(t) for t in xi.times]
-    values = xi.evaluate_levels(*(bundle.b_paths[:, i] for i in idx))
-    return _estimate(np.asarray(values, dtype=float), bundle.seed)
+    return _estimate(_functional_on_paths(xi, bundle), bundle.seed)
 
 
 def sup_over_controls(xi: CylinderFunctional, family, time_grid: TimeGrid,
                       n_paths: int, seed: int):
     """Best lower-bound estimate of the sublinear expectation over a family.
 
-    All controls are issued the *same* normals (common random numbers), so
-    enlarging the family can only raise the estimate.  Returns the
-    maximising control and its estimate (the first one on ties); the full
-    table is available via ``sup_over_controls_table``.
+    All controls are issued the *same* normals (common random numbers; see
+    ``_simulate_reduce``), so enlarging the family can only raise the
+    estimate.  Returns the maximising control and its estimate (the first
+    one on ties); the full table is ``sup_over_controls_table``.
     """
     rows = sup_over_controls_table(xi, family, time_grid, n_paths, seed)
-    if not rows:
-        raise UsageError("empty control family")
     return max(rows, key=lambda row: row[1].mean)
 
 
 def sup_over_controls_table(xi: CylinderFunctional, family,
                             time_grid: TimeGrid, n_paths: int, seed: int):
     """Per-control ``(control, estimate)`` rows on common random numbers."""
-    rows = []
-    for control in family:
-        bundle = simulate(control, time_grid, n_paths, seed)
-        rows.append((control, mc_expectation(xi, bundle)))
-        del bundle
-    return rows
+    family = list(family)
+    rows = _simulate_reduce(family, time_grid, n_paths, seed,
+                            lambda b: (_functional_on_paths(xi, b),))
+    return [(control, est) for control, (est,) in zip(family, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +452,16 @@ class MarginalMatchResult:
                 f"{3.0 * self.stderr:.3e} [{verdict}]")
 
 
-def _block_times(m: int, horizon: float) -> np.ndarray:
-    return np.linspace(0.0, horizon, m + 1)[1:]
-
-
 def _times_on_block_grid(times, m: int, horizon: float) -> bool:
     grid = horizon / m
     return all(abs(t / grid - round(t / grid)) < 1e-9 for t in times)
+
+
+def _within_3se(base: McEstimate, alt: McEstimate) -> tuple:
+    """``(diff, stderr, within 3 se)`` of two independent estimates."""
+    diff = alt.mean - base.mean
+    se = math.hypot(base.stderr, alt.stderr)
+    return diff, se, bool(abs(diff) <= 3.0 * se)
 
 
 def marginal_match_test(base: SelfDependentControl, alt: ControlProcess,
@@ -457,12 +481,11 @@ def marginal_match_test(base: SelfDependentControl, alt: ControlProcess,
         return MarginalMatchResult("out-of-scope", float("nan"), float("nan"),
                                    float("nan"), float("nan"), None,
                                    n_paths, seed)
-    est_base = mc_expectation(psi, simulate(base, time_grid, n_paths, seed, stream=0))
-    est_alt = mc_expectation(psi, simulate(alt, time_grid, n_paths, seed, stream=1))
-    diff = est_alt.mean - est_base.mean
-    se = math.hypot(est_base.stderr, est_alt.stderr)
-    return MarginalMatchResult("tested", est_base.mean, est_alt.mean, diff, se,
-                               bool(abs(diff) <= 3.0 * se), n_paths, seed)
+    (est_base,), (est_alt,) = _simulate_reduce(
+        [base, alt], time_grid, n_paths, seed,
+        lambda b: (_functional_on_paths(psi, b),), streams=[0, 1])
+    return MarginalMatchResult("tested", est_base.mean, est_alt.mean,
+                               *_within_3se(est_base, est_alt), n_paths, seed)
 
 
 def weak_convergence_probe(base: SelfDependentControl, schedules,
@@ -475,28 +498,23 @@ def weak_convergence_probe(base: SelfDependentControl, schedules,
     match (their block budgets pin all the marginals psi can see), rows
     below k may drift — both outcomes are reported, not asserted.
     """
-    m = base.n_blocks
-    horizon = time_grid.horizon
-    k_psi = None
-    for k in range(0, 22):
-        if _times_on_block_grid(psi.times, m * 2 ** k, horizon):
-            k_psi = k
-            break
-    est_base = mc_expectation(psi, simulate(base, time_grid, n_paths, seed, stream=0))
+    k_psi = next((k for k in range(22) if _times_on_block_grid(
+        psi.times, base.n_blocks * 2 ** k, time_grid.horizon)), None)
+    schedules = list(schedules)
+    (est_base,), *perturbed = _simulate_reduce(
+        [base] + [perturb_control(base, sched) for sched in schedules],
+        time_grid, n_paths, seed, lambda b: (_functional_on_paths(psi, b),),
+        streams=[0] + [2 + j for j in range(len(schedules))])
     rows = []
-    for j, sched in enumerate(schedules):
-        pert = perturb_control(base, sched)
-        est = mc_expectation(psi, simulate(pert, time_grid, n_paths, seed,
-                                           stream=2 + j))
-        diff = est.mean - est_base.mean
-        se = math.hypot(est_base.stderr, est.stderr)
+    for sched, (est,) in zip(schedules, perturbed):
+        diff, se, within = _within_3se(est_base, est)
         rows.append({
             "refinement": sched.refinement,
             "mean_base": est_base.mean,
             "mean_perturbed": est.mean,
             "diff": diff,
             "stderr": se,
-            "within_3se": bool(abs(diff) <= 3.0 * se),
+            "within_3se": within,
             "expected_match": None if k_psi is None else sched.refinement >= k_psi,
         })
     return rows

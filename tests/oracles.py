@@ -281,6 +281,118 @@ def euler_path_major(driver, z, dt):
 
 
 # ----------------------------------------------------------------------
+# Reference Monte Carlo reductions (one loop per consumer)
+# ----------------------------------------------------------------------
+# Each loop simulates one whole bundle per control with the ``simulate``
+# it is handed, reduces it with plain numpy and drops it, in the order and
+# with the rounding of the consumer it mirrors.  Estimates are
+# ``(mean, stderr, n)`` with the ddof=1 standard error.
+
+
+def _mean_stderr(values):
+    values = np.asarray(values, dtype=float)
+    n = values.size
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
+    return float(values.mean()), se, n
+
+
+def _payoff_estimate(xi, bundle):
+    idx = [bundle.time_grid.index_of(t) for t in xi.times]
+    return _mean_stderr(xi.evaluate_levels(*(bundle.b_paths[:, i] for i in idx)))
+
+
+def sup_table_reference(simulate, xi, family, time_grid, n_paths, seed):
+    """Per-control payoff estimates on common random numbers (stream 0)."""
+    rows = []
+    for control in family:
+        bundle = simulate(control, time_grid, n_paths, seed)
+        rows.append(_payoff_estimate(xi, bundle))
+        del bundle
+    return rows
+
+
+def martingale_rows_reference(simulate, builder, family, pairs, time_grid,
+                              n_paths, seed):
+    """Sup and min over the family of the mean window gain ``X_t - X_s``;
+    returns ``(rows, consistent)``."""
+    idx_pairs = [(time_grid.index_of(s), time_grid.index_of(t))
+                 for s, t in pairs]
+    stats = []
+    for control in family:
+        x = np.asarray(builder(simulate(control, time_grid, n_paths, seed)),
+                       dtype=float)
+        per_pair = []
+        for i, j in idx_pairs:
+            d = x[:, j] - x[:, i]
+            per_pair.append((float(d.mean()),
+                             float(d.std(ddof=1) / math.sqrt(len(d)))))
+        stats.append(per_pair)
+    rows = []
+    consistent = True
+    for p, (s, t) in enumerate(pairs):
+        means = [per_pair[p][0] for per_pair in stats]
+        c_sup = int(np.argmax(means))
+        c_min = int(np.argmin(means))
+        sup_mean, sup_se = stats[c_sup][p]
+        min_mean, min_se = stats[c_min][p]
+        ok = abs(sup_mean) <= 3.0 * sup_se
+        consistent = consistent and ok
+        rows.append({
+            "s": float(s), "t": float(t),
+            "sup_mean": sup_mean, "sup_stderr": sup_se, "sup_control": c_sup,
+            "min_mean": min_mean, "min_stderr": min_se, "min_control": c_min,
+            "window_consistent": ok,
+        })
+    return rows, consistent
+
+
+def identify_drift_reference(simulate, eta, var_lo, var_hi, family,
+                             time_grid, n_paths, seed, tol=1e-4,
+                             max_iter=200):
+    """Bisect ``sup_gain - c * length = 0`` per interval of the step
+    integrand ``eta``, where ``sup_gain`` is the family's largest
+    ``eta * (mean qv(t_hi) - mean qv(t_lo))``.  The bracket is
+    ``[2 G_eps(a), 2 G(a) + spread/2]`` at the largest tilt."""
+    breaks, values = eta
+    qv_means = [simulate(c, time_grid, n_paths, seed).qv_paths.mean(axis=0)
+                for c in family]
+    spread = var_hi - var_lo
+    out = []
+    for i, a in enumerate(values):
+        i_lo = time_grid.index_of(breaks[i])
+        i_hi = time_grid.index_of(breaks[i + 1])
+        length = breaks[i + 1] - breaks[i]
+        sup_gain = max(a * (qm[i_hi] - qm[i_lo]) for qm in qv_means)
+        g = envelope(var_lo, var_hi, a)
+        lo = 2.0 * (g - 0.5 * (0.5 * spread) * abs(a))
+        hi = 2.0 * g + 0.5 * spread
+        it = 0
+        while hi - lo > tol and it < max_iter:
+            mid = 0.5 * (lo + hi)
+            if sup_gain - mid * length >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            it += 1
+        out.append({"t_lo": breaks[i], "t_hi": breaks[i + 1], "eta": a,
+                    "c": 0.5 * (lo + hi), "iterations": it})
+    return out
+
+
+def compare_reference(simulate, base, alt, psi, time_grid, n_paths, seed,
+                      stream_alt):
+    """``(mean_base, mean_alt, diff, stderr, within 3 se)`` of two
+    independent runs: the base on stream 0, ``alt`` on ``stream_alt``."""
+    est_base = _payoff_estimate(psi, simulate(base, time_grid, n_paths, seed,
+                                              stream=0))
+    est_alt = _payoff_estimate(psi, simulate(alt, time_grid, n_paths, seed,
+                                             stream=stream_alt))
+    diff = est_alt[0] - est_base[0]
+    se = math.hypot(est_base[1], est_alt[1])
+    return est_base[0], est_alt[0], diff, se, bool(abs(diff) <= 3.0 * se)
+
+
+# ----------------------------------------------------------------------
 # Closed forms used as frozen expectations
 # ----------------------------------------------------------------------
 

@@ -11,8 +11,10 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
+from gbrownian import GParams, SpaceGrid, TimeGrid, pde_residual, solve_gheat
 from gbrownian.cli import OUT_DIR_ENV, main
 
 
@@ -202,6 +204,23 @@ class TestOutputs:
         match, mismatch, errors = filecmp.cmpfiles(first, second, names,
                                                    shallow=False)
         assert (sorted(match), mismatch, errors) == (names, [], [])
+
+    def test_residual_check_reads_every_interior_column(self, tmp_path, capsys):
+        # README grids; the x2 residual peaks next to the boundary (grid
+        # column 1), which a second interior slice would skip
+        grids = {"T": 1.0, "n_steps": 2048, "x_min": -6.0, "x_max": 6.0,
+                 "n_points": 241}
+        cfg = base_config(grids=grids,
+                          experiments=[{"name": "solve-gheat", "payoff": "x2"}])
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        surface = solve_gheat(lambda x: x * x, GParams(1.0, 2.0),
+                              TimeGrid(1.0, 2048), SpaceGrid(-6.0, 6.0, 241))
+        want = float(np.max(np.abs(pde_residual(surface))))
+        got = {r["metric"]: float(r["value"]) for r in read_summary(out)}
+        assert got["interior-equation-residual"] == want
 
     def test_surface_export_is_strided(self, tmp_path, capsys):
         cfg = base_config(experiments=[

@@ -26,7 +26,10 @@ from gbrownian import (
     UsageError,
     block_budget_gap,
     export_bundle_csv,
+    identify_drift,
+    k_process,
     marginal_match_test,
+    martingale_test,
     mc_expectation,
     perturb_control,
     qv_band_violation,
@@ -47,6 +50,30 @@ GRID = TimeGrid(1.0, 512)
 def xi_terminal_square():
     return CylinderFunctional(times=(1.0,), payoff=lambda x: x * x,
                               lipschitz_bound=10.0, value_bound=25.0)
+
+
+def xi_constant():
+    return CylinderFunctional(times=(1.0,), payoff=lambda x: 1.0,
+                              lipschitz_bound=1.0, value_bound=1.0)
+
+
+def five_controls():
+    """One control of each kind, the step with a callable level."""
+    base = SelfDependentControl(band=BAND, rules=(
+        math.sqrt(2.5),
+        lambda inc: np.where(inc > 0.0, math.sqrt(3.25), math.sqrt(1.75))))
+    sched = PerturbationSchedule(refinement=2, alpha=0.25,
+                                 sub_control=ConstantControl(band=BAND, level=1.0))
+    return [
+        ConstantControl(band=BAND, level=1.5),
+        StepControl(band=BAND, breaks=(0.0, 0.25, 1.0),
+                    levels=(2.0, lambda x: np.where(x > 0.0, 1.0, 2.0))),
+        FeedbackControl(band=BAND, surface=solve_gheat(
+            oracles.butterfly, BAND, TimeGrid(1.0, 300),
+            SpaceGrid(-12.0, 12.0, 201))),
+        base,
+        perturb_control(base, sched),
+    ]
 
 
 class TestSimulate:
@@ -121,29 +148,12 @@ class TestTimeMajorEngine:
     # more paths than one normal draw chunk, and not a multiple of it
     N_PATHS = 2 * _DRAW_CHUNK + 37
 
-    def controls(self):
-        base = SelfDependentControl(band=BAND, rules=(
-            math.sqrt(2.5),
-            lambda inc: np.where(inc > 0.0, math.sqrt(3.25), math.sqrt(1.75))))
-        sched = PerturbationSchedule(refinement=2, alpha=0.25,
-                                     sub_control=ConstantControl(band=BAND, level=1.0))
-        return [
-            ConstantControl(band=BAND, level=1.5),
-            StepControl(band=BAND, breaks=(0.0, 0.25, 1.0),
-                        levels=(2.0, lambda x: np.where(x > 0.0, 1.0, 2.0))),
-            FeedbackControl(band=BAND, surface=solve_gheat(
-                oracles.butterfly, BAND, TimeGrid(1.0, 300),
-                SpaceGrid(-12.0, 12.0, 201))),
-            base,
-            perturb_control(base, sched),
-        ]
-
     @pytest.mark.parametrize("stream", [0, 3])
     def test_bitwise_equal_to_the_path_major_loop(self, stream):
         n = self.N_PATHS
         assert n > _DRAW_CHUNK and n % _DRAW_CHUNK != 0
         z = oracles.philox_normals(19, stream, n, GRID.n_steps)
-        for control in self.controls():
+        for control in five_controls():
             bundle = simulate(control, GRID, n, seed=19, stream=stream)
             b, qv, h = oracles.euler_path_major(
                 control.make_driver(GRID, n), z, GRID.dt)
@@ -196,6 +206,11 @@ class TestMcExpectation:
         assert lo == pytest.approx(est.mean - 3 * est.stderr)
         assert hi == pytest.approx(est.mean + 3 * est.stderr)
 
+    def test_scalar_payoff_counts_every_path(self):
+        bundle = simulate(ConstantControl(band=BAND, level=1.0), GRID, 100, seed=31)
+        est = mc_expectation(xi_constant(), bundle)
+        assert (est.mean, est.stderr, est.n_paths) == (1.0, 0.0, 100)
+
     def test_monitoring_dates_must_be_grid_nodes(self):
         xi = CylinderFunctional(times=(0.3, 1.0), payoff=lambda a, b: a + b,
                                 lipschitz_bound=1.0, value_bound=40.0)
@@ -225,8 +240,15 @@ class TestSupOverControls:
         assert est_large.mean >= est_small.mean
 
     def test_empty_family(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="empty control family"):
             sup_over_controls(xi_terminal_square(), [], GRID, 100, seed=1)
+        with pytest.raises(UsageError, match="empty control family"):
+            sup_over_controls_table(xi_terminal_square(), [], GRID, 100, seed=1)
+
+    def test_scalar_payoff_counts_every_path(self):
+        family = [ConstantControl(band=BAND, level=1.0)]
+        _, est = sup_over_controls(xi_constant(), family, GRID, 100, seed=1)
+        assert (est.mean, est.stderr, est.n_paths) == (1.0, 0.0, 100)
 
     def test_table_matches_the_sup(self):
         family = [ConstantControl(band=BAND, level=1.0),
@@ -357,6 +379,91 @@ class TestMarginalMatch:
         assert rows[0]["within_3se"] is False   # 7/6 vs 1: far beyond noise
         assert rows[1]["within_3se"] is True
         assert rows[2]["within_3se"] is True
+
+
+class TestOnePassMatchesTheLoops:
+    """Every Monte Carlo consumer against its per-control reference loop in
+    ``oracles``, compared float by float with ``==``."""
+
+    # more paths than one normal draw chunk, and not a multiple of it
+    N_PATHS = 2 * _DRAW_CHUNK + 37
+    GRID = TimeGrid(1.0, 64)
+    WINDOWS = [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)]
+    XIS = [
+        xi_terminal_square(),
+        CylinderFunctional(times=(0.5, 1.0), payoff=np.maximum,
+                           lipschitz_bound=1.0, value_bound=40.0),
+    ]
+
+    @staticmethod
+    def edges():
+        return [ConstantControl(band=BAND, level=1.0),
+                ConstantControl(band=BAND, level=2.0)]
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_sup_table(self, which):
+        xi, family = self.XIS[which], five_controls()
+        rows = sup_over_controls_table(xi, family, self.GRID, self.N_PATHS, 23)
+        refs = oracles.sup_table_reference(simulate, xi, family, self.GRID,
+                                           self.N_PATHS, 23)
+        assert [c for c, _ in rows] == family
+        for (_, est), ref in zip(rows, refs):
+            assert (est.mean, est.stderr, est.n_paths, est.seed) == (*ref, 23)
+
+    @pytest.mark.parametrize("builder", ["k", "drift", "path"])
+    def test_martingale_rows(self, builder):
+        # under the edge controls K(1) and -t have deterministic window
+        # gains; B itself makes every row depend on the normals
+        build = {
+            "k": lambda b: k_process(1.0, b),
+            "drift": lambda b: np.broadcast_to(-b.time_grid.times(),
+                                               b.b_paths.shape),
+            "path": lambda b: b.b_paths,
+        }[builder]
+        family = self.edges() + five_controls()
+        report = martingale_test(build, family, self.WINDOWS, self.GRID,
+                                 self.N_PATHS, 29)
+        rows, consistent = oracles.martingale_rows_reference(
+            simulate, build, family, self.WINDOWS, self.GRID, self.N_PATHS, 29)
+        assert list(report.rows) == rows
+        assert report.consistent == consistent
+
+    def test_identify_drift_rows(self):
+        eta = ((0.0, 0.5, 1.0), (1.0, -1.0))
+        family = self.edges() + five_controls()
+        rows = identify_drift(eta, BAND, family, self.GRID, self.N_PATHS, 31)
+        assert rows == oracles.identify_drift_reference(
+            simulate, eta, BAND.var_lo, BAND.var_hi, family, self.GRID,
+            self.N_PATHS, 31)
+
+    def test_marginal_match_result(self):
+        base = five_controls()[3]
+        alt = perturb_control(base, PerturbationSchedule(
+            refinement=1, alpha=0.25,
+            sub_control=ConstantControl(band=BAND, level=1.0)))
+        res = marginal_match_test(base, alt, self.XIS[1], self.GRID,
+                                  self.N_PATHS, 37)
+        ref = oracles.compare_reference(simulate, base, alt, self.XIS[1],
+                                        self.GRID, self.N_PATHS, 37, 1)
+        assert (res.mean_base, res.mean_alt, res.diff, res.stderr,
+                res.passed) == ref
+        assert (res.status, res.n_paths, res.seed) == ("tested", self.N_PATHS, 37)
+
+    def test_weak_convergence_rows(self):
+        base = five_controls()[3]
+        scheds = [PerturbationSchedule(
+            refinement=r, alpha=0.25,
+            sub_control=ConstantControl(band=BAND, level=1.0)) for r in (0, 1, 2)]
+        rows = weak_convergence_probe(base, scheds, self.XIS[1], self.GRID,
+                                      self.N_PATHS, 41)
+        assert len(rows) == len(scheds)
+        for j, (row, sched) in enumerate(zip(rows, scheds)):
+            ref = oracles.compare_reference(
+                simulate, base, perturb_control(base, sched), self.XIS[1],
+                self.GRID, self.N_PATHS, 41, 2 + j)
+            assert (row["mean_base"], row["mean_perturbed"], row["diff"],
+                    row["stderr"], row["within_3se"]) == ref
+            assert row["refinement"] == sched.refinement
 
 
 class TestExport:
