@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -367,7 +368,8 @@ class ControlProcess:
     ``[t_k, t_{k+1})`` for every path.  ``b_hist`` is a read-only view
     (writing into it raises ``ValueError``) whose memory layout is
     unspecified: index it, do not rely on its strides, and copy what must
-    outlive the call.
+    outlive the call.  Drivers must be path-local (path p's levels depend
+    on path p's history only): ``make_driver`` may run once per path chunk.
     """
 
     band: GParams
@@ -553,15 +555,18 @@ class FeedbackControl(ControlProcess):
 
     kind: str = field(default="feedback", init=False)
 
-    def make_driver(self, time_grid: TimeGrid, n_paths: int) -> Callable:
+    @cached_property
+    def _field(self) -> np.ndarray:    # once per control, not per driver
         from .gheat import feedback_field  # local import: gheat depends on core
+        return feedback_field(self.surface)
 
+    def make_driver(self, time_grid: TimeGrid, n_paths: int) -> Callable:
         surf = self.surface
         if surf.time_grid.horizon + 1e-9 < time_grid.horizon:
             raise UsageError(
                 "feedback surface covers a shorter horizon than the simulation"
             )
-        field_vals = feedback_field(surf)
+        field_vals = self._field
         sg = surf.space_grid
         sdt = surf.time_grid.dt
         n_rows = surf.time_grid.n_steps

@@ -145,9 +145,10 @@ def k_ledger(varsigma: np.ndarray, bundle: PathBundle) -> np.ndarray:
 
     Given half the curvature c this is ``0.5 c dqv - G(c) dt`` bitwise.
     """
-    dqv = np.diff(bundle.qv_paths, axis=-1)
-    dt = bundle.time_grid.dt
-    return running_sum(varsigma * dqv - 2.0 * g_value(bundle.band, varsigma) * dt)
+    # G first, gain added in place: two fewer temporaries, the same roundings
+    steps = -2.0 * g_value(bundle.band, varsigma) * bundle.time_grid.dt
+    steps += varsigma * np.diff(bundle.qv_paths, axis=-1)
+    return running_sum(steps)
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +278,9 @@ def martingale_test(process_builder, family, pairs, time_grid: TimeGrid,
     every control identical normals (common random numbers) and reduces
     the per-path window differences ``X_t - X_s`` to estimates.
 
-    ``process_builder(bundle)`` must return node-shaped paths
-    ``(n_paths, n_steps + 1)``.  Verdict: consistent iff the sup estimate
-    lies within three of its standard errors of zero on every window.
+    ``process_builder`` maps one chunk's bundle to node-shaped paths, row p
+    from path p only.  Verdict: consistent iff the sup estimate lies within
+    three of its standard errors of zero on every window.
     """
     idx_pairs = [(time_grid.index_of(s), time_grid.index_of(t)) for s, t in pairs]
     for (i, j), (s, t) in zip(idx_pairs, pairs):

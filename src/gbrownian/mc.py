@@ -12,6 +12,9 @@ chunks reproduces the single big draw bit for bit.  The engine uses that
 to march time-major: normals, paths and levels live in
 ``(n_steps, n_paths)`` buffers whose rows are contiguous, and the finished
 paths and levels are transposed once into the path-major bundle arrays.
+The Monte Carlo pass marches path chunks of about ``_CHUNK_BYTES`` of
+normals, drawn once per stream and chunk into one reused buffer and shared
+by every control on that stream: O(chunk x n_steps) memory at any n_paths.
 The accumulated variance is carried alongside the path exactly as
 ``sum h_k^2 dt`` — the simulation's quadratic-variation ledger, which
 stays inside the band's bounds pathwise by construction.
@@ -110,7 +113,6 @@ class McEstimate:
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
-    values = np.asarray(values, dtype=float)
     n = values.size
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else float("inf")
     return McEstimate(float(values.mean()), se, n, seed)
@@ -121,15 +123,17 @@ def _estimate(values: np.ndarray, seed: int) -> McEstimate:
 # ---------------------------------------------------------------------------
 
 # Paths per normal draw.  Each draw continues the generator's row-major
-# stream, so the chunk size never changes a number; it only bounds the
+# stream, so the draw size never changes a number; it only bounds the
 # path-major scratch block that is transposed into the time-major buffer.
 _DRAW_CHUNK = 256
 
+# Bytes of the pass's normal buffer: 1024 to 2047 paths per chunk at 512 steps.
+_CHUNK_BYTES = 4 * 1024 * 1024
 
-def _normals(seed: int, stream: int, n_paths: int, n_steps: int) -> np.ndarray:
-    """Time-major ``(n_steps, n_paths)`` transpose of one row-major draw."""
-    gen = _philox(seed, stream)
-    zt = np.empty((n_steps, n_paths))
+
+def _fill_normals(gen: np.random.Generator, zt: np.ndarray) -> np.ndarray:
+    """Fill time-major ``zt`` with the next rows of ``gen``'s row-major draw."""
+    n_steps, n_paths = zt.shape
     block = np.empty((min(_DRAW_CHUNK, n_paths), n_steps))
     for p0 in range(0, n_paths, _DRAW_CHUNK):
         p1 = min(p0 + _DRAW_CHUNK, n_paths)
@@ -170,11 +174,10 @@ def _march(control: ControlProcess, time_grid: TimeGrid,
 
 def _run_euler(control: ControlProcess, time_grid: TimeGrid,
                z: np.ndarray, seed: int) -> PathBundle:
-    """Euler recursion with an explicit ``(n_paths, n_steps)`` normal matrix
-    (testing hook)."""
+    """Validated bundle marched over explicit ``(n_paths, n_steps)`` normals."""
     if z.ndim != 2 or z.shape[1] != time_grid.n_steps:
         raise UsageError("normal matrix does not match the time grid")
-    b, h = _march(control, time_grid, np.ascontiguousarray(z.T))
+    b, h = _march(control, time_grid, z.T)
     return PathBundle(control.band, time_grid, b, _qv_ledger(h, time_grid.dt),
                       h, seed)
 
@@ -190,8 +193,8 @@ def simulate(control: ControlProcess, time_grid: TimeGrid, n_paths: int,
     if n_paths < 2:
         raise UsageError("need at least 2 paths for variance estimates")
     # the normals are freed as soon as the march returns
-    b, h = _march(control, time_grid,
-                  _normals(seed, stream, n_paths, time_grid.n_steps))
+    b, h = _march(control, time_grid, _fill_normals(
+        _philox(seed, stream), np.empty((time_grid.n_steps, n_paths))))
     return PathBundle(control.band, time_grid, b, _qv_ledger(h, time_grid.dt),
                       h, seed)
 
@@ -200,19 +203,32 @@ def _simulate_reduce(family, time_grid: TimeGrid, n_paths: int, seed: int,
                      per_path, streams=None) -> list:
     """The one Monte Carlo pass: one tuple of estimates per control.
 
-    Each control's bundle goes to ``per_path(bundle)``, which returns one
-    ``(n_paths,)`` vector per statistic, entry p depending on path p only;
-    ``_estimate`` turns each vector into an :class:`McEstimate`, and the
-    bundle is released before the next control.  Streams: by default every
-    control runs on stream 0 of the seed (common random numbers); runs
-    compared as independent samples pass distinct ``streams``.
+    Paths go in near-equal chunks of at least ``_CHUNK_BYTES`` of normals.
+    ``per_path`` gets each control's validated chunk bundle and returns one
+    ``(chunk,)`` vector per statistic, entry p from path p only; each
+    statistic's concatenated vector is reduced by ``_estimate``, bitwise as
+    for one whole bundle.  By default every control runs on stream 0 of the
+    seed (common random numbers); independent samples pass ``streams``.
     """
     family = list(family)
     if not family:
         raise UsageError("empty control family")
-    return [tuple(_estimate(v, seed) for v in per_path(
-                simulate(control, time_grid, n_paths, seed, stream)))
-            for control, stream in zip(family, streams or [0] * len(family))]
+    if n_paths < 2:
+        raise UsageError("need at least 2 paths for variance estimates")
+    streams = list(streams or [0] * len(family))
+    n_chunks = max(1, n_paths // max(1, _CHUNK_BYTES // (8 * time_grid.n_steps)))
+    bounds = [n_paths * i // n_chunks for i in range(n_chunks + 1)]
+    gens = {s: _philox(seed, s) for s in streams}   # first-appearance order
+    zt = np.empty((time_grid.n_steps, -(-n_paths // n_chunks)))
+    parts = [[] for _ in family]
+    for p0, p1 in zip(bounds, bounds[1:]):
+        for stream, gen in gens.items():
+            z = _fill_normals(gen, zt[:, :p1 - p0])
+            for j in (j for j, s in enumerate(streams) if s == stream):
+                parts[j].append([np.array(v, dtype=float) for v in per_path(
+                    _run_euler(family[j], time_grid, z.T, seed))])
+    return [tuple(_estimate(np.concatenate(v), seed) for v in zip(*chunks))
+            for chunks in parts]
 
 
 def _functional_on_paths(xi: CylinderFunctional, bundle: PathBundle) -> np.ndarray:
@@ -252,7 +268,8 @@ def sup_over_controls(xi: CylinderFunctional, family, time_grid: TimeGrid,
 
 def sup_over_controls_table(xi: CylinderFunctional, family,
                             time_grid: TimeGrid, n_paths: int, seed: int):
-    """Per-control ``(control, estimate)`` rows on common random numbers."""
+    """Per-control ``(control, estimate)`` rows on common random numbers;
+    ``xi`` sees one chunk's bundle at a time, so it must act path by path."""
     family = list(family)
     rows = _simulate_reduce(family, time_grid, n_paths, seed,
                             lambda b: (_functional_on_paths(xi, b),))
@@ -419,13 +436,10 @@ def qv_band_violation(bundle: PathBundle, n_exact_paths: int = 32) -> float:
     dt_f = Fraction(bundle.time_grid.horizon) / bundle.time_grid.n_steps
     lo_f = Fraction(bundle.band.sigma_lo) ** 2 * dt_f
     hi_f = Fraction(bundle.band.sigma_hi) ** 2 * dt_f
-    for p in range(min(n_exact_paths, bundle.n_paths)):
-        for h in bundle.control_paths[p, :].tolist():
-            gain = Fraction(h) * Fraction(h) * dt_f
-            if gain < lo_f:
-                worst = max(worst, float(lo_f - gain))
-            elif gain > hi_f:
-                worst = max(worst, float(gain - hi_f))
+    # a step's gap depends on its level alone: audit each distinct level once
+    for h in np.unique(bundle.control_paths[:n_exact_paths]).tolist():
+        gain = Fraction(h) * Fraction(h) * dt_f
+        worst = max(worst, float(lo_f - gain), float(gain - hi_f))
     return worst
 
 

@@ -301,11 +301,13 @@ def _payoff_estimate(xi, bundle):
     return _mean_stderr(xi.evaluate_levels(*(bundle.b_paths[:, i] for i in idx)))
 
 
-def sup_table_reference(simulate, xi, family, time_grid, n_paths, seed):
-    """Per-control payoff estimates on common random numbers (stream 0)."""
+def sup_table_reference(simulate, xi, family, time_grid, n_paths, seed,
+                        streams=None):
+    """Per-control payoff estimates on common random numbers (stream 0),
+    or with control j on ``streams[j]``."""
     rows = []
-    for control in family:
-        bundle = simulate(control, time_grid, n_paths, seed)
+    for control, stream in zip(family, streams or [0] * len(family)):
+        bundle = simulate(control, time_grid, n_paths, seed, stream=stream)
         rows.append(_payoff_estimate(xi, bundle))
         del bundle
     return rows
@@ -390,6 +392,31 @@ def compare_reference(simulate, base, alt, psi, time_grid, n_paths, seed,
     diff = est_alt[0] - est_base[0]
     se = math.hypot(est_base[1], est_alt[1])
     return est_base[0], est_alt[0], diff, se, bool(abs(diff) <= 3.0 * se)
+
+
+def qv_band_violation_reference(control_paths, sigma_lo, sigma_hi, horizon,
+                                n_steps, n_exact_paths=32):
+    """Worst gap of the step gains ``h^2 dt`` outside the band's step bounds.
+
+    The float layer compares ``fl(fl(h*h)*dt)`` with ``fl(var*dt)`` on every
+    path; the exact layer walks the first ``n_exact_paths`` paths level by
+    level in ``Fraction`` arithmetic.  0.0 means no step leaves the band.
+    """
+    dt = horizon / n_steps
+    gains = control_paths * control_paths * dt
+    worst = max(0.0, float(np.max(sigma_lo * sigma_lo * dt - gains)),
+                float(np.max(gains - sigma_hi * sigma_hi * dt)))
+    dt_f = Fraction(horizon) / n_steps
+    lo_f = Fraction(sigma_lo) ** 2 * dt_f
+    hi_f = Fraction(sigma_hi) ** 2 * dt_f
+    for p in range(min(n_exact_paths, control_paths.shape[0])):
+        for h in control_paths[p, :].tolist():
+            gain = Fraction(h) * Fraction(h) * dt_f
+            if gain < lo_f:
+                worst = max(worst, float(lo_f - gain))
+            elif gain > hi_f:
+                worst = max(worst, float(gain - hi_f))
+    return worst
 
 
 # ----------------------------------------------------------------------

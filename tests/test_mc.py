@@ -7,6 +7,7 @@ every verdict below is reproducible bit for bit.
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,9 @@ from gbrownian import (
     sup_over_controls_table,
     weak_convergence_probe,
 )
-from gbrownian.mc import _DRAW_CHUNK, PathBundle, _run_euler
+from gbrownian import gheat, mc
+from gbrownian.errors import ExtrapolationError
+from gbrownian.mc import _DRAW_CHUNK, PathBundle, _qv_ledger, _run_euler
 
 import oracles
 
@@ -464,6 +467,118 @@ class TestOnePassMatchesTheLoops:
             assert (row["mean_base"], row["mean_perturbed"], row["diff"],
                     row["stderr"], row["within_3se"]) == ref
             assert row["refinement"] == sched.refinement
+
+
+class TestChunkWidthChangesNoBits(TestOnePassMatchesTheLoops):
+    """The one-pass references again, with the pass's buffer narrowed to 1
+    and to 7 paths: 549 single-path chunks, or 78 chunks of 7 and 8 paths
+    (549 = 78 * 7 + 3), so chunk widths differ within one pass."""
+
+    @pytest.fixture(autouse=True, params=[1, 7], ids=["1-path", "7-path"])
+    def chunk_width(self, request, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK_BYTES",
+                            8 * self.GRID.n_steps * request.param)
+
+
+class TestOnePassStreams:
+    """Controls interleaved over several streams share one draw per stream
+    and chunk; each must still see its own stream's whole-bundle normals."""
+
+    STREAMS = [1, 0, 1, 2, 0]
+    GRID = TimeGrid(1.0, 64)
+
+    @pytest.mark.parametrize("width", [None, 1, 7])
+    def test_interleaved_streams_match_the_loop(self, width, monkeypatch):
+        if width is not None:
+            monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * self.GRID.n_steps * width)
+        xi, family = TestOnePassMatchesTheLoops.XIS[1], five_controls()
+        n = TestOnePassMatchesTheLoops.N_PATHS
+        rows = mc._simulate_reduce(family, self.GRID, n, 43,
+                                   lambda b: (mc._functional_on_paths(xi, b),),
+                                   streams=self.STREAMS)
+        refs = oracles.sup_table_reference(simulate, xi, family, self.GRID, n,
+                                           43, streams=self.STREAMS)
+        assert [(e.mean, e.stderr, e.n_paths) for (e,) in rows] == refs
+
+
+class TestQvBandAudit:
+    """The distinct-level audit against the per-path ``Fraction`` loop."""
+
+    @staticmethod
+    def reference(bundle):
+        return oracles.qv_band_violation_reference(
+            bundle.control_paths, BAND.sigma_lo, BAND.sigma_hi,
+            bundle.time_grid.horizon, bundle.time_grid.n_steps)
+
+    def test_perturbed_bundle(self):
+        base = SelfDependentControl(band=BAND, rules=(
+            math.sqrt(2.5), lambda inc: np.sqrt(2.5 + 0.75 * np.tanh(inc))))
+        pert = perturb_control(base, PerturbationSchedule(
+            refinement=1, alpha=0.25,
+            sub_control=ConstantControl(band=BAND, level=1.0)))
+        bundle = simulate(pert, GRID, 64, seed=79)
+        assert np.unique(bundle.control_paths[:32]).size > 32
+        assert qv_band_violation(bundle) == self.reference(bundle) == 0.0
+
+    def test_levels_inside_the_tolerance_but_outside_the_band(self):
+        grid = TimeGrid(1.0, 8)
+        h = np.full((48, 8), 1.5)
+        h[3, 5] = 2.0 + 5e-13       # exact layer (path < 32) and float layer
+        h[40, 2] = 1.0 - 5e-13      # float layer only
+        bundle = PathBundle(BAND, grid, np.zeros((48, 9)),
+                            _qv_ledger(h, grid.dt), h, seed=0)
+        gap = qv_band_violation(bundle)
+        assert gap > 0.0
+        assert gap == self.reference(bundle)
+
+
+class TestPassMemory:
+    def test_peak_does_not_grow_with_the_path_count(self):
+        # at 512 steps the default chunk holds 1024 to 2047 paths, so both
+        # runs are cut into chunks; a whole-bundle pass peaks 4x higher
+        family = [ConstantControl(band=BAND, level=1.0),
+                  ConstantControl(band=BAND, level=2.0)]
+
+        def peak(n_paths):
+            tracemalloc.start()
+            try:
+                sup_over_controls_table(xi_terminal_square(), family, GRID,
+                                        n_paths, seed=89)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4000), peak(16000)
+        assert large <= 1.5 * small, (small, large)
+
+    def test_feedback_off_the_surface_still_raises(self):
+        narrow = solve_gheat(oracles.butterfly, BAND, TimeGrid(1.0, 1000),
+                             SpaceGrid(-2.0, 2.0, 41))
+        with pytest.raises(ExtrapolationError):
+            sup_over_controls_table(
+                xi_terminal_square(),
+                [FeedbackControl(band=BAND, surface=narrow)], GRID, 2000,
+                seed=97)
+
+    def test_feedback_field_is_computed_once_per_control(self, monkeypatch):
+        calls = []
+        real = gheat.feedback_field
+
+        def counted(surface):
+            calls.append(surface)
+            return real(surface)
+
+        monkeypatch.setattr(gheat, "feedback_field", counted)
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * GRID.n_steps * 100)
+        surface = five_controls()[2].surface
+        family = [FeedbackControl(band=BAND, surface=surface),
+                  FeedbackControl(band=BAND, surface=surface)]
+        for _ in range(3):
+            family[0].make_driver(GRID, 10)
+        assert len(calls) == 1
+        sup_over_controls_table(xi_terminal_square(), family, GRID, 1000,
+                                seed=101)       # ten chunks
+        assert len(calls) == 2
 
 
 class TestExport:
