@@ -92,8 +92,14 @@ def g_value(band: GParams, a):
     Accepts scalars or arrays; scalars come back as plain floats.
     """
     arr, scalar = _as_float_array(a)
-    out = 0.5 * (band.var_hi * np.maximum(arr, 0.0)
-                 - band.var_lo * np.maximum(-arr, 0.0))
+    # in place, with the roundings of 0.5 * (var_hi * a^+ - var_lo * a^-)
+    out = np.maximum(arr, 0.0, out=np.empty(arr.shape))
+    out *= band.var_hi
+    neg = np.negative(arr, out=np.empty(arr.shape))
+    np.maximum(neg, 0.0, out=neg)
+    neg *= band.var_lo
+    out -= neg
+    out *= 0.5
     return float(out) if scalar else out
 
 

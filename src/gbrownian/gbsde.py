@@ -42,7 +42,7 @@ from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value, run
 from .errors import CapabilityError, ConfigurationError, UsageError
 from .gheat import ValueSurface, check_cfl, gradient, march_steps, pde_residual
 from .mc import PathBundle
-from .ito import check_paths_inside, eval_on_paths, k_ledger, stochastic_integral
+from .ito import check_paths_inside, eval_on_paths, integral_steps, k_ledger
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +226,11 @@ class GBSDESolution:
         sg = self.space_grid
         check_paths_inside(bundle, sg)
         stride = self._stride_for(bundle)
-        y, z, curv = eval_on_paths(self.y_values[::stride],
-                                   lambda j: [bundle.b_paths[:, j]],
-                                   sg.points(), sg.dx)
-        return y, z, k_ledger(0.5 * curv[:, :-1], bundle)
+        y, z, curv = eval_on_paths(self.y_values[::stride], bundle.b_paths,
+                                   lambda j: [j], sg)
+        half = curv[:, :-1]
+        half *= 0.5
+        return y, z, k_ledger(half, bundle)
 
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -339,22 +340,36 @@ def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidual
     times = bundle.time_grid.times()
     xi = np.asarray(solution.problem.terminal.as_levels()(bundle.b_paths[:, -1]),
                     dtype=float)
+    k_initial = float(np.max(np.abs(k[:, 0])))
+    k_monotone = bool(np.all(np.diff(k, axis=-1) <= 1e-15))
+    terminal_gap = float(np.max(np.abs(y[:, -1] - xi)))
     f_vals = np.empty((bundle.n_paths, bundle.time_grid.n_steps))
     for j in range(bundle.time_grid.n_steps):
         f_vals[:, j] = solution.problem.driver(times[j], y[:, j], z[:, j])
-    cum_f = running_sum(f_vals * dt)
-    tail_f = cum_f[:, -1][:, None] - cum_f
-    zint = stochastic_integral(z, bundle.b_paths)
-    tail_z = zint[:, -1][:, None] - zint
-    tail_k = k[:, -1][:, None] - k
-    resid = y - (xi[:, None] + tail_f - tail_z - tail_k)
-    dk = np.diff(k, axis=-1)
+    z_steps = integral_steps(z, bundle.b_paths)
+    del z
+    # one node-shaped buffer carries ((xi + tail_f) - tail_z) - tail_k,
+    # built in place in that order
+    f_vals *= dt
+    resid = _tail(running_sum(f_vals))
+    del f_vals
+    resid += xi[:, None]
+    resid -= _tail(running_sum(z_steps))
+    del z_steps
+    resid -= _tail(k)
+    np.subtract(y, resid, out=resid)
     return GBSDEResidualReport(
-        max_residual=float(np.max(np.abs(resid))),
-        k_initial=float(np.max(np.abs(k[:, 0]))),
-        k_monotone=bool(np.all(dk <= 1e-15)),
-        terminal_gap=float(np.max(np.abs(y[:, -1] - xi))),
+        max_residual=float(np.max(np.abs(resid, out=resid))),
+        k_initial=k_initial,
+        k_monotone=k_monotone,
+        terminal_gap=terminal_gap,
     )
+
+
+def _tail(running: np.ndarray) -> np.ndarray:
+    """``running[:, -1:] - running`` in place: the sum from each node on."""
+    np.subtract(running[:, -1:].copy(), running, out=running)
+    return running
 
 
 @dataclass(frozen=True)

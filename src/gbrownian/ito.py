@@ -29,10 +29,13 @@ import numpy as np
 from .core import (CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value,
                    g_value, running_sum)
 from .errors import DomainError, ExtrapolationError, UsageError
-from .gexp import conditional_frames, eval_frame
+from .gexp import FramePoints, conditional_frames
 from .gheat import curvature, gradient
 from .mc import PathBundle, _simulate_reduce
 
+# Frames per block of along-path evaluation: the scratch is 3 * _BLOCK_FRAMES
+# rows of n_paths values, transposed into the outputs once per block.
+_BLOCK_FRAMES = 32
 
 # ---------------------------------------------------------------------------
 # elementary pathwise operations
@@ -46,6 +49,12 @@ def stochastic_integral(integrand: np.ndarray, driver: np.ndarray) -> np.ndarray
     ignored — values are read at the left endpoints only, which is what
     keeps the sum adapted).
     """
+    return running_sum(integral_steps(integrand, driver))
+
+
+def integral_steps(integrand: np.ndarray, driver: np.ndarray) -> np.ndarray:
+    """The terms ``integrand_k (driver_{k+1} - driver_k)`` that
+    :func:`stochastic_integral` sums, one column per step."""
     driver = np.asarray(driver, dtype=float)
     integrand = np.asarray(integrand, dtype=float)
     n = driver.shape[-1] - 1
@@ -58,7 +67,9 @@ def stochastic_integral(integrand: np.ndarray, driver: np.ndarray) -> np.ndarray
             f"integrand has {integrand.shape[-1]} columns; expected {n} "
             f"(per step) or {n + 1} (per node)"
         )
-    return running_sum(integrand * np.diff(driver, axis=-1))
+    steps = np.diff(driver, axis=-1)
+    steps *= integrand
+    return steps
 
 
 def realized_qv(b_paths: np.ndarray) -> np.ndarray:
@@ -145,9 +156,14 @@ def k_ledger(varsigma: np.ndarray, bundle: PathBundle) -> np.ndarray:
 
     Given half the curvature c this is ``0.5 c dqv - G(c) dt`` bitwise.
     """
-    # G first, gain added in place: two fewer temporaries, the same roundings
-    steps = -2.0 * g_value(bundle.band, varsigma) * bundle.time_grid.dt
-    steps += varsigma * np.diff(bundle.qv_paths, axis=-1)
+    # in place, with the roundings of -2.0 * G * dt + varsigma * dqv
+    steps = g_value(bundle.band, varsigma)
+    steps *= -2.0
+    steps *= bundle.time_grid.dt
+    gain = np.diff(bundle.qv_paths, axis=-1)
+    gain *= varsigma
+    steps += gain
+    del gain
     return running_sum(steps)
 
 
@@ -186,20 +202,36 @@ def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
         )
 
 
-def eval_on_paths(frames, coords_at, pts: np.ndarray, dx: float) -> tuple:
-    """(value, gradient, curvature) of ``frames[j]`` at ``coords_at(j)``, as
-    three ``(n_paths, n_nodes)`` arrays.  ``coords_at(j)`` gives one per-path
-    array per frame axis, the current position (the derivatives' axis) last.
+def eval_on_paths(frames, b_paths: np.ndarray, columns_at,
+                  space_grid: SpaceGrid) -> tuple:
+    """(value, gradient, curvature) of ``frames[j]`` along the paths, as
+    three ``(n_paths, n_frames)`` arrays.
+
+    ``columns_at(j)`` lists the columns of ``b_paths`` that are frame j's
+    coordinates, one per frame axis, the current position (the
+    derivatives' axis) last.  Each frame's points are located once and
+    shared by its three fields.  A block of ``_BLOCK_FRAMES`` frames is
+    evaluated into row-major scratch and then written into the outputs'
+    columns, so the scratch stays fixed whatever the bundle's length.
     """
-    n_paths = len(coords_at(0)[-1])
-    fields = tuple(np.empty((n_paths, len(frames))) for _ in range(3))
-    for j, frame in enumerate(frames):
-        coords = coords_at(j)
-        if len(coords) != frame.ndim:
-            raise UsageError("frame arity mismatch while walking the bundle")
-        for out, arr in zip(fields, (frame, gradient(frame, dx),
-                                     curvature(frame, dx))):
-            out[:, j] = eval_frame(arr, pts, coords)
+    n_paths, n = b_paths.shape[0], len(frames)
+    fields = tuple(np.empty((n_paths, n)) for _ in range(3))
+    width = max(1, min(n, _BLOCK_FRAMES))
+    block = np.empty((3, width, n_paths))
+    dx = space_grid.dx
+    for j0 in range(0, n, width):
+        j1 = min(n, j0 + width)
+        current = np.ascontiguousarray(b_paths[:, j0:j1].T)
+        for j in range(j0, j1):
+            frame = frames[j]
+            at = FramePoints(space_grid, [
+                current[c - j0] if j0 <= c < j1
+                else np.ascontiguousarray(b_paths[:, c]) for c in columns_at(j)])
+            for rows, arr in zip(block, (frame, gradient(frame, dx),
+                                         curvature(frame, dx))):
+                at(arr, out=rows[j - j0])
+        for out, rows in zip(fields, block):
+            out[:, j0:j1] = rows[:j1 - j0].T
     return fields
 
 
@@ -225,18 +257,20 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
     frames = conditional_frames(xi, band, space_grid, rec_times, time_grid.dt)
     tol = 1e-12 * max(1.0, xi.horizon)
 
-    def coords_at(j):
-        observed = [bundle.b_paths[:, ci] for ci, t in zip(cyl_idx, xi.times)
+    def columns_at(j):
+        observed = [ci for ci, t in zip(cyl_idx, xi.times)
                     if t <= rec_times[j] + tol]
         if rec_times[j] >= xi.horizon - tol:
             # the terminal frame is the raw payoff mesh: its last axis is
             # the final observation, which IS the current position there
             observed = observed[:-1]
-        return observed + [bundle.b_paths[:, j]]
+        return observed + [j]
 
-    m_paths, z_paths, curv = eval_on_paths(frames, coords_at, space_grid.points(),
-                                           space_grid.dx)
-    k_paths = k_ledger(0.5 * curv[:, :-1], bundle)
+    m_paths, z_paths, curv = eval_on_paths(frames, bundle.b_paths, columns_at,
+                                           space_grid)
+    half = curv[:, :-1]
+    half *= 0.5
+    k_paths = k_ledger(half, bundle)
     # every path starts at 0, so column 0 holds the value at the origin
     return ItoDecomposition(float(m_paths[0, 0]), m_paths, z_paths, k_paths, bundle)
 

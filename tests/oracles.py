@@ -2,8 +2,10 @@
 
 Nothing in this module imports ``gbrownian``.  Reference numbers come from
 closed forms, Gauss-Hermite quadrature against the Gaussian kernel, exact
-rational bookkeeping with ``fractions.Fraction``, and one deliberately
-small hand-rolled finite-difference solver written with plain loops.  The
+rational bookkeeping with ``fractions.Fraction``, one deliberately
+small hand-rolled finite-difference solver written with plain loops, and
+the numpy and scipy interpolation routines that the package's along-path
+kernel must match bitwise (scipy is needed by the tests only).  The
 tests freeze the resulting values (or call these helpers directly) so a
 regression in the package shows up as a mismatch against an independent
 computation rather than against the package's own output.
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator
 
 # ----------------------------------------------------------------------
 # Gaussian quadrature
@@ -179,6 +182,20 @@ def curvature_reference(u, dx):
         res[0] = res[1]
         res[m - 1] = res[m - 2]
     return out
+
+
+def eval_frame_reference(frame, pts, coords):
+    """Multilinear value of a frame on the grid ``pts`` at ``coords`` by
+    library routines: ``np.interp`` on one axis, scipy's linear
+    ``RegularGridInterpolator`` on two or more (one array of points per
+    frame axis).  Outside the grid ``np.interp`` clamps and scipy raises
+    ``ValueError``.
+    """
+    frame = np.asarray(frame, dtype=float)
+    if frame.ndim == 1:
+        return np.interp(coords[0], pts, frame)
+    interp = RegularGridInterpolator((pts,) * frame.ndim, frame, method="linear")
+    return interp(np.stack(coords, axis=-1))
 
 
 # ----------------------------------------------------------------------

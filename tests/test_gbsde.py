@@ -260,6 +260,28 @@ class TestPathsAndResiduals:
         budget = 8.0 * 4.0 * math.sqrt(bundle.time_grid.dt)
         assert 0.0 < report.max_residual <= budget
 
+    def test_residual_is_the_plain_formula_bitwise(self):
+        problem = GBSDEProblem(terminal_square(), lambda t, y, z: 0.05 * z - 0.1 * y,
+                               BAND, driver_lipschitz=0.1)
+        solution = solve_ppde(problem, TIME, SPACE)
+        bundle = self.lo_bundle(n_steps=100, n_paths=300)
+        report = gbsde_residual(solution, bundle)
+        # the backward relation written out with fresh arrays
+        y, z, k = solution.paths_view(bundle)
+        b, times, dt = bundle.b_paths, bundle.time_grid.times(), bundle.time_grid.dt
+        xi = b[:, -1] * b[:, -1]
+        f = np.stack([problem.driver(times[j], y[:, j], z[:, j])
+                      for j in range(bundle.time_grid.n_steps)], axis=1)
+        zero = np.zeros((bundle.n_paths, 1))
+        cum_f = np.concatenate([zero, np.cumsum(f * dt, axis=1)], axis=1)
+        zint = np.concatenate([zero, np.cumsum(z[:, :-1] * np.diff(b, axis=1),
+                                               axis=1)], axis=1)
+        resid = y - (xi[:, None] + (cum_f[:, -1:] - cum_f)
+                     - (zint[:, -1:] - zint) - (k[:, -1:] - k))
+        assert report.max_residual == float(np.max(np.abs(resid)))
+        assert report.terminal_gap == float(np.max(np.abs(y[:, -1] - xi)))
+        assert report.k_initial == 0.0 and report.k_monotone
+
     def test_equivalence_both_directions(self):
         solution = self.solved()
         bundle = self.lo_bundle(n_steps=200, n_paths=1000)

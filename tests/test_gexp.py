@@ -6,6 +6,8 @@ because increments are stationary and independent under the band: a payoff
 of B_T - B_s alone must price identically to the same payoff of B_{T-s}.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from gbrownian import (
     g_expectation,
     lp_norm,
 )
+from gbrownian import gexp
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -222,3 +225,101 @@ class TestLpNorm:
         xi = functional_b1_squared()
         with pytest.raises(DomainError):
             lp_norm(xi, 0.5, BAND, TIME, SPACE)
+
+
+class TestFrameKernel:
+    """The along-path kernel against ``np.interp`` and scipy, bit for bit."""
+
+    GRIDS = (SpaceGrid(-12.0, 12.0, 401), SpaceGrid(-3.7, 5.1, 41),
+             SpaceGrid(-1e-3, 7.3, 17))
+
+    @staticmethod
+    def points(space_grid, rng, n_random=2000):
+        """Random interior points, every node, the floats next to every node
+        on both sides (inside the grid), and both ends exactly."""
+        pts = space_grid.points()
+        special = np.concatenate([
+            pts, np.nextafter(pts[1:], -np.inf), np.nextafter(pts[:-1], np.inf),
+            [space_grid.x_min, space_grid.x_max]])
+        interior = rng.uniform(space_grid.x_min, space_grid.x_max, n_random)
+        return rng.permutation(np.concatenate([special, interior]))
+
+    @staticmethod
+    def field(shape, rng):
+        """Random values with zeros of both signs, so sign bits are tested."""
+        f = rng.standard_normal(shape)
+        f.flat[::7] = 0.0
+        f.flat[3::11] = -0.0
+        return f
+
+    @staticmethod
+    def assert_bitwise(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("space_grid", GRIDS, ids=lambda g: f"{g.n_points}pts")
+    def test_located_cell_is_the_half_open_one(self, space_grid):
+        pts = space_grid.points()
+        x = self.points(space_grid, np.random.default_rng(1))
+        j = gexp.locate(pts, x)
+        inner = x < space_grid.x_max
+        assert np.all(pts[j[inner]] <= x[inner])
+        assert np.all(x[inner] < pts[j[inner] + 1])
+        assert np.all(j[~inner] == space_grid.n_points - 1)
+
+    @pytest.mark.parametrize("ndim,space_grid", [
+        (1, GRIDS[0]), (1, GRIDS[1]), (1, GRIDS[2]),
+        (2, GRIDS[0]), (2, GRIDS[1]), (2, GRIDS[2]),
+        (3, GRIDS[1]), (3, GRIDS[2]),
+    ], ids=lambda v: f"{v.n_points}pts" if isinstance(v, SpaceGrid) else f"{v}d")
+    def test_bitwise_equal_to_the_library_routines(self, ndim, space_grid):
+        rng = np.random.default_rng(100 * ndim + space_grid.n_points)
+        pts = space_grid.points()
+        coords = [self.points(space_grid, rng) for _ in range(ndim)]
+        at = gexp.FramePoints(space_grid, coords)
+        shape = (space_grid.n_points,) * ndim
+        # one location serves several fields; an all -0.0 field tests the
+        # sign of zero sums
+        for frame in (self.field(shape, rng), self.field(shape, rng),
+                      np.full(shape, -0.0)):
+            want = oracles.eval_frame_reference(frame, pts, coords)
+            self.assert_bitwise(at(frame), want)
+            self.assert_bitwise(gexp.eval_frame(frame, space_grid, coords), want)
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_every_node_of_a_smooth_frame(self, ndim):
+        space_grid = self.GRIDS[1]
+        pts = space_grid.points()
+        mesh = np.meshgrid(*([pts] * ndim), indexing="ij", sparse=True)
+        frame = np.sin(sum(mesh)) * np.cos(mesh[-1])
+        coords = [np.tile(pts, 3) for _ in range(ndim)]
+        coords[-1] = np.repeat(pts, 3)
+        self.assert_bitwise(gexp.eval_frame(frame, space_grid, coords),
+                            oracles.eval_frame_reference(frame, pts, coords))
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    @pytest.mark.parametrize("bad", ["below", "above", "nan"])
+    def test_points_off_the_grid_are_refused(self, ndim, bad):
+        space_grid = self.GRIDS[1]
+        value = {"below": np.nextafter(space_grid.x_min, -np.inf),
+                 "above": np.nextafter(space_grid.x_max, np.inf),
+                 "nan": np.nan}[bad]
+        coords = [np.linspace(-1.0, 1.0, 5) for _ in range(ndim)]
+        coords[-1] = coords[-1].copy()
+        coords[-1][2] = value
+        frame = np.zeros((space_grid.n_points,) * ndim)
+        with pytest.raises(ExtrapolationError,
+                           match=rf"coordinate {ndim - 1} .*"
+                                 rf"{re.escape(repr(float(value)))}.*"
+                                 r"\[-3\.7, 5\.1\]"):
+            gexp.eval_frame(frame, space_grid, coords)
+
+    def test_field_shape_and_arity_are_checked(self):
+        space_grid = self.GRIDS[2]
+        coords = [np.zeros(3), np.zeros(3)]
+        with pytest.raises(UsageError):
+            gexp.eval_frame(np.zeros(space_grid.n_points), space_grid, coords)
+        at = gexp.FramePoints(space_grid, coords)
+        with pytest.raises(UsageError):
+            at(np.zeros((space_grid.n_points, space_grid.n_points + 1)))

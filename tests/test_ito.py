@@ -24,6 +24,7 @@ from gbrownian import (
     StepControl,
     TimeGrid,
     UsageError,
+    conditional_frames,
     identify_drift,
     k_process,
     martingale_decomposition,
@@ -35,6 +36,7 @@ from gbrownian import (
     step2_limit_check,
     stochastic_integral,
 )
+from gbrownian import ito
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -242,6 +244,40 @@ class TestMartingaleDecomposition:
                           TimeGrid(1.0, 64), 8, seed=1)
         with pytest.raises(UsageError):
             martingale_decomposition(xi, BAND, self.SWEEP, self.SPACE, bundle)
+
+
+class TestAlongPathKernel:
+    """Decomposition fields, frame by frame, against ``np.interp``/scipy on
+    the reference derivative fields: bit for bit, whatever the block of
+    frames the walk evaluates at once."""
+
+    SPACE = SpaceGrid(-10.0, 10.0, 81)
+    SWEEP = TimeGrid(1.0, 128)
+
+    @pytest.mark.parametrize("block", [1, 5, 64])
+    def test_bitwise_equal_to_the_reference(self, monkeypatch, block):
+        monkeypatch.setattr(ito, "_BLOCK_FRAMES", block)
+        xi = CylinderFunctional(times=(0.5, 1.0), payoff=lambda a, b: np.abs(b - a),
+                                lipschitz_bound=1.0, value_bound=40.0)
+        bundle = lo_bundle(n_paths=64, seed=7, grid=TimeGrid(1.0, 16))
+        dec = martingale_decomposition(xi, BAND, self.SWEEP, self.SPACE, bundle)
+        frames = conditional_frames(xi, BAND, self.SPACE,
+                                    bundle.time_grid.times(), self.SWEEP.dt)
+        pts, dx, b = self.SPACE.points(), self.SPACE.dx, bundle.b_paths
+        curv = np.empty_like(dec.m_paths)
+        for j, frame in enumerate(frames):
+            # two axes from t = 0.5 on: the observed B_.5, then B_t
+            coords = [b[:, 8], b[:, j]] if frame.ndim == 2 else [b[:, j]]
+            curv[:, j] = oracles.eval_frame_reference(
+                oracles.curvature_reference(frame, dx), pts, coords)
+            for got, field in ((dec.m_paths[:, j], frame),
+                               (dec.z_paths[:, j], oracles.gradient_reference(frame, dx))):
+                want = oracles.eval_frame_reference(field, pts, coords)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        # K is the ledger of half the reference curvature
+        np.testing.assert_array_equal(dec.k_paths,
+                                      ito.k_ledger(0.5 * curv[:, :-1], bundle))
 
 
 class TestMartingaleTest:
