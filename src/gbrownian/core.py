@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -193,6 +193,13 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
+
+    def require_horizon(self, horizon: float, what: str) -> None:
+        """Refuse a ``what`` whose horizon is not this grid's, up to 1e-9
+        relative."""
+        if abs(horizon - self.horizon) > 1e-9 * max(1.0, self.horizon):
+            raise UsageError(f"{what} horizon {horizon!r} does not match the "
+                             f"time grid horizon {self.horizon!r}")
 
     def index_of(self, t: float, tol: float = 1e-9) -> int:
         """Grid index of a time that must sit on the grid (up to tol)."""
@@ -455,11 +462,7 @@ class StepControl(ControlProcess):
         object.__setattr__(self, "levels", tuple(self.levels))
 
     def make_driver(self, time_grid: TimeGrid, n_paths: int) -> Callable:
-        if abs(self.breaks[-1] - time_grid.horizon) > 1e-9 * max(1.0, time_grid.horizon):
-            raise UsageError(
-                f"control horizon {self.breaks[-1]!r} does not match grid "
-                f"horizon {time_grid.horizon!r}"
-            )
+        time_grid.require_horizon(self.breaks[-1], "control")
         start_idx = [time_grid.index_of(b) for b in self.breaks[:-1]]
         # interval index for every step
         interval_of_step = np.searchsorted(start_idx, np.arange(time_grid.n_steps),
@@ -520,14 +523,19 @@ class SelfDependentControl(ControlProcess):
             )
         return time_grid.n_steps // m
 
-    def level_for_block(self, i: int, increments: Sequence[np.ndarray],
-                        n_paths: int) -> np.ndarray:
+    def level_for_block(self, i: int, b_paths: np.ndarray,
+                        block_steps: int) -> np.ndarray:
+        """Levels on block i, one per path, from the block increments of
+        ``b_paths`` (paths as rows, at least the first ``i * block_steps + 1``
+        nodes of each, as a driver's history or a whole bundle holds them)."""
         rule = self.rules[i]
         if callable(rule):
-            raw = np.asarray(rule(*increments), dtype=float)
+            anchors = b_paths[:, 0:i * block_steps + 1:block_steps]
+            raw = np.asarray(rule(*(anchors[:, j + 1] - anchors[:, j]
+                                    for j in range(i))), dtype=float)
         else:
             raw = np.asarray(float(rule))
-        out = np.broadcast_to(raw, (n_paths,)).copy()
+        out = np.broadcast_to(raw, (b_paths.shape[0],)).copy()
         return self._check_levels(out, f"block {i}")
 
     def make_driver(self, time_grid: TimeGrid, n_paths: int) -> Callable:
@@ -537,9 +545,7 @@ class SelfDependentControl(ControlProcess):
         def driver(k, b_hist):
             i = k // bs
             if i != state["block"]:
-                anchors = b_hist[:, 0:i * bs + 1:bs]  # block boundary levels
-                incs = [anchors[:, j + 1] - anchors[:, j] for j in range(i)]
-                state["levels"] = self.level_for_block(i, incs, n_paths)
+                state["levels"] = self.level_for_block(i, b_hist, bs)
                 state["block"] = i
             return state["levels"]
 

@@ -16,7 +16,9 @@ backward-equation triple is read off:
     Z_t = D_x u(t, B_t),
     K_t = 0.5 * integral(D2_x u d qv) - integral(G(D2_x u) dt),
 
-with ``K_0 = 0`` and K non-increasing pathwise, and the pair
+with ``K_0 = 0`` and K non-increasing pathwise.  The triple comes from
+``ito.eval_on_paths``, the walk that also decomposes conditional values
+along paths, so both read K off one ledger.  The pair
 (surface solves the equation) <-> (triple satisfies the backward relation
 ``Y_t = xi + integral_t^T f - integral_t^T Z dB - (K_T - K_t)``) is
 checked in both directions by :func:`equivalence_check`.
@@ -28,7 +30,9 @@ driver ``f(t, y, z)``.  General cylinder drivers raise
 Cylinder path processes (piecewise-smooth functionals of time, the
 observed path values, and the current position) and their finite-
 difference derivatives live here too; they give the pathwise differential
-operators meaning independently of any solver.
+operators meaning independently of any solver.  The derivatives are the
+solvers' own ``gheat.gradient`` and ``gheat.curvature``, applied to
+3-point stencils of the process.
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value, running_sum
 from .errors import CapabilityError, ConfigurationError, UsageError
-from .gheat import ValueSurface, check_cfl, gradient, march_steps, pde_residual
+from .gheat import (ValueSurface, check_cfl, curvature, gradient, march_steps,
+                    pde_residual)
 from .mc import PathBundle
-from .ito import check_paths_inside, eval_on_paths, integral_steps, k_ledger
+from .ito import check_paths_inside, eval_on_paths, integral_steps
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +127,12 @@ def cylinder_derivatives(proc: CylinderPathProcess, t: float, prefix,
 
     Derivatives act on the time slot and the current-position slot only;
     the observed values are frozen.  Steps are relative:
-    ``h = step * max(1, |coordinate|)``.  Near an interval boundary the
-    interval's own (smooth) formula is evaluated slightly across — pieces
-    are formulas on all of R, only their probabilistic meaning is local.
+    ``h = step * max(1, |coordinate|)``.  The differences are
+    :func:`gheat.gradient` and :func:`gheat.curvature` at the centre of
+    3-point stencils in t and in x that share the centre value.  Near an
+    interval boundary the interval's own (smooth) formula is evaluated
+    slightly across — pieces are formulas on all of R, only their
+    probabilistic meaning is local.
     """
     k = proc.piece_index(t)
     prefix = [float(v) for v in prefix]
@@ -134,11 +142,13 @@ def cylinder_derivatives(proc: CylinderPathProcess, t: float, prefix,
     observed, x = prefix[:-1], prefix[-1]
     ht = step * max(1.0, abs(t))
     hx = step * max(1.0, abs(x))
-    d_t = (u(t + ht, *observed, x) - u(t - ht, *observed, x)) / (2.0 * ht)
-    d_x = (u(t, *observed, x + hx) - u(t, *observed, x - hx)) / (2.0 * hx)
-    d2_x = (u(t, *observed, x + hx) - 2.0 * u(t, *observed, x)
-            + u(t, *observed, x - hx)) / (hx * hx)
-    return float(d_t), float(d_x), float(d2_x)
+    centre = u(t, *observed, x)
+    in_t = np.array([u(t - ht, *observed, x), centre, u(t + ht, *observed, x)],
+                    dtype=float)
+    in_x = np.array([u(t, *observed, x - hx), centre, u(t, *observed, x + hx)],
+                    dtype=float)
+    return (float(gradient(in_t, ht)[1]), float(gradient(in_x, hx)[1]),
+            float(curvature(in_x, hx)[1]))
 
 
 def a_g(proc: CylinderPathProcess, t: float, prefix, band: GParams,
@@ -208,8 +218,7 @@ class GBSDESolution:
                             self.y_values, "backward", self.problem.name)
 
     def _stride_for(self, bundle: PathBundle) -> int:
-        if abs(bundle.time_grid.horizon - self.time_grid.horizon) > 1e-9:
-            raise UsageError("bundle horizon differs from the solution horizon")
+        bundle.time_grid.require_horizon(self.time_grid.horizon, "solution")
         ratio = self.time_grid.n_steps / bundle.time_grid.n_steps
         stride = int(round(ratio))
         if abs(ratio - stride) > 1e-9 or stride < 1:
@@ -225,12 +234,8 @@ class GBSDESolution:
             raise UsageError("bundle band differs from the problem band")
         sg = self.space_grid
         check_paths_inside(bundle, sg)
-        stride = self._stride_for(bundle)
-        y, z, curv = eval_on_paths(self.y_values[::stride], bundle.b_paths,
-                                   lambda j: [j], sg)
-        half = curv[:, :-1]
-        half *= 0.5
-        return y, z, k_ledger(half, bundle)
+        return eval_on_paths(self.y_values[::self._stride_for(bundle)],
+                             bundle, lambda j: [j], sg)
 
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -245,8 +250,7 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     only perturbs the frozen-data boundary at the level the domain
     truncation already does.
     """
-    if abs(time_grid.horizon - problem.horizon) > 1e-9 * max(1.0, problem.horizon):
-        raise UsageError("time grid horizon must equal the terminal horizon")
+    time_grid.require_horizon(problem.horizon, "terminal")
     dt, dx = time_grid.dt, space_grid.dx
     check_cfl(problem.band, dt, space_grid)
     _check_driver_stability(problem, dt, dx)

@@ -252,40 +252,16 @@ class FramePoints:
         return out
 
 
-def eval_frame(frame: np.ndarray, space_grid: SpaceGrid, coords) -> np.ndarray:
-    """Multilinear value of a frame on ``space_grid`` at ``coords``, one
-    1-d array of points per frame axis (observed values first).
-
-    Each point's cell is located once, by :class:`FramePoints`, which can
-    also keep the cells for several fields.  The rounding order is that of
-    ``np.interp`` on one axis and of the linear ``RegularGridInterpolator``
-    on two and three, so the values are bitwise theirs.
-    Points outside the grid, NaN included, raise
-    :class:`ExtrapolationError`.
-    """
-    return FramePoints(space_grid, coords)(frame)
-
-
-def _interp_frame(frame: np.ndarray, space_grid: SpaceGrid, coords) -> float:
-    point = [np.array([float(c)]) for c in coords]
-    return float(eval_frame(frame, space_grid, point)[0])
-
-
 def g_expectation(xi: CylinderFunctional, band: GParams,
                   time_grid: TimeGrid, space_grid: SpaceGrid) -> float:
-    """Sublinear expectation of a cylinder functional at time zero.
+    """Sublinear expectation of a cylinder functional at time zero: the
+    conditional value at ``t = 0`` with the path at the origin.
 
     ``time_grid`` fixes the marching resolution (its dt must satisfy the
     CFL bound for the space grid) and must span the functional's horizon.
     """
-    _validate_functional(xi, band, space_grid)
-    if abs(time_grid.horizon - xi.horizon) > 1e-9 * max(1.0, xi.horizon):
-        raise UsageError(
-            f"time grid horizon {time_grid.horizon!r} must equal the "
-            f"functional horizon {xi.horizon!r}"
-        )
-    frames = _backward_sweep(xi, band, space_grid, time_grid.dt, [0.0])
-    return _interp_frame(frames[0], space_grid, [0.0])
+    return conditional_g_expectation(xi, 0.0, (0.0,), band, time_grid,
+                                     space_grid)
 
 
 def conditional_g_expectation(xi: CylinderFunctional, t: float, prefix,
@@ -300,8 +276,7 @@ def conditional_g_expectation(xi: CylinderFunctional, t: float, prefix,
     at ``t = horizon`` the payoff is evaluated directly on the prefix.
     """
     _validate_functional(xi, band, space_grid)
-    if abs(time_grid.horizon - xi.horizon) > 1e-9 * max(1.0, xi.horizon):
-        raise UsageError("time grid horizon must equal the functional horizon")
+    time_grid.require_horizon(xi.horizon, "functional")
     t = float(t)
     horizon = xi.horizon
     tol = 1e-12 * max(1.0, horizon)
@@ -323,7 +298,7 @@ def conditional_g_expectation(xi: CylinderFunctional, t: float, prefix,
             f"internal frame arity {frame.ndim} does not match prefix "
             f"length {len(prefix)}"
         )
-    return _interp_frame(frame, space_grid, prefix)
+    return float(FramePoints(space_grid, [[v] for v in prefix])(frame)[0])
 
 
 def conditional_frames(xi: CylinderFunctional, band: GParams,

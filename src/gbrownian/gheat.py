@@ -194,13 +194,16 @@ def derivative_fields(surface: ValueSurface):
     the scheme's own smoothing lag near kinked data.  Space derivatives
     are :func:`gradient` and :func:`curvature`.
     """
-    u = surface.values
-    dt, dx = surface.time_grid.dt, surface.space_grid.dx
+    u, dx = surface.values, surface.space_grid.dx
+    rate = _rate(surface)
+    return np.concatenate([rate, rate[-1:]]), gradient(u, dx), curvature(u, dx)
 
-    du_dt = np.empty_like(u)
-    du_dt[:-1] = (u[1:] - u[:-1]) / dt
-    du_dt[-1] = (u[-1] - u[-2]) / dt
-    return du_dt, gradient(u, dx), curvature(u, dx)
+
+def _rate(surface: ValueSurface) -> np.ndarray:
+    """``(u[i+1] - u[i]) / dt`` for every row i but the last."""
+    rate = np.diff(surface.values, axis=0)
+    rate /= surface.time_grid.dt
+    return rate
 
 
 def pde_residual(surface: ValueSurface) -> np.ndarray:
@@ -213,11 +216,13 @@ def pde_residual(surface: ValueSurface) -> np.ndarray:
     to rounding by construction, so this is a self-consistency check, not
     an accuracy estimate.
     """
-    du_dt, _, d2u = derivative_fields(surface)
-    g = g_value(surface.band, d2u)
+    g = g_value(surface.band, curvature(surface.values, surface.space_grid.dx))
+    resid = _rate(surface)
     if surface.orientation == "forward":
-        return (du_dt - g)[:-1, 1:-1]
-    return (du_dt[:-1] + g[1:])[:, 1:-1]
+        resid -= g[:-1]
+    else:
+        resid += g[1:]
+    return resid[:, 1:-1]
 
 
 def feedback_field(surface: ValueSurface) -> np.ndarray:
@@ -239,7 +244,8 @@ def export_surface_csv(surface: ValueSurface, path, time_stride: int = 1) -> int
     """
     if time_stride < 1:
         raise UsageError("time_stride must be >= 1")
-    _, du_dx, d2u = derivative_fields(surface)
+    u, dx = surface.values, surface.space_grid.dx
+    du_dx, d2u = gradient(u, dx), curvature(u, dx)
     times = surface.time_grid.times()   # row i is at times[i] in both orientations
     xs = surface.space_grid.points()
     rows = 0

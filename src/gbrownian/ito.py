@@ -117,8 +117,9 @@ def step_values_on_grid(breaks, values, time_grid: TimeGrid) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if breaks.ndim != 1 or len(breaks) != len(values) + 1:
         raise UsageError("need len(breaks) == len(values) + 1")
-    if abs(breaks[0]) > 1e-12 or abs(breaks[-1] - time_grid.horizon) > 1e-9:
+    if abs(breaks[0]) > 1e-12:
         raise UsageError("step function must span [0, horizon]")
+    time_grid.require_horizon(float(breaks[-1]), "step function")
     t_left = time_grid.times()[:-1]
     idx = np.clip(np.searchsorted(breaks, t_left, side="right") - 1,
                   0, len(values) - 1)
@@ -202,18 +203,20 @@ def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
         )
 
 
-def eval_on_paths(frames, b_paths: np.ndarray, columns_at,
+def eval_on_paths(frames, bundle: PathBundle, columns_at,
                   space_grid: SpaceGrid) -> tuple:
-    """(value, gradient, curvature) of ``frames[j]`` along the paths, as
-    three ``(n_paths, n_frames)`` arrays.
+    """The walk of ``frames[j]`` along the bundle's paths, one frame per
+    node: value, Z (the gradient) and K (:func:`k_ledger` of half the
+    curvature), three ``(n_paths, n_frames)`` arrays.
 
-    ``columns_at(j)`` lists the columns of ``b_paths`` that are frame j's
-    coordinates, one per frame axis, the current position (the
+    ``columns_at(j)`` lists the columns of ``bundle.b_paths`` that are
+    frame j's coordinates, one per frame axis, the current position (the
     derivatives' axis) last.  Each frame's points are located once and
     shared by its three fields.  A block of ``_BLOCK_FRAMES`` frames is
     evaluated into row-major scratch and then written into the outputs'
     columns, so the scratch stays fixed whatever the bundle's length.
     """
+    b_paths = bundle.b_paths
     n_paths, n = b_paths.shape[0], len(frames)
     fields = tuple(np.empty((n_paths, n)) for _ in range(3))
     width = max(1, min(n, _BLOCK_FRAMES))
@@ -232,7 +235,11 @@ def eval_on_paths(frames, b_paths: np.ndarray, columns_at,
                 at(arr, out=rows[j - j0])
         for out, rows in zip(fields, block):
             out[:, j0:j1] = rows[:j1 - j0].T
-    return fields
+    del block               # freed before the ledger's node-shaped temporaries
+    value, z, curv = fields
+    half = curv[:, :-1]
+    half *= 0.5
+    return value, z, k_ledger(half, bundle)
 
 
 def martingale_decomposition(xi: CylinderFunctional, band: GParams,
@@ -247,8 +254,7 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
     """
     if bundle.band != band:
         raise UsageError("bundle band differs from the requested band")
-    if abs(bundle.time_grid.horizon - xi.horizon) > 1e-9 * max(1.0, xi.horizon):
-        raise UsageError("bundle horizon must equal the functional horizon")
+    bundle.time_grid.require_horizon(xi.horizon, "functional")
     # raises if the bundle grid misses a monitoring date
     cyl_idx = [bundle.time_grid.index_of(t) for t in xi.times]
     check_paths_inside(bundle, space_grid)
@@ -266,11 +272,8 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
             observed = observed[:-1]
         return observed + [j]
 
-    m_paths, z_paths, curv = eval_on_paths(frames, bundle.b_paths, columns_at,
-                                           space_grid)
-    half = curv[:, :-1]
-    half *= 0.5
-    k_paths = k_ledger(half, bundle)
+    m_paths, z_paths, k_paths = eval_on_paths(frames, bundle, columns_at,
+                                              space_grid)
     # every path starts at 0, so column 0 holds the value at the origin
     return ItoDecomposition(float(m_paths[0, 0]), m_paths, z_paths, k_paths, bundle)
 

@@ -339,9 +339,7 @@ class PerturbedControl(ControlProcess):
         def driver(k, b_hist):
             if k % parent_steps == 0:
                 i = k // parent_steps
-                anchors = b_hist[:, 0:i * parent_steps + 1:parent_steps]
-                incs = [anchors[:, j + 1] - anchors[:, j] for j in range(i)]
-                level = self.base.level_for_block(i, incs, n_paths)
+                level = self.base.level_for_block(i, b_hist, parent_steps)
                 xi_sq = level * level
                 if np.any(xi_sq < lo_sq - 1e-9) or np.any(xi_sq > hi_sq + 1e-9):
                     raise DomainError(
@@ -395,13 +393,10 @@ def block_budget_gap(bundle: PathBundle, base: SelfDependentControl) -> float:
     simulated under the base control or any of its perturbations.
     """
     bs = base.block_steps(bundle.time_grid)
-    m = base.n_blocks
     dt = bundle.time_grid.dt
-    anchors = bundle.b_paths[:, ::bs]
     gaps = 0.0
-    for i in range(m):
-        incs = [anchors[:, j + 1] - anchors[:, j] for j in range(i)]
-        level = base.level_for_block(i, incs, bundle.n_paths)
+    for i in range(base.n_blocks):
+        level = base.level_for_block(i, bundle.b_paths, bs)
         gained = bundle.qv_paths[:, (i + 1) * bs] - bundle.qv_paths[:, i * bs]
         target = level * level * (bs * dt)
         gaps = max(gaps, float(np.max(np.abs(gained - target))))

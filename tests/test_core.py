@@ -311,7 +311,7 @@ class TestControls:
 
     def test_step_control_horizon_mismatch(self):
         c = StepControl(band=BAND, breaks=(0.0, 2.0), levels=(1.0,))
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"horizon 2\.0 .*horizon 1\.0"):
             c.make_driver(TimeGrid(1.0, 4), n_paths=1)
 
     def test_self_dependent_blocks(self):

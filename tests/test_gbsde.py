@@ -171,7 +171,7 @@ class TestSolvePpde:
 
     def test_horizon_mismatch(self):
         problem = GBSDEProblem(terminal_square(), zero_driver, BAND)
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"horizon 1\.0 .*horizon 2\.0"):
             solve_ppde(problem, TimeGrid(2.0, 3200), SPACE)
 
     @pytest.mark.parametrize("driver, lipschitz", [
@@ -241,6 +241,12 @@ class TestPathsAndResiduals:
         solution = self.solved()
         with pytest.raises(UsageError):
             solution.paths_view(self.lo_bundle(n_steps=96))
+
+    def test_bundle_horizon_must_be_the_solution_horizon(self):
+        bundle = simulate(ConstantControl(band=BAND, level=1.0),
+                          TimeGrid(2.0, 64), 64, seed=157)
+        with pytest.raises(UsageError, match=r"horizon 1\.0 .*horizon 2\.0"):
+            self.solved().paths_view(bundle)
 
     def test_paths_must_stay_inside(self):
         problem = GBSDEProblem(terminal_square(), zero_driver, BAND)

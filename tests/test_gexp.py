@@ -91,8 +91,13 @@ class TestGExpectation:
             g_expectation(xi, BAND, TIME, SPACE)
 
     def test_horizon_mismatch(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=r"horizon 1\.0 .*horizon 2\.0"):
             g_expectation(functional_b1_squared(), BAND, TimeGrid(2.0, 3200), SPACE)
+
+    def test_conditional_horizon_mismatch(self):
+        with pytest.raises(UsageError, match=r"horizon 1\.0 .*horizon 2\.0"):
+            conditional_g_expectation(functional_b1_squared(), 0.5, (0.0,), BAND,
+                                      TimeGrid(2.0, 3200), SPACE)
 
     def test_hopeless_grid_is_refused(self):
         with pytest.raises(UsageError):
@@ -285,7 +290,7 @@ class TestFrameKernel:
                       np.full(shape, -0.0)):
             want = oracles.eval_frame_reference(frame, pts, coords)
             self.assert_bitwise(at(frame), want)
-            self.assert_bitwise(gexp.eval_frame(frame, space_grid, coords), want)
+            self.assert_bitwise(gexp.FramePoints(space_grid, coords)(frame), want)
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_every_node_of_a_smooth_frame(self, ndim):
@@ -295,7 +300,7 @@ class TestFrameKernel:
         frame = np.sin(sum(mesh)) * np.cos(mesh[-1])
         coords = [np.tile(pts, 3) for _ in range(ndim)]
         coords[-1] = np.repeat(pts, 3)
-        self.assert_bitwise(gexp.eval_frame(frame, space_grid, coords),
+        self.assert_bitwise(gexp.FramePoints(space_grid, coords)(frame),
                             oracles.eval_frame_reference(frame, pts, coords))
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -313,13 +318,13 @@ class TestFrameKernel:
                            match=rf"coordinate {ndim - 1} .*"
                                  rf"{re.escape(repr(float(value)))}.*"
                                  r"\[-3\.7, 5\.1\]"):
-            gexp.eval_frame(frame, space_grid, coords)
+            gexp.FramePoints(space_grid, coords)(frame)
 
     def test_field_shape_and_arity_are_checked(self):
         space_grid = self.GRIDS[2]
         coords = [np.zeros(3), np.zeros(3)]
         with pytest.raises(UsageError):
-            gexp.eval_frame(np.zeros(space_grid.n_points), space_grid, coords)
+            gexp.FramePoints(space_grid, coords)(np.zeros(space_grid.n_points))
         at = gexp.FramePoints(space_grid, coords)
         with pytest.raises(UsageError):
             at(np.zeros((space_grid.n_points, space_grid.n_points + 1)))

@@ -229,6 +229,13 @@ class TestMartingaleDecomposition:
             martingale_decomposition(self.xi(), BAND, self.SWEEP, self.SPACE,
                                      bundle)
 
+    def test_bundle_horizon_must_be_the_functional_horizon(self):
+        bundle = simulate(ConstantControl(band=BAND, level=1.0),
+                          TimeGrid(2.0, 64), 8, seed=1)
+        with pytest.raises(UsageError, match=r"horizon 1\.0 .*horizon 2\.0"):
+            martingale_decomposition(self.xi(), BAND, self.SWEEP, self.SPACE,
+                                     bundle)
+
     def test_paths_must_stay_on_the_grid(self):
         bundle = simulate(ConstantControl(band=BAND, level=1.0),
                           TimeGrid(1.0, 64), 64, seed=137)
@@ -312,6 +319,34 @@ class TestMartingaleTest:
         for row, (s, t) in zip(report.rows, self.PAIRS):
             assert not row["window_consistent"]
             assert row["sup_mean"] == pytest.approx(-(t - s), abs=1e-12)
+
+    def default_family(self):
+        """The CLI's four controls: both edges and both switches at 0.5."""
+        return self.family() + [StepControl(band=BAND, breaks=(0.0, 0.5, 1.0),
+                                            levels=(2.0, 1.0))]
+
+    def test_nonincreasing_qv_integral_is_refuted(self):
+        # the theorem's d<B> half: int gamma d<B> with gamma = -|B| <= 0,
+        # not 0, is non-increasing, so it is no martingale
+        report = martingale_test(
+            lambda b: stochastic_integral(-np.abs(b.b_paths), b.qv_paths),
+            self.default_family(), self.PAIRS, TimeGrid(1.0, 64), 4000, seed=11)
+        assert not report.consistent
+        for row in report.rows:
+            assert row["sup_mean"] < -3.0 * row["sup_stderr"]
+
+    @pytest.mark.parametrize("c", [0.5, -0.5])
+    def test_wrong_split_is_refuted(self, c):
+        # the ds half applied to a real K: K(1) - c t is no martingale for
+        # c != 0.  Under the sigma_hi edge K(1) gains exactly 0 (dyadic
+        # grid, integer variances), so the sup is exact and its se is 0.
+        report = martingale_test(
+            lambda b: k_process(1.0, b) - c * b.time_grid.times(),
+            self.default_family(), self.PAIRS, TimeGrid(1.0, 64), 4000, seed=11)
+        assert not report.consistent
+        for row, (s, t) in zip(report.rows, self.PAIRS):
+            assert row["sup_mean"] == pytest.approx(-c * (t - s), abs=1e-12)
+            assert not row["window_consistent"]
 
     def test_same_family_and_seed_for_both_verdicts(self):
         # the pair above shares family, seed, and windows; this guards the
