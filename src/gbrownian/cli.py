@@ -85,8 +85,10 @@ def _merge_section(section: str, config: dict, override: dict, where: str) -> di
 
 
 def _as_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where}: expected a number, got {value!r}")
+    # json reads NaN, Infinity and -Infinity as floats
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ConfigurationError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -86,20 +86,31 @@ def _as_float_array(a):
     return arr, (arr.ndim == 0)
 
 
+def _g_inplace(band: GParams, a: np.ndarray, scratch: np.ndarray,
+               half: float = 0.5) -> np.ndarray:
+    """Overwrite ``a`` with G(a); ``scratch`` is a buffer of a's shape.
+
+    Rounded as ``(var_lo * min(a, 0) + var_hi * max(a, 0)) * half``, which
+    is bitwise ``half * (var_hi * a^+ - var_lo * a^-)`` because negation is
+    exact, signed zeros included.  ``half = 0.5 * dt`` gives the explicit
+    step's ``dt * G(a)`` in the same pass.
+    """
+    np.maximum(a, 0.0, out=scratch)
+    scratch *= band.var_hi
+    np.minimum(a, 0.0, out=a)
+    a *= band.var_lo
+    a += scratch
+    a *= half
+    return a
+
+
 def g_value(band: GParams, a):
     """Sublinear generator G(a) = (var_hi * a^+ - var_lo * a^-) / 2.
 
     Accepts scalars or arrays; scalars come back as plain floats.
     """
     arr, scalar = _as_float_array(a)
-    # in place, with the roundings of 0.5 * (var_hi * a^+ - var_lo * a^-)
-    out = np.maximum(arr, 0.0, out=np.empty(arr.shape))
-    out *= band.var_hi
-    neg = np.negative(arr, out=np.empty(arr.shape))
-    np.maximum(neg, 0.0, out=neg)
-    neg *= band.var_lo
-    out -= neg
-    out *= 0.5
+    out = _g_inplace(band, arr.copy(), np.empty(arr.shape))
     return float(out) if scalar else out
 
 
@@ -196,8 +207,8 @@ class TimeGrid:
 
     def require_horizon(self, horizon: float, what: str) -> None:
         """Refuse a ``what`` whose horizon is not this grid's, up to 1e-9
-        relative."""
-        if abs(horizon - self.horizon) > 1e-9 * max(1.0, self.horizon):
+        relative; a NaN horizon is refused too."""
+        if not abs(horizon - self.horizon) <= 1e-9 * max(1.0, self.horizon):
             raise UsageError(f"{what} horizon {horizon!r} does not match the "
                              f"time grid horizon {self.horizon!r}")
 
@@ -291,10 +302,11 @@ class CylinderFunctional:
         times = tuple(float(t) for t in self.times)
         if len(times) == 0:
             raise ConfigurationError("a cylinder functional needs at least one time")
-        if any(t <= 0.0 for t in times) or any(
+        if not all(0.0 < t < math.inf for t in times) or any(
                 b <= a for a, b in zip(times, times[1:])):
             raise ConfigurationError(
-                f"monitoring dates must be strictly increasing and > 0, got {times}"
+                f"monitoring dates must be finite, strictly increasing and > 0, "
+                f"got {times}"
             )
         if not (self.lipschitz_bound > 0.0 and self.value_bound > 0.0):
             raise ConfigurationError("lipschitz_bound and value_bound must be > 0")

@@ -4,8 +4,10 @@ The scheme solves the terminal-value problem
 
     D_t u + G(D2_x u) + f(t, u, D_x u) = 0,   u(T, .) = payoff,
 
-by explicit backward marching on a space grid: one ``gheat.march_steps``
-step of the later row, then ``+ dt * f`` on that row.  The guards are the
+by explicit backward marching on a space grid: ``gheat.sweep_rows``, the
+forward solver's loop, runs over the reversed rows, so each row is one
+``march_steps`` step of the later row, then ``+ dt * f`` on that row
+(G itself comes from ``core``).  The guards are the
 CFL bound ``dt <= dx^2 / var_hi`` and the driver step bound
 ``dt * L * (1 + 1/dx) <= 0.5``, L the declared Lipschitz constant.  They
 do not make the scheme monotone: ``f = -y`` on the CFL-maximal grid
@@ -18,7 +20,8 @@ backward-equation triple is read off:
 
 with ``K_0 = 0`` and K non-increasing pathwise.  The triple comes from
 ``ito.eval_on_paths``, the walk that also decomposes conditional values
-along paths, so both read K off one ledger.  The pair
+along paths, so both read K off one ledger and interpolate with
+``gheat.FramePoints``.  The pair
 (surface solves the equation) <-> (triple satisfies the backward relation
 ``Y_t = xi + integral_t^T f - integral_t^T Z dB - (K_T - K_t)``) is
 checked in both directions by :func:`equivalence_check`.
@@ -44,8 +47,7 @@ import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value, running_sum
 from .errors import CapabilityError, ConfigurationError, UsageError
-from .gheat import (ValueSurface, check_cfl, curvature, gradient, march_steps,
-                    pde_residual)
+from .gheat import ValueSurface, curvature, gradient, pde_residual, sweep_rows
 from .mc import PathBundle
 from .ito import check_paths_inside, eval_on_paths, integral_steps
 
@@ -72,9 +74,9 @@ class CylinderPathProcess:
 
     def __post_init__(self) -> None:
         times = tuple(float(t) for t in self.times)
-        if len(times) == 0 or any(t <= 0 for t in times) or any(
+        if len(times) == 0 or not all(0.0 < t < math.inf for t in times) or any(
                 b <= a for a, b in zip(times, times[1:])):
-            raise UsageError("times must be strictly increasing and > 0")
+            raise UsageError("times must be finite, strictly increasing and > 0")
         if len(self.pieces) != len(times):
             raise UsageError(
                 f"need one piece per interval: {len(times)} intervals, "
@@ -240,9 +242,10 @@ class GBSDESolution:
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
                     space_grid: SpaceGrid, driver_row) -> np.ndarray:
-    """Explicit backward sweep: row i is one :func:`march_steps` step of
-    row i+1, then ``+ dt * driver_row(i + 1, row i+1)``; ``driver_row(k, v)``
-    is the driver on row k (values v), live or a frozen Picard iterate.
+    """Explicit backward sweep: :func:`gheat.sweep_rows` over the reversed
+    rows, so row i is one ``march_steps`` step of row i+1, then
+    ``+ dt * driver_row(i + 1, row i+1)``; ``driver_row(k, v)`` is the
+    driver on row k (values v), live or a frozen Picard iterate.
 
     ``march_steps`` holds the boundary nodes, so they carry the
     zero-curvature reduced equation ``v' = -f(t, v, one-sided D_x v)``:
@@ -251,20 +254,13 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     truncation already does.
     """
     time_grid.require_horizon(problem.horizon, "terminal")
-    dt, dx = time_grid.dt, space_grid.dx
-    check_cfl(problem.band, dt, space_grid)
-    _check_driver_stability(problem, dt, dx)
-    n = time_grid.n_steps
-
+    dt, n = time_grid.dt, time_grid.n_steps
+    _check_driver_stability(problem, dt, space_grid.dx)
     values = np.empty((n + 1, space_grid.n_points))
     values[n] = np.asarray(problem.terminal.as_levels()(space_grid.points()),
                            dtype=float)
-    if not np.all(np.isfinite(values[n])):
-        raise UsageError("terminal payoff produced non-finite values")
-    for i in range(n - 1, -1, -1):
-        values[i] = values[i + 1]
-        march_steps(values[i], problem.band, dt, 1, dx)
-        values[i] += dt * driver_row(i + 1, values[i + 1])
+    sweep_rows(values[::-1], problem.band, dt, space_grid,
+               lambda i, v: driver_row(n - i, v))
     return values
 
 

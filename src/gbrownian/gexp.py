@@ -15,34 +15,21 @@ so the sweep's scratch is bounded by one block on top of ``u`` and the
 recorded frames.
 
 Conditional values are multilinearly interpolated in the observed values
-and the current position by one numpy kernel, :class:`FramePoints`, which
-also serves the along-path walks of ``ito`` and ``gbsde``.  It finds each
-point's grid cell once, by ``floor((x - x_min) / dx)`` and one exact
-correction step, and shares the cell and weights between every field it
-then evaluates (a frame, its gradient, its curvature).  Its rounding order
-is that of ``np.interp`` on one axis and of the linear
-``RegularGridInterpolator`` on two and three, so its values are bitwise
-theirs.  Points outside the grid, NaN included, raise
-:class:`ExtrapolationError`: nothing is clamped or extrapolated.
+and the current position by ``gheat.FramePoints``, the grid interpolator
+that also serves ``ValueSurface.value`` and the along-path walks of
+``ito`` and ``gbsde``; points off the grid raise
+:class:`ExtrapolationError`.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-import operator
 
 import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid
-from .errors import (
-    CapabilityError,
-    DomainError,
-    ExtrapolationError,
-    UsageError,
-)
-from .gheat import check_cfl, march_steps
+from .errors import CapabilityError, DomainError, UsageError
+from .gheat import FramePoints, check_cfl, march_steps
 
 # Declared capability: meshes with more than this many monitoring dates are
 # refused up front rather than thrashing memory (n_points**n values live at
@@ -129,129 +116,6 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
     return frames
 
 
-def _check_inside(pts: np.ndarray, x: np.ndarray, axis: int) -> None:
-    lo, hi = pts[0], pts[-1]
-    if not (np.min(x) >= lo and np.max(x) <= hi):   # NaN fails both
-        bad = x[~((x >= lo) & (x <= hi))][0]
-        raise ExtrapolationError(
-            f"coordinate {axis} takes the value {float(bad)!r}, outside the "
-            f"space grid [{float(lo)!r}, {float(hi)!r}] of {len(pts)} points"
-        )
-
-
-def locate(pts: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cell index j of each point of ``x`` on the uniform grid ``pts``.
-
-    ``pts[j] <= x < pts[j + 1]``, the cell ``np.interp`` picks, and
-    ``j = n - 1`` at ``x == pts[-1]``.  The guess ``floor((x - x_min)/dx)``
-    is off by at most one cell on a uniform grid, so one exact comparison
-    with each neighbouring node settles it.  ``x`` must lie inside the grid.
-    """
-    n = len(pts)
-    guess = x - pts[0]
-    guess *= (n - 1) / (pts[-1] - pts[0])
-    np.floor(guess, out=guess)
-    j = guess.astype(np.intp)
-    np.minimum(j, n - 1, out=j)
-    j -= x < pts.take(j)                                # guess one too high
-    j += x >= np.append(pts[1:], np.inf).take(j)        # guess one too low
-    return j
-
-
-class FramePoints:
-    """Points located once on a space grid, then shared by every field
-    evaluated there: calling the object with a frame-shaped field returns
-    the field's multilinear value at each point.
-
-    ``coords`` holds one array of points per frame axis (observed values
-    first, current position last).  Each point's cell and weights are
-    found once, here; each call keeps the rounding order of the routine it
-    replaces, so the values are bitwise equal to it on finite fields:
-
-    - 1 axis, ``np.interp``: ``slope[j] * (x - pts[j]) + f[j]``, with
-      ``slope[j] = (f[j+1] - f[j]) / (pts[j+1] - pts[j])``, and exactly
-      ``f[j]`` when ``x == pts[j]`` (so ``f[-1]`` at ``x_max``);
-    - 2 axes, ``RegularGridInterpolator``'s ``evaluate_linear_2d``:
-      ``v00*(1-y0)*(1-y1) + v01*(1-y0)*y1 + v10*y0*(1-y1) + v11*y0*y1``,
-      summed left to right from 0.0, with
-      ``y = (x - pts[i]) / (pts[i+1] - pts[i])`` and ``i = n - 2`` at
-      ``x_max``;
-    - 3 axes, its ``_evaluate_linear``: the corner values times the
-      weight products ``(w0*w1)*w2``, summed in corner order.
-
-    Points outside the grid, NaN included, raise
-    :class:`ExtrapolationError`; nothing is clamped or extrapolated.
-    """
-
-    def __init__(self, space_grid: SpaceGrid, coords) -> None:
-        pts = space_grid.points()
-        xs = [np.asarray(c, dtype=float) for c in coords]
-        if not xs or any(x.ndim != 1 or x.shape != xs[0].shape for x in xs):
-            raise UsageError("frame points need one 1-d array of equal length "
-                             "per frame axis")
-        for axis, x in enumerate(xs):
-            _check_inside(pts, x, axis)
-        cells = [locate(pts, x) for x in xs]
-        self.ndim = len(xs)
-        self.n = len(pts)
-        self.spacing = np.diff(pts)
-        if self.ndim == 1:
-            self.cell = cells[0]
-            self.offset = xs[0] - pts.take(self.cell)
-            self.exact = np.flatnonzero(self.offset == 0.0)
-            return
-        # RegularGridInterpolator closes the last cell on the right: x_max
-        # sits in cell n - 2
-        lower = [np.minimum(j, self.n - 2) for j in cells]
-        y = [(x - pts.take(i)) / self.spacing.take(i) for x, i in zip(xs, lower)]
-        pairs = [(1.0 - yk, yk) for yk in y]
-        base = np.zeros_like(lower[0])
-        for i in lower:
-            base *= self.n
-            base += i
-        strides = [self.n ** (self.ndim - 1 - k) for k in range(self.ndim)]
-        # corners in RegularGridInterpolator's hypercube order, the first
-        # axis varying slowest; past two axes it multiplies the weights
-        # before the value
-        self.corners = []
-        for bits in itertools.product((0, 1), repeat=self.ndim):
-            weights = [pairs[k][b] for k, b in enumerate(bits)]
-            if self.ndim > 2:
-                weights = [functools.reduce(operator.mul, weights)]
-            shift = sum(b * s for b, s in zip(bits, strides))
-            self.corners.append((base + shift, weights))
-
-    def __call__(self, field: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-        field = np.asarray(field, dtype=float)
-        if field.shape != (self.n,) * self.ndim:
-            raise UsageError(
-                f"field of shape {field.shape} does not match {self.ndim} "
-                f"located axes on a grid of {self.n} points"
-            )
-        if self.ndim == 1:
-            slope = np.empty(self.n)
-            np.divide(np.diff(field), self.spacing, out=slope[:-1])
-            slope[-1] = 0.0
-            out = np.take(slope, self.cell, out=out)
-            out *= self.offset
-            out += field.take(self.cell)
-            if self.exact.size:
-                out[self.exact] = field.take(self.cell.take(self.exact))
-            return out
-        # RegularGridInterpolator's order: from 0.0, add the corner terms
-        if out is None:
-            out = np.empty(len(self.corners[0][0]))
-        out.fill(0.0)
-        term = np.empty_like(out)
-        flat = field.reshape(-1)
-        for index, weights in self.corners:
-            np.take(flat, index, out=term)
-            for w in weights:
-                term *= w
-            out += term
-        return out
-
-
 def g_expectation(xi: CylinderFunctional, band: GParams,
                   time_grid: TimeGrid, space_grid: SpaceGrid) -> float:
     """Sublinear expectation of a cylinder functional at time zero: the
@@ -291,13 +155,8 @@ def conditional_g_expectation(xi: CylinderFunctional, t: float, prefix,
         )
     if t >= horizon - tol:
         return float(np.asarray(xi.as_levels()(*prefix[:-1]), dtype=float))
-    frames = _backward_sweep(xi, band, space_grid, time_grid.dt, [t])
-    frame = frames[0]
-    if frame.ndim != len(prefix):
-        raise UsageError(
-            f"internal frame arity {frame.ndim} does not match prefix "
-            f"length {len(prefix)}"
-        )
+    # FramePoints refuses a frame whose arity is not the prefix length
+    frame, = _backward_sweep(xi, band, space_grid, time_grid.dt, [t])
     return float(FramePoints(space_grid, [[v] for v in prefix])(frame)[0])
 
 

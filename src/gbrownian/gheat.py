@@ -10,17 +10,26 @@ A surface solved forward from initial data satisfies
 ``u(t, x) ~ E[payoff(x + B_t)]`` under the band's sublinear expectation;
 backward-oriented surfaces (terminal data) arrive from the conditional
 and path-PDE layers and share the representation and export code here.
+
+:func:`march_steps`, the only explicit step, takes G from ``core``'s one
+kernel; :func:`sweep_rows`, the only per-row loop, fills forward surfaces
+and, over reversed rows, ``gbsde``'s backward ones; :class:`FramePoints`,
+the only grid interpolator, serves :meth:`ValueSurface.value`, ``gexp``
+and the along-path walks of ``ito`` and ``gbsde``.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParams, SpaceGrid, TimeGrid, g_value, sign_vol
+from .core import GParams, SpaceGrid, TimeGrid, _g_inplace, g_value, sign_vol
 from .errors import ConfigurationError, ExtrapolationError, UsageError
 
 
@@ -72,7 +81,6 @@ def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> n
     block = max(1, _BLOCK_BYTES // (m * u.itemsize))
     inv_dx2 = 1.0 / (dx * dx)
     half_dt = 0.5 * dt
-    var_hi, var_lo = band.var_hi, band.var_lo
     curv = np.empty((min(block, len(rows)), m - 2), dtype=u.dtype)
     gain = np.empty_like(curv)
     for start in range(0, len(rows), block):
@@ -85,17 +93,149 @@ def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> n
             np.subtract(right, c, out=c)
             np.add(c, left, out=c)
             np.multiply(c, inv_dx2, out=c)
-            # G(c) * dt = (var_hi*max(c,0) + var_lo*min(c,0)) * (0.5*dt);
-            # halving is exact (barring underflow), so this equals
-            # dt * (0.5 * (var_hi*max(c,0) - var_lo*max(-c,0))) bitwise
-            np.maximum(c, 0.0, out=g)
-            np.multiply(g, var_hi, out=g)
-            np.minimum(c, 0.0, out=c)
-            np.multiply(c, var_lo, out=c)
-            np.add(g, c, out=g)
-            np.multiply(g, half_dt, out=g)
-            np.add(mid, g, out=mid)
+            _g_inplace(band, c, g, half_dt)      # c = dt * G(c)
+            np.add(mid, c, out=mid)
     return u
+
+
+def sweep_rows(values: np.ndarray, band: GParams, dt: float,
+               space_grid: SpaceGrid, source=None) -> None:
+    """Fill ``values`` in place from its data row ``values[0]``: row i is
+    one :func:`march_steps` step of row i - 1, plus ``dt * source(i - 1,
+    row i - 1)`` when a source is given.  A reversed view (``a[::-1]``)
+    fills a backward surface without a flipped copy.  Checks the CFL bound
+    and that the data row is finite."""
+    check_cfl(band, dt, space_grid)
+    if not np.all(np.isfinite(values[0])):
+        raise UsageError("payoff produced non-finite values on the grid")
+    for i in range(1, len(values)):
+        values[i] = values[i - 1]
+        march_steps(values[i], band, dt, 1, space_grid.dx)
+        if source is not None:
+            values[i] += dt * source(i - 1, values[i - 1])
+
+
+def _check_inside(pts: np.ndarray, x: np.ndarray, axis: int) -> None:
+    lo, hi = pts[0], pts[-1]
+    if not (np.min(x) >= lo and np.max(x) <= hi):   # NaN fails both
+        bad = x[~((x >= lo) & (x <= hi))][0]
+        raise ExtrapolationError(
+            f"coordinate {axis} takes the value {float(bad)!r}, outside the "
+            f"space grid [{float(lo)!r}, {float(hi)!r}] of {len(pts)} points"
+        )
+
+
+def locate(pts: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cell index j of each point of ``x`` on the uniform grid ``pts``.
+
+    ``pts[j] <= x < pts[j + 1]``, the cell ``np.interp`` picks, and
+    ``j = n - 1`` at ``x == pts[-1]``.  The guess ``floor((x - x_min)/dx)``
+    is off by at most one cell on a uniform grid, so one exact comparison
+    with each neighbouring node settles it.  ``x`` must lie inside the grid.
+    """
+    n = len(pts)
+    guess = x - pts[0]
+    guess *= (n - 1) / (pts[-1] - pts[0])
+    np.floor(guess, out=guess)
+    j = guess.astype(np.intp)
+    np.minimum(j, n - 1, out=j)
+    j -= x < pts.take(j)                                # guess one too high
+    j += x >= np.append(pts[1:], np.inf).take(j)        # guess one too low
+    return j
+
+
+class FramePoints:
+    """Points located once on a space grid, then shared by every field
+    evaluated there: calling the object with a frame-shaped field returns
+    the field's multilinear value at each point.
+
+    ``coords`` holds one array of points per frame axis (observed values
+    first, current position last).  Each point's cell and weights are
+    found once, here; each call keeps the rounding order of the routine it
+    replaces, so the values are bitwise equal to it on finite fields:
+
+    - 1 axis, ``np.interp``: ``slope[j] * (x - pts[j]) + f[j]``, with
+      ``slope[j] = (f[j+1] - f[j]) / (pts[j+1] - pts[j])``, and exactly
+      ``f[j]`` when ``x == pts[j]`` (so ``f[-1]`` at ``x_max``);
+    - 2 axes, ``RegularGridInterpolator``'s ``evaluate_linear_2d``:
+      ``v00*(1-y0)*(1-y1) + v01*(1-y0)*y1 + v10*y0*(1-y1) + v11*y0*y1``,
+      summed left to right from 0.0, with
+      ``y = (x - pts[i]) / (pts[i+1] - pts[i])`` and ``i = n - 2`` at
+      ``x_max``;
+    - 3 axes, its ``_evaluate_linear``: the corner values times the
+      weight products ``(w0*w1)*w2``, summed in corner order.
+
+    Points outside the grid, NaN included, raise
+    :class:`ExtrapolationError`; nothing is clamped or extrapolated.
+    """
+
+    def __init__(self, space_grid: SpaceGrid, coords) -> None:
+        pts = space_grid.points()
+        xs = [np.asarray(c, dtype=float) for c in coords]
+        if not xs or any(x.ndim != 1 or x.shape != xs[0].shape for x in xs):
+            raise UsageError("frame points need one 1-d array of equal length "
+                             "per frame axis")
+        for axis, x in enumerate(xs):
+            _check_inside(pts, x, axis)
+        cells = [locate(pts, x) for x in xs]
+        self.ndim = len(xs)
+        self.n = len(pts)
+        self.spacing = np.diff(pts)
+        if self.ndim == 1:
+            self.cell = cells[0]
+            self.offset = xs[0] - pts.take(self.cell)
+            self.exact = np.flatnonzero(self.offset == 0.0)
+            return
+        # RegularGridInterpolator closes the last cell on the right: x_max
+        # sits in cell n - 2
+        lower = [np.minimum(j, self.n - 2) for j in cells]
+        y = [(x - pts.take(i)) / self.spacing.take(i) for x, i in zip(xs, lower)]
+        pairs = [(1.0 - yk, yk) for yk in y]
+        base = np.zeros_like(lower[0])
+        for i in lower:
+            base *= self.n
+            base += i
+        strides = [self.n ** (self.ndim - 1 - k) for k in range(self.ndim)]
+        # corners in RegularGridInterpolator's hypercube order, the first
+        # axis varying slowest; past two axes it multiplies the weights
+        # before the value
+        self.corners = []
+        for bits in itertools.product((0, 1), repeat=self.ndim):
+            weights = [pairs[k][b] for k, b in enumerate(bits)]
+            if self.ndim > 2:
+                weights = [functools.reduce(operator.mul, weights)]
+            shift = sum(b * s for b, s in zip(bits, strides))
+            self.corners.append((base + shift, weights))
+
+    def __call__(self, field: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        field = np.asarray(field, dtype=float)
+        if field.shape != (self.n,) * self.ndim:
+            raise UsageError(
+                f"field of shape {field.shape} does not match {self.ndim} "
+                f"located axes on a grid of {self.n} points"
+            )
+        if self.ndim == 1:
+            slope = np.empty(self.n)
+            np.divide(np.diff(field), self.spacing, out=slope[:-1])
+            slope[-1] = 0.0
+            out = np.take(slope, self.cell, out=out)
+            out *= self.offset
+            out += field.take(self.cell)
+            if self.exact.size:
+                out[self.exact] = field.take(self.cell.take(self.exact))
+            return out
+        # RegularGridInterpolator's order: from 0.0, add the corner terms
+        if out is None:
+            out = np.empty(len(self.corners[0][0]))
+        out.fill(0.0)
+        term = np.empty_like(out)
+        flat = field.reshape(-1)
+        for index, weights in self.corners:
+            np.take(flat, index, out=term)
+            for w in weights:
+                term *= w
+            out += term
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,16 +269,15 @@ class ValueSurface:
         return self.values[0] if self.orientation == "forward" else self.values[-1]
 
     def value(self, t: float, x: float) -> float:
-        """Bilinear interpolation in (t, x); refuses to extrapolate."""
-        tg, sg = self.time_grid, self.space_grid
+        """Bilinear interpolation in (t, x): the time-blended row, then
+        :class:`FramePoints` in x.  Refuses to extrapolate."""
+        tg = self.time_grid
         if not (-1e-12 <= t <= tg.horizon * (1.0 + 1e-12)):
             raise ExtrapolationError(f"t={t!r} outside [0, {tg.horizon}]")
-        if not sg.covers(x):
-            raise ExtrapolationError(f"x={x!r} outside [{sg.x_min}, {sg.x_max}]")
         ti = min(int(t / tg.dt), tg.n_steps - 1)
         wt = t / tg.dt - ti
         row = (1.0 - wt) * self.values[ti] + wt * self.values[ti + 1]
-        return float(np.interp(x, sg.points(), row))
+        return float(FramePoints(self.space_grid, [[x]])(row)[0])
 
 
 def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
@@ -149,20 +288,13 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
     array of nodal values.  Returns a forward-oriented surface whose row i
     approximates ``x -> E[payoff(x + B_{t_i})]``.
     """
-    dt, dx = time_grid.dt, space_grid.dx
-    check_cfl(band, dt, space_grid)
     x = space_grid.points()
     data = np.asarray(payoff(x) if callable(payoff) else payoff, dtype=float)
     if data.shape != x.shape:
         raise UsageError(f"payoff samples shape {data.shape} != grid shape {x.shape}")
-    if not np.all(np.isfinite(data)):
-        raise UsageError("payoff produced non-finite values on the grid")
-
     values = np.empty((time_grid.n_steps + 1, space_grid.n_points))
     values[0] = data
-    for i in range(1, time_grid.n_steps + 1):
-        values[i] = values[i - 1]
-        march_steps(values[i], band, dt, 1, dx)
+    sweep_rows(values, band, time_grid.dt, space_grid)
     return ValueSurface(band, time_grid, space_grid, values, "forward", name)
 
 

@@ -9,7 +9,8 @@ The decomposition of a conditional-value process along paths is
 
 with K starting at zero and non-increasing pathwise (the curvature c
 satisfies ``c * h^2 / 2 <= G(c)`` for every band level h, with equality at
-the bang-bang choice, so each step's increment is <= 0 exactly).
+the bang-bang choice, so each step's increment is <= 0 exactly).  Frames
+are read along paths by ``gheat.FramePoints`` and G is ``core.g_value``.
 
 The dyadic quadratic variation ``Q^n`` satisfies the discrete identity
 ``Q^n = integral(lambda^n dB) + Q^finest`` where ``Q^finest`` is the
@@ -29,8 +30,8 @@ import numpy as np
 from .core import (CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value,
                    g_value, running_sum)
 from .errors import DomainError, ExtrapolationError, UsageError
-from .gexp import FramePoints, conditional_frames
-from .gheat import curvature, gradient
+from .gexp import conditional_frames
+from .gheat import FramePoints, curvature, gradient
 from .mc import PathBundle, _simulate_reduce
 
 # Frames per block of along-path evaluation: the scratch is 3 * _BLOCK_FRAMES

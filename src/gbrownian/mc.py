@@ -178,6 +178,7 @@ def _run_euler(control: ControlProcess, time_grid: TimeGrid,
     if z.ndim != 2 or z.shape[1] != time_grid.n_steps:
         raise UsageError("normal matrix does not match the time grid")
     b, h = _march(control, time_grid, z.T)
+    del z       # a caller's temporary normals are freed before the ledger
     return PathBundle(control.band, time_grid, b, _qv_ledger(h, time_grid.dt),
                       h, seed)
 
@@ -192,11 +193,8 @@ def simulate(control: ControlProcess, time_grid: TimeGrid, n_paths: int,
     """
     if n_paths < 2:
         raise UsageError("need at least 2 paths for variance estimates")
-    # the normals are freed as soon as the march returns
-    b, h = _march(control, time_grid, _fill_normals(
-        _philox(seed, stream), np.empty((time_grid.n_steps, n_paths))))
-    return PathBundle(control.band, time_grid, b, _qv_ledger(h, time_grid.dt),
-                      h, seed)
+    return _run_euler(control, time_grid, _fill_normals(
+        _philox(seed, stream), np.empty((time_grid.n_steps, n_paths))).T, seed)
 
 
 def _simulate_reduce(family, time_grid: TimeGrid, n_paths: int, seed: int,

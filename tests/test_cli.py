@@ -85,6 +85,29 @@ class TestConfigRejection:
         cfg["grids"]["x_min"] = -math.inf
         self.rejects(tmp_path, capsys, cfg, "experiments[0]", "x_min")
 
+    @pytest.mark.parametrize("experiment,location", [
+        ({"name": "gexp", "payoff": "x2", "dates": [math.nan]},
+         "experiments[0].dates"),
+        ({"name": "gexp", "payoff": "x2", "dates": [math.inf]},
+         "experiments[0].dates"),
+        ({"name": "identify-drift",
+          "eta": {"breaks": [0.0, math.nan, 1.0], "values": [1.0, -1.0]}},
+         "experiments[0].eta.breaks"),
+        ({"name": "verify-theorem35",
+          "zeta": {"breaks": [0.0, 0.25, 1.0], "values": [math.inf, 0.5]}},
+         "experiments[0].zeta.values"),
+        ({"name": "gbsde", "rate": math.nan}, "experiments[0].rate"),
+        ({"name": "decompose", "budget": math.nan}, "experiments[0].budget"),
+        ({"name": "price-uvm", "payoff": "call", "strike": -math.inf},
+         "experiments[0].strike"),
+    ], ids=["gexp-dates-nan", "gexp-dates-inf", "drift-breaks-nan",
+            "theorem35-zeta-inf", "gbsde-rate-nan", "decompose-budget-nan",
+            "uvm-strike-minus-inf"])
+    def test_non_finite_number(self, tmp_path, capsys, experiment, location):
+        # json writes and reads these as NaN, Infinity and -Infinity
+        self.rejects(tmp_path, capsys, base_config(experiments=[experiment]),
+                     location, "finite")
+
     def test_wrong_number_of_dates(self, tmp_path, capsys):
         cfg = base_config(experiments=[
             {"name": "gexp", "payoff": "max2", "dates": [1.0]}])

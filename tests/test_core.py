@@ -55,6 +55,24 @@ class TestEnvelope:
             assert g_value(BAND, a) == pytest.approx(
                 oracles.envelope(1.0, 4.0, a), abs=1e-14)
 
+    def test_bitwise_the_oracle_form(self):
+        # special values, then random magnitudes of both signs over the
+        # whole float range; overflow to inf is part of the form
+        rng = np.random.default_rng(5)
+        a = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, 1e308, -1e308],
+            rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-320, 308, 4000)])
+        before = a.copy()
+        with np.errstate(over="ignore"):
+            want = 0.5 * (BAND.var_hi * np.maximum(a, 0.0)
+                          - BAND.var_lo * np.maximum(-a, 0.0))
+            got = g_value(BAND, a)
+            scalars = [g_value(BAND, float(v)) for v in a[:8]]
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert [v.hex() for v in scalars] == [float(v).hex() for v in want[:8]]
+        assert np.array_equal(a, before)    # the input is not scratch
+
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -200,6 +218,12 @@ class TestGrids:
         with pytest.raises(ConfigurationError):
             TimeGrid(1.0, 0)
 
+    def test_require_horizon_refuses_nan(self):
+        tg = TimeGrid(1.0, 4)
+        tg.require_horizon(1.0 + 1e-12, "functional")
+        with pytest.raises(UsageError, match="functional horizon nan"):
+            tg.require_horizon(math.nan, "functional")
+
     def test_space_grid_geometry(self):
         sg = SpaceGrid(-2.0, 2.0, 5)
         assert sg.dx == pytest.approx(1.0)
@@ -263,7 +287,8 @@ class TestCylinderFunctional:
             CylinderFunctional(times=(1.0,), payoff=lambda x: np.full_like(x, np.nan),
                                lipschitz_bound=1e6, value_bound=1e6)
 
-    @pytest.mark.parametrize("times", [(), (0.0, 1.0), (0.5, 0.5), (1.0, 0.5)])
+    @pytest.mark.parametrize("times", [(), (0.0, 1.0), (0.5, 0.5), (1.0, 0.5),
+                                       (math.nan,), (math.inf,)])
     def test_rejects_bad_dates(self, times):
         with pytest.raises(ConfigurationError):
             CylinderFunctional(times=times, payoff=lambda *a: 0.0,

@@ -82,6 +82,12 @@ class TestCylinderPathProcess:
                 pieces=(lambda t, x: x,
                         lambda t, x1, x: x + 1.0))  # jumps at the seam
 
+    @pytest.mark.parametrize("times", [(math.nan,), (0.5, math.inf)])
+    def test_non_finite_dates_are_rejected(self, times):
+        pieces = (lambda t, x: x, lambda t, x1, x: x)[:len(times)]
+        with pytest.raises(UsageError, match="finite"):
+            CylinderPathProcess(times=times, pieces=pieces)
+
     def test_time_domain(self):
         with pytest.raises(UsageError):
             self.two_piece().piece_index(1.2)
@@ -168,6 +174,15 @@ class TestSolvePpde:
                                BAND, driver_lipschitz=50.0)
         with pytest.raises(ConfigurationError):
             solve_ppde(problem, TIME, SPACE)
+
+    def test_terminal_non_finite_on_the_grid(self):
+        # finite on the functional's spot-check box (|x| < 4.5), infinite
+        # on the grid's outer nodes
+        xi = CylinderFunctional(
+            times=(1.0,), payoff=lambda x: np.where(np.abs(x) > 5.0, np.inf, x * x),
+            lipschitz_bound=10.0, value_bound=25.0)
+        with pytest.raises(UsageError, match="non-finite"):
+            solve_ppde(GBSDEProblem(xi, zero_driver, BAND), TIME, SPACE)
 
     def test_horizon_mismatch(self):
         problem = GBSDEProblem(terminal_square(), zero_driver, BAND)

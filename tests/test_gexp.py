@@ -24,7 +24,7 @@ from gbrownian import (
     g_expectation,
     lp_norm,
 )
-from gbrownian import gexp
+from gbrownian import gheat
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -267,7 +267,7 @@ class TestFrameKernel:
     def test_located_cell_is_the_half_open_one(self, space_grid):
         pts = space_grid.points()
         x = self.points(space_grid, np.random.default_rng(1))
-        j = gexp.locate(pts, x)
+        j = gheat.locate(pts, x)
         inner = x < space_grid.x_max
         assert np.all(pts[j[inner]] <= x[inner])
         assert np.all(x[inner] < pts[j[inner] + 1])
@@ -282,7 +282,7 @@ class TestFrameKernel:
         rng = np.random.default_rng(100 * ndim + space_grid.n_points)
         pts = space_grid.points()
         coords = [self.points(space_grid, rng) for _ in range(ndim)]
-        at = gexp.FramePoints(space_grid, coords)
+        at = gheat.FramePoints(space_grid, coords)
         shape = (space_grid.n_points,) * ndim
         # one location serves several fields; an all -0.0 field tests the
         # sign of zero sums
@@ -290,7 +290,7 @@ class TestFrameKernel:
                       np.full(shape, -0.0)):
             want = oracles.eval_frame_reference(frame, pts, coords)
             self.assert_bitwise(at(frame), want)
-            self.assert_bitwise(gexp.FramePoints(space_grid, coords)(frame), want)
+            self.assert_bitwise(gheat.FramePoints(space_grid, coords)(frame), want)
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
     def test_every_node_of_a_smooth_frame(self, ndim):
@@ -300,7 +300,7 @@ class TestFrameKernel:
         frame = np.sin(sum(mesh)) * np.cos(mesh[-1])
         coords = [np.tile(pts, 3) for _ in range(ndim)]
         coords[-1] = np.repeat(pts, 3)
-        self.assert_bitwise(gexp.FramePoints(space_grid, coords)(frame),
+        self.assert_bitwise(gheat.FramePoints(space_grid, coords)(frame),
                             oracles.eval_frame_reference(frame, pts, coords))
 
     @pytest.mark.parametrize("ndim", [1, 2, 3])
@@ -318,13 +318,13 @@ class TestFrameKernel:
                            match=rf"coordinate {ndim - 1} .*"
                                  rf"{re.escape(repr(float(value)))}.*"
                                  r"\[-3\.7, 5\.1\]"):
-            gexp.FramePoints(space_grid, coords)(frame)
+            gheat.FramePoints(space_grid, coords)(frame)
 
     def test_field_shape_and_arity_are_checked(self):
         space_grid = self.GRIDS[2]
         coords = [np.zeros(3), np.zeros(3)]
         with pytest.raises(UsageError):
-            gexp.FramePoints(space_grid, coords)(np.zeros(space_grid.n_points))
-        at = gexp.FramePoints(space_grid, coords)
+            gheat.FramePoints(space_grid, coords)(np.zeros(space_grid.n_points))
+        at = gheat.FramePoints(space_grid, coords)
         with pytest.raises(UsageError):
             at(np.zeros((space_grid.n_points, space_grid.n_points + 1)))

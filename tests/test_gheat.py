@@ -276,6 +276,19 @@ class TestValueSurface:
         want = 0.5 * row[j] + 0.5 * row[j + 1]
         assert square_surface.value(t, x) == pytest.approx(want, abs=1e-13)
 
+    def test_value_is_np_interp_of_the_blended_row(self, square_surface):
+        pts = SPACE.points()
+        t = 0.5 + 0.4 * TIME.dt
+        ti = int(t / TIME.dt)
+        wt = t / TIME.dt - ti
+        v = square_surface.values
+        row = (1.0 - wt) * v[ti] + wt * v[ti + 1]
+        for x in (0.25 + 0.37 * SPACE.dx, pts[57], SPACE.x_min, SPACE.x_max):
+            want = float(np.interp(x, pts, row))
+            assert square_surface.value(t, x).hex() == want.hex()
+        with pytest.raises(ExtrapolationError):
+            square_surface.value(t, np.nan)
+
     def test_refuses_to_extrapolate(self, square_surface):
         with pytest.raises(ExtrapolationError):
             square_surface.value(1.5, 0.0)
