@@ -71,10 +71,6 @@ class GParams:
         """Width ``sigma_hi^2 - sigma_lo^2`` of the variance interval."""
         return self.var_hi - self.var_lo
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.sigma_lo == self.sigma_hi
-
     def contains_level(self, level, tol: float = 0.0):
         """Elementwise test that volatility levels lie inside the band."""
         a = np.asarray(level, dtype=float)
@@ -143,34 +139,6 @@ def sign_vol(band: GParams, a):
     return float(out) if scalar else out
 
 
-def delta_kalpha(k: int, alpha: float, s):
-    """Alternating block sign on (0, 1].
-
-    The unit interval is split into ``k`` equal blocks; each block
-    contributes +1 on its leading ``alpha`` fraction ``](i)/k, (i+alpha)/k]``
-    and -1 on the trailing remainder ``](i+alpha)/k, (i+1)/k]``.  The
-    intervals are half-open on the left, so ``s = 0`` belongs to no block
-    and raises :class:`DomainError`; so does anything outside ``(0, 1]``.
-    """
-    k = int(k)
-    if k < 1:
-        raise DomainError(f"block count k must be >= 1, got {k}")
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    arr, scalar = _as_float_array(s)
-    if np.any(arr <= 0.0) or np.any(arr > 1.0):
-        raise DomainError(
-            "delta_kalpha is defined on (0, 1] only; the blocks are "
-            "left-open so s = 0 is outside the domain"
-        )
-    scaled = arr * k
-    block = np.ceil(scaled) - 1.0          # index i of the block ]i/k,(i+1)/k]
-    position = scaled - block              # in (0, 1] within the block
-    out = np.where(position <= alpha, 1.0, -1.0)
-    return float(out) if scalar else out
-
-
 def running_sum(steps: np.ndarray) -> np.ndarray:
     """Running sum of per-step increments along the last axis, on nodes:
     column 0 is zero and column ``k`` sums steps ``0 .. k-1``."""
@@ -212,10 +180,11 @@ class TimeGrid:
             raise UsageError(f"{what} horizon {horizon!r} does not match the "
                              f"time grid horizon {self.horizon!r}")
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Grid index of a time that must sit on the grid (up to tol)."""
+    def index_of(self, t: float) -> int:
+        """Grid index of a time that must sit on the grid (up to 1e-9
+        relative)."""
         idx = int(round(t / self.dt))
-        if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > tol * max(1.0, self.horizon):
+        if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise UsageError(f"time {t!r} is not a node of the grid (dt={self.dt!r})")
         return idx
 
@@ -249,22 +218,6 @@ class SpaceGrid:
 
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
-
-    def covers(self, x) -> bool:
-        a = np.asarray(x, dtype=float)
-        return bool(np.all((a >= self.x_min) & (a <= self.x_max)))
-
-    @classmethod
-    def for_band(cls, band: GParams, horizon: float, n_points: int,
-                 center: float = 0.0, n_sigmas: float = 6.0) -> "SpaceGrid":
-        """Default domain: ``center +- n_sigmas * sigma_hi * sqrt(horizon)``.
-
-        Six standard deviations of the widest admissible marginal keep the
-        frozen-boundary error far below the scheme's truncation error for
-        Lipschitz data.
-        """
-        half = n_sigmas * band.sigma_hi * math.sqrt(horizon)
-        return cls(center - half, center + half, n_points)
 
 
 # ---------------------------------------------------------------------------

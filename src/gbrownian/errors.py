@@ -23,8 +23,8 @@ class DomainError(GBrownianError, ValueError):
     """An argument lies outside the mathematical domain of an operation.
 
     Examples: the tilt size of the shrunk generator outside
-    ``[0, (sigma_hi^2 - sigma_lo^2)/2]``, evaluating the alternating block
-    sign at ``s = 0``, perturbation base levels outside the shrunk band.
+    ``[0, (sigma_hi^2 - sigma_lo^2)/2]``, a block fraction ``alpha`` outside
+    ``(0, 1)``, perturbation base levels outside the shrunk band.
     """
 
 

@@ -245,7 +245,8 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     """Explicit backward sweep: :func:`gheat.sweep_rows` over the reversed
     rows, so row i is one ``march_steps`` step of row i+1, then
     ``+ dt * driver_row(i + 1, row i+1)``; ``driver_row(k, v)`` is the
-    driver on row k (values v), live or a frozen Picard iterate.
+    driver on row k (values v), live or a frozen Picard iterate, and
+    ``None`` sweeps the zero driver with no source at all.
 
     ``march_steps`` holds the boundary nodes, so they carry the
     zero-curvature reduced equation ``v' = -f(t, v, one-sided D_x v)``:
@@ -260,7 +261,8 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     values[n] = np.asarray(problem.terminal.as_levels()(space_grid.points()),
                            dtype=float)
     sweep_rows(values[::-1], problem.band, dt, space_grid,
-               lambda i, v: driver_row(n - i, v))
+               None if driver_row is None
+               else lambda i, v: driver_row(n - i, v))
     return values
 
 
@@ -285,28 +287,25 @@ def solve_ppde(problem: GBSDEProblem, time_grid: TimeGrid,
 
 
 def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
-                      space_grid: SpaceGrid, max_iter: int = 10,
-                      tol: float = 1e-10) -> tuple:
+                      space_grid: SpaceGrid) -> tuple:
     """Picard iteration on the driver: freeze f at the previous iterate.
 
-    Starts from f = 0; returns ``(solution, iterations, final_delta)``.
+    Starts from f = 0 and stops after 10 iterations or once an iterate
+    moves the surface by at most 1e-10; returns
+    ``(solution, iterations, final_delta)``.
     Cross-validates the direct scheme: both converge to the same explicit
     fixed point, so the sup-gap after convergence is a genuine consistency
     signal.
     """
     dx = space_grid.dx
-    source = np.zeros((time_grid.n_steps + 1, space_grid.n_points))
-    values = _march_backward(problem, time_grid, space_grid,
-                             lambda k, v: source[k])
-    delta = math.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    values = _march_backward(problem, time_grid, space_grid, None)
+    for iterations in range(1, 11):
         source = _driver_field(problem, time_grid, values, gradient(values, dx))
         new_values = _march_backward(problem, time_grid, space_grid,
                                      lambda k, v: source[k])
         delta = float(np.max(np.abs(new_values - values)))
         values = new_values
-        if delta <= tol:
+        if delta <= 1e-10:
             break
     return (GBSDESolution(problem, time_grid, space_grid, values,
                           gradient(values, dx)),
@@ -416,25 +415,20 @@ def ppde_residual(solution: GBSDESolution) -> float:
     return float(np.max(np.abs(resid)))
 
 
-def equivalence_check(solution: GBSDESolution, bundle: PathBundle,
-                      pde_tol: float = None,
-                      bsde_tol: float = None) -> EquivalenceReport:
+def equivalence_check(solution: GBSDESolution,
+                      bundle: PathBundle) -> EquivalenceReport:
     """Verify both directions of the surface <-> triple correspondence.
 
     Direction one: the solved surface satisfies the discrete backward
     equation (residual at rounding level).  Direction two: the triple
     (Y, Z, K) read off the surface satisfies the backward relation along
     simulated paths, up to the pathwise quadrature error of the bundle
-    grid (default budget ``8 var_hi sqrt(dt * T)`` plus the terminal
-    interpolation gap — the realized-vs-ledger quadratic variation noise
-    dominates and shrinks like sqrt(dt)).
+    grid.  The budgets are ``1e-9 * max(1, max |Y|)`` for the equation and
+    ``8 var_hi sqrt(dt * T)`` on the bundle grid for the relation, whose
+    realized-vs-ledger quadratic variation noise shrinks like sqrt(dt).
     """
     scale = max(1.0, float(np.max(np.abs(solution.y_values))))
-    if pde_tol is None:
-        pde_tol = 1e-9 * scale
-    if bsde_tol is None:
-        tg = bundle.time_grid
-        bsde_tol = 8.0 * solution.problem.band.var_hi * math.sqrt(tg.dt * tg.horizon)
-    return EquivalenceReport(ppde_residual(solution),
-                             gbsde_residual(solution, bundle),
-                             float(pde_tol), float(bsde_tol))
+    tg = bundle.time_grid
+    return EquivalenceReport(
+        ppde_residual(solution), gbsde_residual(solution, bundle), 1e-9 * scale,
+        8.0 * solution.problem.band.var_hi * math.sqrt(tg.dt * tg.horizon))

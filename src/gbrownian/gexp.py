@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid
-from .errors import CapabilityError, DomainError, UsageError
+from .errors import CapabilityError, UsageError
 from .gheat import FramePoints, check_cfl, march_steps
 
 # Declared capability: meshes with more than this many monitoring dates are
@@ -171,34 +171,3 @@ def conditional_frames(xi: CylinderFunctional, band: GParams,
     """
     _validate_functional(xi, band, space_grid)
     return _backward_sweep(xi, band, space_grid, dt_max, record_times)
-
-
-def lp_norm(xi: CylinderFunctional, p: float, band: GParams,
-            time_grid: TimeGrid, space_grid: SpaceGrid) -> float:
-    """Sublinear L^p seminorm: ``(expectation of |xi|^p) ** (1/p)``.
-
-    Only ``p >= 1`` gives a norm on the functional class; smaller p raises
-    :class:`DomainError`.
-    """
-    p = float(p)
-    if not p >= 1.0:
-        raise DomainError(f"lp_norm needs p >= 1, got {p!r}")
-    base = xi.as_levels()
-
-    def abs_p(*args):
-        return np.abs(base(*args)) ** p
-
-    powered = CylinderFunctional(
-        times=xi.times,
-        payoff=abs_p,
-        lipschitz_bound=p * self_pow(xi.value_bound, p - 1.0) * xi.lipschitz_bound,
-        value_bound=self_pow(xi.value_bound, p),
-        convention="levels",
-        name=f"|{xi.name or 'xi'}|^{p}",
-    )
-    return g_expectation(powered, band, time_grid, space_grid) ** (1.0 / p)
-
-
-def self_pow(base: float, exponent: float) -> float:
-    """max(base, 1)^exponent — a safe envelope constant for |x|^p bounds."""
-    return max(base, 1.0) ** exponent

@@ -264,10 +264,6 @@ class ValueSurface:
         if self.orientation not in ("forward", "backward"):
             raise UsageError(f"orientation must be forward/backward, got {self.orientation!r}")
 
-    @property
-    def data_layer(self) -> np.ndarray:
-        return self.values[0] if self.orientation == "forward" else self.values[-1]
-
     def value(self, t: float, x: float) -> float:
         """Bilinear interpolation in (t, x): the time-blended row, then
         :class:`FramePoints` in x.  Refuses to extrapolate."""
@@ -316,28 +312,6 @@ def curvature(u: np.ndarray, dx: float) -> np.ndarray:
     return d2u
 
 
-def derivative_fields(surface: ValueSurface):
-    """Finite-difference derivative fields (du_dt, du_dx, d2u_dx2).
-
-    The time derivative is the one-sided difference ``(u[i+1] - u[i]) / dt``
-    the marching scheme advances with; :func:`pde_residual` pairs it with
-    the curvature of the row the scheme read, which leaves rounding noise
-    for solved surfaces.  Centred time differences would instead pick up
-    the scheme's own smoothing lag near kinked data.  Space derivatives
-    are :func:`gradient` and :func:`curvature`.
-    """
-    u, dx = surface.values, surface.space_grid.dx
-    rate = _rate(surface)
-    return np.concatenate([rate, rate[-1:]]), gradient(u, dx), curvature(u, dx)
-
-
-def _rate(surface: ValueSurface) -> np.ndarray:
-    """``(u[i+1] - u[i]) / dt`` for every row i but the last."""
-    rate = np.diff(surface.values, axis=0)
-    rate /= surface.time_grid.dt
-    return rate
-
-
 def pde_residual(surface: ValueSurface) -> np.ndarray:
     """Interior residual ``du_dt -/+ G(d2u_dx2)`` of a solved surface.
 
@@ -349,7 +323,8 @@ def pde_residual(surface: ValueSurface) -> np.ndarray:
     an accuracy estimate.
     """
     g = g_value(surface.band, curvature(surface.values, surface.space_grid.dx))
-    resid = _rate(surface)
+    resid = np.diff(surface.values, axis=0)
+    resid /= surface.time_grid.dt
     if surface.orientation == "forward":
         resid -= g[:-1]
     else:

@@ -357,22 +357,25 @@ def martingale_test(process_builder, family, pairs, time_grid: TimeGrid,
 # ---------------------------------------------------------------------------
 
 def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
-                   n_paths: int, seed: int, tol: float = 1e-4,
-                   max_iter: int = 200) -> list:
+                   n_paths: int, seed: int) -> list:
     """Identify the drift rate c that centres ``integral(eta d qv) - c t``.
 
-    ``eta = (breaks, values)`` is a deterministic step function.  On each
-    of its intervals the sup over the family of ``E[integral(eta d qv)]``
-    is estimated once, and c solves ``sup - c * length = 0`` by bisection
-    on the bracket ``[2 G_eps(a) (max tilt), 2 G(a) + spread/2]``, which
-    straddles the root whenever the family contains the bang-bang control
-    for eta's sign.  The exact rate is ``2 G(a)`` per interval.
+    ``eta = (breaks, values)`` is a deterministic step function whose
+    breaks are strictly increasing grid nodes.  On each of its intervals
+    the sup over the family of ``E[integral(eta d qv)]`` is estimated once,
+    and c solves ``sup - c * length = 0`` by bisection, to a bracket width
+    of 1e-4 or at most 200 halvings, on the bracket
+    ``[2 G_eps(a) (max tilt), 2 G(a) + spread/2]``, which straddles the
+    root whenever the family contains the bang-bang control for eta's
+    sign.  The exact rate is ``2 G(a)`` per interval.
     """
     breaks, values = eta
     breaks = [float(b) for b in breaks]
     values = [float(v) for v in values]
     if len(breaks) != len(values) + 1:
         raise UsageError("eta must be (breaks, values) with one more break")
+    if any(b <= a for a, b in zip(breaks, breaks[1:])):
+        raise UsageError(f"eta breaks must be strictly increasing, got {breaks}")
     nodes = [time_grid.index_of(b) for b in breaks]
 
     def interval_gains(bundle):
@@ -395,7 +398,7 @@ def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
                 f"the bang-bang control for eta's sign?"
             )
         it = 0
-        while hi - lo > tol and it < max_iter:
+        while hi - lo > 1e-4 and it < 200:
             mid = 0.5 * (lo + hi)
             if sup_gain - mid * length >= 0.0:
                 lo = mid

@@ -27,7 +27,6 @@ marginal-match and weak-convergence checks measure what those rewrites do
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -107,9 +106,6 @@ class McEstimate:
     stderr: float
     n_paths: int
     seed: int
-
-    def ci(self, z: float = 3.0) -> tuple:
-        return (self.mean - z * self.stderr, self.mean + z * self.stderr)
 
 
 def _estimate(values: np.ndarray, seed: int) -> McEstimate:
@@ -401,17 +397,16 @@ def block_budget_gap(bundle: PathBundle, base: SelfDependentControl) -> float:
     return gaps
 
 
-def qv_band_violation(bundle: PathBundle, n_exact_paths: int = 32) -> float:
+def qv_band_violation(bundle: PathBundle) -> float:
     """Worst pathwise violation of the quadratic-variation band bounds.
 
     The claim being audited: for every window [s, t] on the grid the
     quadratic variation gains between ``var_lo*(t-s)`` and ``var_hi*(t-s)``,
     with no tolerance.  The true gain is ``sum h_k^2 dt`` as a real number,
-    so the audit runs in exact rational arithmetic on the first
-    ``n_exact_paths`` paths: in exact arithmetic the all-windows statement
-    collapses to the per-step statement (prefix sums minus ``j*bound*dt``
-    are monotone iff each step gain is in band), which is checked term by
-    term.  On *all* paths the float layer is checked too: rounding is
+    so the audit runs in exact rational arithmetic on the first 32 paths:
+    in exact arithmetic the all-windows statement collapses to the per-step
+    statement (prefix sums minus ``j*bound*dt`` are monotone iff each step
+    gain is in band), which is checked term by term.  On *all* paths the float layer is checked too: rounding is
     monotone, so an in-band ``h`` forces ``fl(fl(h*h)*dt)`` into
     ``[fl(var_lo*dt), fl(var_hi*dt)]`` — also tolerance-free.  (Differences
     of the float cumulative ledger itself may sit an ulp off the exact
@@ -430,7 +425,7 @@ def qv_band_violation(bundle: PathBundle, n_exact_paths: int = 32) -> float:
     lo_f = Fraction(bundle.band.sigma_lo) ** 2 * dt_f
     hi_f = Fraction(bundle.band.sigma_hi) ** 2 * dt_f
     # a step's gap depends on its level alone: audit each distinct level once
-    for h in np.unique(bundle.control_paths[:n_exact_paths]).tolist():
+    for h in np.unique(bundle.control_paths[:32]).tolist():
         gain = Fraction(h) * Fraction(h) * dt_f
         worst = max(worst, float(lo_f - gain), float(gain - hi_f))
     return worst
@@ -524,27 +519,4 @@ def weak_convergence_probe(base: SelfDependentControl, schedules,
             "within_3se": within,
             "expected_match": None if k_psi is None else sched.refinement >= k_psi,
         })
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def export_bundle_csv(bundle: PathBundle, path, max_paths: int = None) -> int:
-    """Write ``path,step,t,B,qv,h`` rows (h blank on the terminal node)."""
-    n_paths = bundle.n_paths if max_paths is None else min(max_paths, bundle.n_paths)
-    times = bundle.time_grid.times()
-    rows = 0
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["path", "step", "t", "B", "qv", "h"])
-        for p in range(n_paths):
-            for k in range(bundle.time_grid.n_steps + 1):
-                h = repr(float(bundle.control_paths[p, k])) \
-                    if k < bundle.time_grid.n_steps else ""
-                w.writerow([p, k, repr(float(times[k])),
-                            repr(float(bundle.b_paths[p, k])),
-                            repr(float(bundle.qv_paths[p, k])), h])
-                rows += 1
     return rows

@@ -108,6 +108,13 @@ class TestConfigRejection:
         self.rejects(tmp_path, capsys, base_config(experiments=[experiment]),
                      location, "finite")
 
+    def test_drift_breaks_must_increase(self, tmp_path, capsys):
+        cfg = base_config(experiments=[{
+            "name": "identify-drift",
+            "eta": {"breaks": [0.0, 0.5, 0.5, 1.0], "values": [1.0, -1.0, 1.0]}}])
+        self.rejects(tmp_path, capsys, cfg, "experiments[0]",
+                     "strictly increasing", "0.5, 0.5")
+
     def test_wrong_number_of_dates(self, tmp_path, capsys):
         cfg = base_config(experiments=[
             {"name": "gexp", "payoff": "max2", "dates": [1.0]}])

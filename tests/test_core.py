@@ -1,5 +1,5 @@
-"""Tests for the shared vocabulary: envelope, oscillator, grids, functionals,
-and volatility controls.
+"""Tests for the shared vocabulary: envelope, grids, functionals and
+volatility controls.
 
 Scalar values are checked against closed forms re-derived in
 ``tests.oracles``; structural properties (subadditivity, adaptedness of the
@@ -7,7 +7,6 @@ drivers, validation behaviour) run on seeded samples.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from gbrownian import (
     StepControl,
     TimeGrid,
     UsageError,
-    delta_kalpha,
     g_eps_value,
     g_value,
     sign_vol,
@@ -134,56 +132,11 @@ class TestSignVol:
             assert g_value(BAND, a) == pytest.approx(0.5 * s * s * a, abs=1e-12)
 
 
-class TestOscillator:
-    """Square wave on k blocks: +1 on the leading alpha piece, -1 after."""
-
-    @pytest.mark.parametrize("k, alpha, s, expected", [
-        (1, 0.25, 0.1, 1.0),
-        (1, 0.25, 0.25, 1.0),   # seam belongs to the leading piece
-        (1, 0.25, 0.5, -1.0),
-        (1, 0.25, 1.0, -1.0),
-        (2, 0.25, 0.625, 1.0),
-        (2, 0.25, 0.5, -1.0),   # block boundary closes the previous block
-        (4, 0.5, 0.125, 1.0),
-    ])
-    def test_reference_values(self, k, alpha, s, expected):
-        assert delta_kalpha(k, alpha, s) == expected
-
-    def test_matches_rational_oracle(self):
-        rng = np.random.default_rng(29)
-        for _ in range(500):
-            k = int(rng.integers(1, 20))
-            alpha = float(rng.uniform(0.05, 0.95))
-            s = float(rng.uniform(1e-6, 1.0))
-            assert delta_kalpha(k, alpha, s) == oracles.oscillator_value(
-                k, Fraction(alpha), s)
-
-    def test_mean_matches_duty_cycle(self):
-        # Time average over a fine grid approaches 2*alpha - 1.
-        s = (np.arange(100_000) + 0.5) / 100_000
-        vals = np.array([delta_kalpha(8, 0.25, float(x)) for x in s[::97]])
-        assert vals.mean() == pytest.approx(2 * 0.25 - 1, abs=0.02)
-
-    @pytest.mark.parametrize("k, alpha, s", [
-        (1, 0.25, 0.0),
-        (1, 0.25, -0.3),
-        (1, 0.25, 1.5),
-        (0, 0.25, 0.5),
-        (1, 0.0, 0.5),
-        (1, 1.0, 0.5),
-    ])
-    def test_domain_errors(self, k, alpha, s):
-        with pytest.raises(DomainError):
-            delta_kalpha(k, alpha, s)
-
-
 class TestGParams:
     def test_derived_quantities(self):
         assert BAND.var_lo == 1.0
         assert BAND.var_hi == 4.0
         assert BAND.var_spread == 3.0
-        assert not BAND.is_degenerate
-        assert GParams(2.0, 2.0).is_degenerate
 
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0)])
     def test_rejects_bad_bands(self, lo, hi):
@@ -228,14 +181,6 @@ class TestGrids:
         sg = SpaceGrid(-2.0, 2.0, 5)
         assert sg.dx == pytest.approx(1.0)
         np.testing.assert_allclose(sg.points(), [-2, -1, 0, 1, 2])
-        assert sg.covers(1.9)
-        assert not sg.covers(2.1)
-
-    def test_space_grid_for_band(self):
-        sg = SpaceGrid.for_band(BAND, horizon=1.0, n_points=11)
-        # six diffusive standard deviations at the top of the band
-        assert sg.x_max == pytest.approx(12.0)
-        assert sg.x_min == pytest.approx(-12.0)
 
     def test_space_grid_validation(self):
         with pytest.raises(ConfigurationError):

@@ -312,6 +312,15 @@ class TestPathsAndResiduals:
         assert report.passed
         assert ppde_residual(solution) <= report.pde_tol
 
+    def test_budgets_are_fixed(self):
+        solution = self.solved()
+        bundle = self.lo_bundle(n_paths=64)
+        report = equivalence_check(solution, bundle)
+        tg = bundle.time_grid
+        assert report.pde_tol == 1e-9 * max(
+            1.0, float(np.max(np.abs(solution.y_values))))
+        assert report.bsde_tol == 8.0 * BAND.var_hi * math.sqrt(tg.dt * tg.horizon)
+
     def test_tampered_surface_fails_direction_one(self):
         # a positively-scaled surface would still solve the (homogeneous)
         # scheme, so corrupt half the rows to break row-to-row consistency

@@ -1,5 +1,5 @@
 """Tests for cylinder-functional expectations: the nested backward
-recursion, conditioning, and the L^p seminorm.
+recursion, conditioning and the frame interpolation kernel.
 
 The two-date cases are checked against single-solve reductions that hold
 because increments are stationary and independent under the band: a payoff
@@ -14,7 +14,6 @@ import pytest
 from gbrownian import (
     CapabilityError,
     CylinderFunctional,
-    DomainError,
     GParams,
     SpaceGrid,
     TimeGrid,
@@ -22,7 +21,6 @@ from gbrownian import (
     conditional_frames,
     conditional_g_expectation,
     g_expectation,
-    lp_norm,
 )
 from gbrownian import gheat
 from gbrownian.errors import ExtrapolationError
@@ -198,38 +196,6 @@ class TestConditional:
         xi = functional_b1_squared()
         with pytest.raises(UsageError):
             conditional_g_expectation(xi, 1.5, (0.0,), BAND, TIME, SPACE)
-
-
-class TestLpNorm:
-    def test_constant(self):
-        xi = CylinderFunctional(times=(1.0,), payoff=lambda x: np.full_like(x, -2.5),
-                                lipschitz_bound=1.0, value_bound=3.0)
-        assert lp_norm(xi, 3.0, BAND, TIME, SPACE) == pytest.approx(2.5, abs=1e-9)
-
-    def test_l2_of_the_terminal_level(self):
-        xi = CylinderFunctional(times=(1.0,), payoff=lambda x: x,
-                                lipschitz_bound=1.0, value_bound=10.0)
-        assert lp_norm(xi, 2.0, BAND, TIME, SPACE) == pytest.approx(2.0, rel=0.01)
-
-    def test_l1_of_the_terminal_level(self):
-        xi = CylinderFunctional(times=(1.0,), payoff=lambda x: x,
-                                lipschitz_bound=1.0, value_bound=10.0)
-        want = oracles.normal_abs_moment(1, 2.0)
-        assert lp_norm(xi, 1.0, BAND, TIME, SPACE) == pytest.approx(want, rel=0.01)
-
-    def test_absolute_homogeneity(self):
-        xi = CylinderFunctional(times=(1.0,), payoff=oracles.butterfly,
-                                lipschitz_bound=1.0, value_bound=1.0)
-        scaled = CylinderFunctional(times=(1.0,),
-                                    payoff=lambda x: -2.0 * oracles.butterfly(x),
-                                    lipschitz_bound=2.0, value_bound=2.0)
-        assert lp_norm(scaled, 2.0, BAND, TIME, SPACE) == pytest.approx(
-            2.0 * lp_norm(xi, 2.0, BAND, TIME, SPACE), rel=1e-9)
-
-    def test_rejects_p_below_one(self):
-        xi = functional_b1_squared()
-        with pytest.raises(DomainError):
-            lp_norm(xi, 0.5, BAND, TIME, SPACE)
 
 
 class TestFrameKernel:

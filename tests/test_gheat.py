@@ -22,7 +22,6 @@ from gbrownian import (
     UsageError,
     cfl_dt_max,
     check_cfl,
-    derivative_fields,
     export_surface_csv,
     feedback_field,
     pde_residual,
@@ -113,8 +112,8 @@ class TestSolveGheat:
         want = np.broadcast_to(SPACE.points(), surf.values.shape)
         np.testing.assert_allclose(surf.values, want, atol=1e-11)
 
-    def test_data_layer_is_the_payoff(self, square_surface):
-        np.testing.assert_array_equal(square_surface.data_layer,
+    def test_first_row_is_the_payoff(self, square_surface):
+        np.testing.assert_array_equal(square_surface.values[0],
                                       SPACE.points() ** 2)
 
     def test_convex_payoff_matches_constant_upper_vol(self):
@@ -252,12 +251,6 @@ class TestStencils:
             assert got.shape == u.shape
             assert np.array_equal(got, reference(u, SPACE.dx))
 
-    def test_derivative_fields_use_them(self, butterfly_surface):
-        _, du_dx, d2u = derivative_fields(butterfly_surface)
-        u, dx = butterfly_surface.values, SPACE.dx
-        assert np.array_equal(du_dx, oracles.gradient_reference(u, dx))
-        assert np.array_equal(d2u, oracles.curvature_reference(u, dx))
-
 
 class TestValueSurface:
     def test_value_at_nodes(self, square_surface):
@@ -296,9 +289,17 @@ class TestValueSurface:
             square_surface.value(0.5, 6.5)
 
 
+def _fields(surface):
+    """(du_dt, du_dx, d2u_dx2): the one-sided time difference the scheme
+    advances with (one row short) and the two space stencils."""
+    u, dx = surface.values, surface.space_grid.dx
+    return (np.diff(u, axis=0) / surface.time_grid.dt,
+            gheat.gradient(u, dx), gheat.curvature(u, dx))
+
+
 class TestDerivativeFields:
     def test_square_surface_fields(self, wide_square_surface):
-        du_dt, du_dx, d2u = derivative_fields(wide_square_surface)
+        du_dt, du_dx, d2u = _fields(wide_square_surface)
         xs = wide_square_surface.space_grid.points()
         mid = (np.abs(xs) <= 2.0)
         rows = slice(0, TIME.n_steps)  # one-sided forward difference rows
@@ -310,9 +311,9 @@ class TestDerivativeFields:
 
     def test_linear_payoff_has_flat_fields(self):
         surf = solve_gheat(lambda x: x, BAND, TimeGrid(0.25, 400), SPACE)
-        du_dt, du_dx, d2u = derivative_fields(surf)
+        du_dt, du_dx, d2u = _fields(surf)
         np.testing.assert_allclose(d2u[:, 1:-1], 0.0, atol=1e-9)
-        np.testing.assert_allclose(du_dt[:-1, 1:-1], 0.0, atol=1e-9)
+        np.testing.assert_allclose(du_dt[:, 1:-1], 0.0, atol=1e-9)
         np.testing.assert_allclose(du_dx[:, 1:-1], 1.0, atol=1e-9)
 
     def test_butterfly_interior_residual(self, butterfly_surface):

@@ -400,6 +400,15 @@ class TestIdentifyDrift:
             want = 2.0 * oracles.envelope(1.0, 4.0, a)
             assert rows[0]["c"] == pytest.approx(want, rel=0.02)
 
+    @pytest.mark.parametrize("breaks, values", [
+        ((0.0, 0.5, 0.5, 1.0), (1.0, -1.0, 1.0)),
+        ((0.0, 0.75, 0.5, 1.0), (1.0, -1.0, 1.0)),
+    ], ids=["repeated", "decreasing"])
+    def test_breaks_must_increase(self, breaks, values):
+        with pytest.raises(UsageError, match=r"strictly increasing.*0\.5"):
+            identify_drift((breaks, values), BAND, self.family(), GRID, 64,
+                           seed=151)
+
     def test_missing_bang_bang_control_is_reported(self):
         with pytest.raises(UsageError):
             identify_drift(((0.0, 1.0), (1.0,)), BAND,

@@ -5,7 +5,6 @@ Monte Carlo assertions run at three standard errors with frozen seeds, so
 every verdict below is reproducible bit for bit.
 """
 
-import csv
 import math
 import tracemalloc
 
@@ -26,7 +25,6 @@ from gbrownian import (
     TimeGrid,
     UsageError,
     block_budget_gap,
-    export_bundle_csv,
     identify_drift,
     k_process,
     marginal_match_test,
@@ -205,9 +203,7 @@ class TestMcExpectation:
     def test_ci_is_centred(self):
         bundle = simulate(ConstantControl(band=BAND, level=1.0), GRID, 100, seed=31)
         est = mc_expectation(xi_terminal_square(), bundle)
-        lo, hi = est.ci()
-        assert lo == pytest.approx(est.mean - 3 * est.stderr)
-        assert hi == pytest.approx(est.mean + 3 * est.stderr)
+        assert abs(est.mean - 1.0) <= 3.0 * est.stderr
 
     def test_scalar_payoff_counts_every_path(self):
         bundle = simulate(ConstantControl(band=BAND, level=1.0), GRID, 100, seed=31)
@@ -579,17 +575,3 @@ class TestPassMemory:
         sup_over_controls_table(xi_terminal_square(), family, GRID, 1000,
                                 seed=101)       # ten chunks
         assert len(calls) == 2
-
-
-class TestExport:
-    def test_csv_round_trip(self, tmp_path):
-        bundle = simulate(ConstantControl(band=BAND, level=1.5),
-                          TimeGrid(1.0, 4), 3, seed=73)
-        path = tmp_path / "bundle.csv"
-        n_rows = export_bundle_csv(bundle, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["path", "step", "t", "B", "qv", "h"]
-        assert n_rows == 3 * 5
-        assert float(rows[1][3]) == bundle.b_paths[0, 0]
-        assert rows[5][5] == ""  # no control on the terminal node
