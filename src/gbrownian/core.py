@@ -142,7 +142,8 @@ def sign_vol(band: GParams, a):
 def running_sum(steps: np.ndarray) -> np.ndarray:
     """Running sum of per-step increments along the last axis, on nodes:
     column 0 is zero and column ``k`` sums steps ``0 .. k-1``."""
-    out = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    out = np.empty(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    out[..., 0] = 0.0
     np.cumsum(steps, axis=-1, out=out[..., 1:])
     return out
 
@@ -183,6 +184,8 @@ class TimeGrid:
     def index_of(self, t: float) -> int:
         """Grid index of a time that must sit on the grid (up to 1e-9
         relative)."""
+        if not math.isfinite(t):
+            raise UsageError(f"time {t!r} is not finite")
         idx = int(round(t / self.dt))
         if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise UsageError(f"time {t!r} is not a node of the grid (dt={self.dt!r})")

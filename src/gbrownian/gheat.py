@@ -11,11 +11,17 @@ A surface solved forward from initial data satisfies
 backward-oriented surfaces (terminal data) arrive from the conditional
 and path-PDE layers and share the representation and export code here.
 
-:func:`march_steps`, the only explicit step, takes G from ``core``'s one
-kernel; :func:`sweep_rows`, the only per-row loop, fills forward surfaces
-and, over reversed rows, ``gbsde``'s backward ones; :class:`FramePoints`,
-the only grid interpolator, serves :meth:`ValueSurface.value`, ``gexp``
-and the along-path walks of ``ito`` and ``gbsde``.
+:class:`_FlatMarch`, the only explicit step, takes G from ``core``'s one
+kernel and marches a contiguous run of whole rows as one flat array: the
+lanes where the stencil straddles two rows get an increment of ``-0.0``,
+which leaves every edge node's bits as they were.  :func:`march_steps`,
+the block loop, feeds it cache-sized blocks of rows (``gexp``'s nested
+sweeps); :func:`sweep_rows`, the row loop, feeds it one row per time step
+and fills forward surfaces and, over reversed rows, ``gbsde``'s backward
+ones.  Each allocates the step's scratch once per call.
+:class:`FramePoints`, the only grid interpolator, serves
+:meth:`ValueSurface.value`, ``gexp`` and the along-path walks of ``ito``
+and ``gbsde``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,54 @@ def check_cfl(band: GParams, dt: float, space_grid: SpaceGrid) -> None:
 _BLOCK_BYTES = 256 * 1024
 
 
+class _FlatMarch:
+    """The explicit step on contiguous runs of whole rows of width ``m``,
+    with scratch for runs of up to ``rows`` rows allocated once.
+
+    A run of ``r`` rows is marched as one flat array: the stencil reads
+    ``flat[:-2]``, ``flat[1:-1]`` and ``flat[2:]``, so every lane of the
+    middle view is an interior node except the ``2 (r - 1)`` seam lanes,
+    the last node of one row and the first of the next.  Their increment
+    is overwritten with ``-0.0`` before it is added, and ``x + (-0.0)`` is
+    ``x`` for every x, signed zeros included, so the edge nodes keep their
+    bits.  The seam lanes still compute a value, from the edge nodes of
+    neighbouring rows, that is thrown away and reaches no result; but it
+    can overflow, and numpy then warns, once ``4 * |u| * var_hi / dx**2``
+    nears the largest float (about 1.8e308), that is for |u| above about
+    ``4e307 * dx**2 / var_hi``.
+    """
+
+    def __init__(self, band: GParams, dt: float, dx: float, m: int,
+                 rows: int, dtype) -> None:
+        self.band, self.m = band, m
+        self.inv_dx2 = 1.0 / (dx * dx)
+        self.half_dt = 0.5 * dt
+        self.curv = np.empty(rows * m, dtype=dtype)
+        self.gain = np.empty_like(self.curv)
+
+    def __call__(self, flat: np.ndarray, n: int) -> None:
+        """Apply ``n`` steps in place to ``flat``: a contiguous run of
+        whole rows, or one row, which may be strided."""
+        size = len(flat) - 2
+        c, g = self.curv[:size], self.gain[:size]
+        # per row but the last, the last two lanes of c; a lone row has none
+        seam = None
+        if len(flat) > self.m:
+            seam = self.curv[:len(flat)].reshape(-1, self.m)[:-1, -2:]
+        left, mid, right = flat[:-2], flat[1:-1], flat[2:]
+        band, inv_dx2, half_dt = self.band, self.inv_dx2, self.half_dt
+        for _ in range(n):
+            # ((right - 2*mid) + left) * inv_dx2: the whole-array rounding order
+            np.multiply(mid, 2.0, out=c)
+            np.subtract(right, c, out=c)
+            np.add(c, left, out=c)
+            np.multiply(c, inv_dx2, out=c)
+            _g_inplace(band, c, g, half_dt)      # c = dt * G(c)
+            if seam is not None:
+                seam.fill(-0.0)
+            np.add(mid, c, out=mid)
+
+
 def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> np.ndarray:
     """Apply ``n`` explicit steps in place along the last axis of ``u``.
 
@@ -64,10 +118,15 @@ def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> n
     own.  The leading axes are viewed as rows, split into fixed blocks of
     about ``_BLOCK_BYTES``, and each block is marched through all ``n``
     steps before the next, with ``O(block)`` scratch allocated once per
-    call.  The result is bitwise equal to updating the whole array step by
-    step, ``u[..., 1:-1] += dt * G(second difference)``, whatever the block
-    size.  Leading axes that cannot be viewed as rows without a copy (some
-    strided views of 3+-axis arrays) raise :class:`UsageError`.
+    call.  A block is marched as one flat run of ``rows * m`` nodes (see
+    :class:`_FlatMarch`): in place when its rows are contiguous, else in a
+    contiguous copy written back after its ``n`` steps.  The result is
+    bitwise equal to updating the whole array step by step,
+    ``u[..., 1:-1] += dt * G(second difference)``, whatever the block
+    size: each interior node gets the same operations in the same order,
+    and each seam lane adds ``-0.0`` to an edge node.  Leading axes that
+    cannot be viewed as rows without a copy (some strided views of 3+-axis
+    arrays) raise :class:`UsageError`.
     """
     m = u.shape[-1]
     if n <= 0 or m < 3 or u.size == 0:
@@ -79,38 +138,34 @@ def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> n
             f"cannot be viewed as rows without a copy; pass a contiguous array"
         )
     block = max(1, _BLOCK_BYTES // (m * u.itemsize))
-    inv_dx2 = 1.0 / (dx * dx)
-    half_dt = 0.5 * dt
-    curv = np.empty((min(block, len(rows)), m - 2), dtype=u.dtype)
-    gain = np.empty_like(curv)
+    march = _FlatMarch(band, dt, dx, m, min(block, len(rows)), u.dtype)
     for start in range(0, len(rows), block):
         ub = rows[start:start + block]
-        c, g = curv[:len(ub)], gain[:len(ub)]
-        left, mid, right = ub[:, :-2], ub[:, 1:-1], ub[:, 2:]
-        for _ in range(n):
-            # ((right - 2*mid) + left) * inv_dx2: the whole-array rounding order
-            np.multiply(mid, 2.0, out=c)
-            np.subtract(right, c, out=c)
-            np.add(c, left, out=c)
-            np.multiply(c, inv_dx2, out=c)
-            _g_inplace(band, c, g, half_dt)      # c = dt * G(c)
-            np.add(mid, c, out=mid)
+        if ub.flags.c_contiguous:
+            march(ub.reshape(-1), n)
+        else:
+            work = np.ascontiguousarray(ub)
+            march(work.reshape(-1), n)
+            ub[...] = work
     return u
 
 
 def sweep_rows(values: np.ndarray, band: GParams, dt: float,
                space_grid: SpaceGrid, source=None) -> None:
     """Fill ``values`` in place from its data row ``values[0]``: row i is
-    one :func:`march_steps` step of row i - 1, plus ``dt * source(i - 1,
-    row i - 1)`` when a source is given.  A reversed view (``a[::-1]``)
-    fills a backward surface without a flipped copy.  Checks the CFL bound
-    and that the data row is finite."""
+    one explicit step of row i - 1, plus ``dt * source(i - 1, row i - 1)``
+    when a source is given.  A reversed view (``a[::-1]``) fills a
+    backward surface without a flipped copy.  Checks the CFL bound and
+    that the data row is finite.  Rows are marched by the kernel of
+    :func:`march_steps`, whose scratch is allocated once per sweep."""
     check_cfl(band, dt, space_grid)
     if not np.all(np.isfinite(values[0])):
         raise UsageError("payoff produced non-finite values on the grid")
+    march = _FlatMarch(band, dt, space_grid.dx, values.shape[-1], 1,
+                       values.dtype)
     for i in range(1, len(values)):
         values[i] = values[i - 1]
-        march_steps(values[i], band, dt, 1, space_grid.dx)
+        march(values[i], 1)
         if source is not None:
             values[i] += dt * source(i - 1, values[i - 1])
 

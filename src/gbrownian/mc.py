@@ -95,7 +95,9 @@ class PathBundle:
 
 
 def _qv_ledger(control_paths: np.ndarray, dt: float) -> np.ndarray:
-    return running_sum(control_paths * control_paths * dt)
+    steps = control_paths * control_paths
+    steps *= dt         # (h * h) * dt, one node-shaped temporary
+    return running_sum(steps)
 
 
 @dataclass(frozen=True)

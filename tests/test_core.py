@@ -165,6 +165,11 @@ class TestGrids:
         with pytest.raises(UsageError):
             tg.index_of(0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_time_grid_refuses_non_finite_times(self, t):
+        with pytest.raises(UsageError, match=f"time {t!r} is not finite"):
+            TimeGrid(1.0, 4).index_of(t)
+
     def test_time_grid_validation(self):
         with pytest.raises(ConfigurationError):
             TimeGrid(0.0, 4)

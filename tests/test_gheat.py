@@ -178,10 +178,12 @@ class TestSolveGheat:
 
 
 
-def _kinked_rows(leading, kink):
+def _kinked_rows(leading, kink, width=SPACE.n_points):
     """Payoff ``kink(mean of coordinates)`` on a mesh whose last axis is
-    the space grid and whose leading axes carry coarser grids."""
-    axes = [np.linspace(-2.0, 2.0, k) for k in leading] + [SPACE.points()]
+    the space grid's span at ``width`` points and whose leading axes carry
+    coarser grids."""
+    axes = [np.linspace(-2.0, 2.0, k) for k in leading]
+    axes.append(np.linspace(SPACE.x_min, SPACE.x_max, width))
     mesh = np.meshgrid(*axes, indexing="ij", sparse=True)
     return np.asarray(kink(sum(mesh) / len(mesh)), dtype=float)
 
@@ -193,6 +195,44 @@ KINKS = {
 }
 
 
+def _negative_tent(kink):
+    """``-tent(m) * (1 + |kink(m)|)``: -0.0 wherever |m| >= 1, so with one
+    leading axis every row starts and ends in a flat run of -0.0."""
+    return lambda m: -np.maximum(1.0 - np.abs(m), 0.0) * (1.0 + np.abs(kink(m)))
+
+
+def _alternating_1e300(u):
+    u = 1e300 * (1.0 + np.abs(u))
+    u[1::2] *= -1.0
+    return u
+
+
+# Row sets for the kernel: (leading shape, row width, recast of the kink,
+# recast of the rows).  The flat march reads across the seam between two
+# rows, so the narrow widths make every lane a seam lane or a neighbour of
+# one; 8192 rows of width 4 fill one block, so 9000 end on a partial one.
+ROW_SETS = [
+    pytest.param((), 241, None, None, id="leading0"),
+    pytest.param((300,), 241, None, None, id="leading1"),
+    pytest.param((3, 50), 241, None, None, id="leading2"),
+    pytest.param((40,), 3, None, None, id="width3"),
+    pytest.param((40,), 4, None, None, id="width4"),
+    pytest.param((3, 3000), 4, None, None, id="partial-block-width4"),
+    pytest.param((60,), 241, _negative_tent, None, id="negative-zero-edges"),
+    pytest.param((60,), 241, None, _alternating_1e300, id="alternating-1e300"),
+]
+
+
+def _row_set(leading, width, recast_kink, recast_rows, kink):
+    u = _kinked_rows(leading, recast_kink(kink) if recast_kink else kink, width)
+    return recast_rows(u) if recast_rows else u
+
+
+def _bits(a):
+    """The array's bit patterns: equal bits, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 class TestMarchSteps:
     """The blocked kernel against the whole-array reference loop.
 
@@ -202,26 +242,28 @@ class TestMarchSteps:
 
     DT, DX = TIME.dt, SPACE.dx
 
-    @pytest.mark.parametrize("leading", [(), (300,), (3, 50)])
+    @pytest.mark.parametrize("leading, width, recast_kink, recast_rows", ROW_SETS)
     @pytest.mark.parametrize("kink", sorted(KINKS))
     @pytest.mark.parametrize("n", [0, 1, 400])
-    def test_bitwise_equal_to_the_reference(self, leading, kink, n):
-        u0 = _kinked_rows(leading, KINKS[kink])
+    def test_bitwise_equal_to_the_reference(self, leading, width, recast_kink,
+                                            recast_rows, kink, n):
+        u0 = _row_set(leading, width, recast_kink, recast_rows, KINKS[kink])
         expect = oracles.march_steps_reference(u0.copy(), BAND, self.DT, n, self.DX)
         u = u0.copy()
         assert gheat.march_steps(u, BAND, self.DT, n, self.DX) is u
-        assert np.array_equal(u, expect)
-        assert np.array_equal(u[..., [0, -1]], u0[..., [0, -1]])
+        assert np.array_equal(_bits(u), _bits(expect))
+        assert np.array_equal(_bits(u[..., [0, -1]]), _bits(u0[..., [0, -1]]))
         if n > 0:
             assert not np.array_equal(u, u0)
 
-    @pytest.mark.parametrize("leading", [(), (300,), (3, 50)])
-    def test_result_does_not_depend_on_the_block(self, leading, monkeypatch):
-        u0 = _kinked_rows(leading, KINKS["abs_mean"])
+    @pytest.mark.parametrize("leading, width, recast_kink, recast_rows", ROW_SETS)
+    def test_result_does_not_depend_on_the_block(self, leading, width, recast_kink,
+                                                 recast_rows, monkeypatch):
+        u0 = _row_set(leading, width, recast_kink, recast_rows, KINKS["abs_mean"])
         expect = oracles.march_steps_reference(u0.copy(), BAND, self.DT, 57, self.DX)
         monkeypatch.setattr(gheat, "_BLOCK_BYTES", 1)  # one row per block
         u = gheat.march_steps(u0.copy(), BAND, self.DT, 57, self.DX)
-        assert np.array_equal(u, expect)
+        assert np.array_equal(_bits(u), _bits(expect))
 
     def test_strided_rows_are_updated_in_place(self):
         big = _kinked_rows((40,), KINKS["max"])

@@ -19,7 +19,6 @@ from gbrownian import (
     CylinderFunctional,
     DomainError,
     GParams,
-    SelfDependentControl,
     SpaceGrid,
     StepControl,
     TimeGrid,
