@@ -48,7 +48,7 @@ import numpy as np
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value, running_sum
 from .errors import CapabilityError, ConfigurationError, UsageError
 from .gheat import ValueSurface, curvature, gradient, pde_residual, sweep_rows
-from .mc import PathBundle
+from .mc import PathBundle, _path_blocks
 from .ito import check_paths_inside, eval_on_paths, integral_steps
 
 
@@ -231,13 +231,21 @@ class GBSDESolution:
         return stride
 
     def paths_view(self, bundle: PathBundle) -> tuple:
-        """(Y, Z, K) along the bundle's paths at the bundle's nodes."""
+        """(Y, Z, K) along the bundle's paths at the bundle's nodes: the
+        three node-shaped outputs plus the walk's fixed scratch (see
+        :func:`ito.eval_on_paths`)."""
+        return self._walk(bundle)(slice(None))
+
+    def _walk(self, bundle: PathBundle):
+        """The checked walk along ``bundle``: a function of a path slice
+        that returns (Y, Z, K) on those paths."""
         if bundle.band != self.problem.band:
             raise UsageError("bundle band differs from the problem band")
         sg = self.space_grid
         check_paths_inside(bundle, sg)
-        return eval_on_paths(self.y_values[::self._stride_for(bundle)],
-                             bundle, lambda j: [j], sg)
+        frames = self.y_values[::self._stride_for(bundle)]
+        return lambda rows: eval_on_paths(frames, bundle, lambda j: [j], sg,
+                                          rows)
 
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -332,36 +340,49 @@ class GBSDEResidualReport:
 def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidualReport:
     """Pathwise residual of ``Y_t = xi + int_t^T f - int_t^T Z dB - (K_T - K_t)``.
 
-    Integrals are left-endpoint sums on the bundle grid.
+    Integrals are left-endpoint sums on the bundle grid.  The bundle is
+    walked and reduced one path block of about ``mc._PATH_BLOCK_BYTES`` at
+    a time: Y, Z, K, the driver values and the tail sums exist per block
+    only, so the peak above the inputs does not grow with the path count.
+    Each path's entries depend on that path alone and max / all do not
+    depend on order, so the report is bitwise the whole-bundle one.
     """
-    y, z, k = solution.paths_view(bundle)
-    dt = bundle.time_grid.dt
-    times = bundle.time_grid.times()
-    xi = np.asarray(solution.problem.terminal.as_levels()(bundle.b_paths[:, -1]),
-                    dtype=float)
-    k_initial = float(np.max(np.abs(k[:, 0])))
-    k_monotone = bool(np.all(np.diff(k, axis=-1) <= 1e-15))
-    terminal_gap = float(np.max(np.abs(y[:, -1] - xi)))
-    f_vals = np.empty((bundle.n_paths, bundle.time_grid.n_steps))
-    for j in range(bundle.time_grid.n_steps):
-        f_vals[:, j] = solution.problem.driver(times[j], y[:, j], z[:, j])
-    z_steps = integral_steps(z, bundle.b_paths)
-    del z
-    # one node-shaped buffer carries ((xi + tail_f) - tail_z) - tail_k,
-    # built in place in that order
-    f_vals *= dt
-    resid = _tail(running_sum(f_vals))
-    del f_vals
-    resid += xi[:, None]
-    resid -= _tail(running_sum(z_steps))
-    del z_steps
-    resid -= _tail(k)
-    np.subtract(y, resid, out=resid)
+    walk = solution._walk(bundle)
+    driver, dt = solution.problem.driver, bundle.time_grid.dt
+    n, times = bundle.time_grid.n_steps, bundle.time_grid.times()
+    payoff = solution.problem.terminal.as_levels()
+    parts = []
+    for rows in _path_blocks(*bundle.b_paths.shape):
+        y, z, k = walk(rows)
+        b = bundle.b_paths[rows]
+        xi = np.asarray(payoff(b[:, -1]), dtype=float)
+        k_initial = np.max(np.abs(k[:, 0]))
+        k_monotone = np.all(np.diff(k, axis=-1) <= 1e-15)
+        terminal_gap = np.max(np.abs(y[:, -1] - xi))
+        f_vals = np.empty((len(y), n))
+        for j in range(n):
+            f_vals[:, j] = driver(times[j], y[:, j], z[:, j])
+        z_steps = integral_steps(z, b)
+        del z
+        # one node-shaped buffer carries ((xi + tail_f) - tail_z) - tail_k,
+        # built in place in that order
+        f_vals *= dt
+        resid = _tail(running_sum(f_vals))
+        del f_vals
+        resid += xi[:, None]
+        resid -= _tail(running_sum(z_steps))
+        del z_steps
+        resid -= _tail(k)
+        np.subtract(y, resid, out=resid)
+        parts.append((np.max(np.abs(resid, out=resid)), k_initial,
+                      k_monotone, terminal_gap))
+        del y, k, resid     # freed before the next block's walk
+    max_residual, k_initial, k_monotone, terminal_gap = zip(*parts)
     return GBSDEResidualReport(
-        max_residual=float(np.max(np.abs(resid, out=resid))),
-        k_initial=k_initial,
-        k_monotone=k_monotone,
-        terminal_gap=terminal_gap,
+        max_residual=float(np.max(max_residual)),
+        k_initial=float(np.max(k_initial)),
+        k_monotone=bool(np.all(k_monotone)),
+        terminal_gap=float(np.max(terminal_gap)),
     )
 
 

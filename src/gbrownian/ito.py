@@ -32,10 +32,11 @@ from .core import (CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value
 from .errors import DomainError, ExtrapolationError, UsageError
 from .gexp import conditional_frames
 from .gheat import FramePoints, curvature, gradient
-from .mc import PathBundle, _simulate_reduce
+from .mc import PathBundle, _path_blocks, _simulate_reduce
 
-# Frames per block of along-path evaluation: the scratch is 3 * _BLOCK_FRAMES
-# rows of n_paths values, transposed into the outputs once per block.
+# Frames per block of along-path evaluation: the scratch is about
+# 5 * _BLOCK_FRAMES rows of n_paths values, the three fields' rows
+# transposed into the outputs once per block.
 _BLOCK_FRAMES = 32
 
 # ---------------------------------------------------------------------------
@@ -157,16 +158,26 @@ def k_ledger(varsigma: np.ndarray, bundle: PathBundle) -> np.ndarray:
     """Running sum of ``varsigma dqv - 2 G(varsigma) dt``, one column per step.
 
     Given half the curvature c this is ``0.5 c dqv - G(c) dt`` bitwise.
+    Whole-array: the peak is ``varsigma``, the node-shaped result and two
+    step-shaped temporaries.  Along paths, :func:`eval_on_paths` adds the
+    same steps node by node instead and holds no such array.
     """
-    # in place, with the roundings of -2.0 * G * dt + varsigma * dqv
+    return running_sum(_k_steps(varsigma, bundle.qv_paths[..., :-1],
+                                bundle.qv_paths[..., 1:], bundle))
+
+
+def _k_steps(varsigma, qv_lo, qv_hi, bundle: PathBundle) -> np.ndarray:
+    """K's increments ``varsigma (qv_hi - qv_lo) - 2 G(varsigma) dt`` in a
+    new array: the one home of K's step, for whole ledgers and for the
+    walk's single nodes alike.  Rounded as
+    ``(-2.0 * G * dt) + varsigma * dqv``, in place after G."""
     steps = g_value(bundle.band, varsigma)
     steps *= -2.0
     steps *= bundle.time_grid.dt
-    gain = np.diff(bundle.qv_paths, axis=-1)
+    gain = np.subtract(qv_hi, qv_lo)
     gain *= varsigma
     steps += gain
-    del gain
-    return running_sum(steps)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +194,23 @@ class ItoDecomposition:
     k_paths: np.ndarray     # non-increasing remainder, (n_paths, n+1)
     bundle: PathBundle
 
-    def reconstruction(self) -> np.ndarray:
-        """``initial + integral(Z dB) + K`` along the bundle."""
-        return (self.initial
-                + stochastic_integral(self.z_paths, self.bundle.b_paths)
-                + self.k_paths)
-
     def residuals(self) -> np.ndarray:
-        """Per-path max absolute gap between m and its reconstruction."""
-        return np.max(np.abs(self.m_paths - self.reconstruction()), axis=-1)
+        """Per-path max absolute gap between m and its reconstruction
+        ``initial + integral(Z dB) + K``.
+
+        Reconstructed one path block of about ``mc._PATH_BLOCK_BYTES`` at a
+        time, so the temporaries are block-sized and only the result, one
+        value per path, is bundle-sized.
+        """
+        m, z, k = self.m_paths, self.z_paths, self.k_paths
+        b = self.bundle.b_paths
+        out = np.empty(m.shape[:-1])
+        for rows in _path_blocks(*m.shape):
+            gap = self.initial + stochastic_integral(z[rows], b[rows])
+            gap += k[rows]
+            np.subtract(m[rows], gap, out=gap)
+            out[rows] = np.max(np.abs(gap, out=gap), axis=-1)
+        return out
 
 
 def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
@@ -205,42 +224,55 @@ def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
 
 
 def eval_on_paths(frames, bundle: PathBundle, columns_at,
-                  space_grid: SpaceGrid) -> tuple:
-    """The walk of ``frames[j]`` along the bundle's paths, one frame per
-    node: value, Z (the gradient) and K (:func:`k_ledger` of half the
-    curvature), three ``(n_paths, n_frames)`` arrays.
+                  space_grid: SpaceGrid, rows=slice(None)) -> tuple:
+    """The walk of ``frames[j]`` along the bundle's paths ``rows`` (all by
+    default), one frame per node: value, Z (the gradient) and K, three
+    ``(n_rows, n_frames)`` arrays.
 
     ``columns_at(j)`` lists the columns of ``bundle.b_paths`` that are
     frame j's coordinates, one per frame axis, the current position (the
     derivatives' axis) last.  Each frame's points are located once and
-    shared by its three fields.  A block of ``_BLOCK_FRAMES`` frames is
-    evaluated into row-major scratch and then written into the outputs'
-    columns, so the scratch stays fixed whatever the bundle's length.
+    shared by its fields.  K accumulates inside the walk: node j + 1 holds
+    node j's value plus :func:`k_ledger`'s step for half frame j's
+    curvature, added in ``cumsum``'s order, so K is bitwise
+    ``k_ledger(0.5 * curvature)`` and no node-shaped curvature exists.  A
+    block of ``_BLOCK_FRAMES`` frames is evaluated into time-major scratch
+    and then written into the outputs' columns: the peak is the three
+    outputs plus ``O(_BLOCK_FRAMES * n_rows)`` scratch, whatever the
+    bundle's length.
     """
-    b_paths = bundle.b_paths
-    n_paths, n = b_paths.shape[0], len(frames)
+    b_paths, qv_paths = bundle.b_paths[rows], bundle.qv_paths[rows]
+    (n_paths, n_nodes), n = b_paths.shape, len(frames)
+    if n != n_nodes:
+        raise UsageError(f"{n} frames for a bundle of {n_nodes} nodes")
     fields = tuple(np.empty((n_paths, n)) for _ in range(3))
     width = max(1, min(n, _BLOCK_FRAMES))
     block = np.empty((3, width, n_paths))
+    half = np.empty(n_paths)
+    k_run = None                # K at the current node, once past node 0
     dx = space_grid.dx
     for j0 in range(0, n, width):
         j1 = min(n, j0 + width)
         current = np.ascontiguousarray(b_paths[:, j0:j1].T)
+        qv = np.ascontiguousarray(qv_paths[:, j0:j1 + 1].T)
         for j in range(j0, j1):
             frame = frames[j]
             at = FramePoints(space_grid, [
                 current[c - j0] if j0 <= c < j1
                 else np.ascontiguousarray(b_paths[:, c]) for c in columns_at(j)])
-            for rows, arr in zip(block, (frame, gradient(frame, dx),
-                                         curvature(frame, dx))):
-                at(arr, out=rows[j - j0])
-        for out, rows in zip(fields, block):
-            out[:, j0:j1] = rows[:j1 - j0].T
-    del block               # freed before the ledger's node-shaped temporaries
-    value, z, curv = fields
-    half = curv[:, :-1]
-    half *= 0.5
-    return value, z, k_ledger(half, bundle)
+            value, z, k = block[:, j - j0]
+            at(frame, out=value)
+            at(gradient(frame, dx), out=z)
+            k[...] = 0.0 if k_run is None else k_run
+            if j + 1 < n:
+                at(curvature(frame, dx), out=half)
+                half *= 0.5
+                step = _k_steps(half, qv[j - j0], qv[j + 1 - j0], bundle)
+                # cumsum's order: K_1 is step 0 itself, then K_j + step j
+                k_run = step if k_run is None else np.add(k_run, step, out=k_run)
+        for out, fresh in zip(fields, block):
+            out[:, j0:j1] = fresh[:j1 - j0].T
+    return fields
 
 
 def martingale_decomposition(xi: CylinderFunctional, band: GParams,

@@ -65,7 +65,10 @@ class PathBundle:
     step).  Construction re-verifies the defining invariants: paths start
     at zero, levels sit inside the band, and the qv ledger is exactly the
     running sum of ``h^2 dt`` (recomputed with the same accumulation the
-    simulator used, so the comparison is bitwise).
+    simulator used, so the comparison is bitwise).  The levels are
+    checked, and the ledger rebuilt and compared, one path block of about
+    ``_PATH_BLOCK_BYTES`` at a time: the checks hold block-sized
+    temporaries only, never a second bundle-sized array.
     """
 
     band: GParams
@@ -83,15 +86,33 @@ class PathBundle:
             raise UsageError("bundle arrays inconsistent with the time grid")
         if np.any(self.b_paths[:, 0] != 0.0) or np.any(self.qv_paths[:, 0] != 0.0):
             raise UsageError("paths and qv ledgers must start at zero")
-        if not np.all(self.band.contains_level(self.control_paths, tol=1e-12)):
+        blocks = _path_blocks(n_paths, n_nodes)
+        if not all(np.all(self.band.contains_level(self.control_paths[rows],
+                                                   tol=1e-12)) for rows in blocks):
             raise DomainError("recorded control levels leave the band")
-        rebuilt = _qv_ledger(self.control_paths, self.time_grid.dt)
-        if not np.array_equal(rebuilt, self.qv_paths):
-            raise UsageError("qv ledger does not equal the running sum h^2 dt")
+        for rows in blocks:
+            rebuilt = _qv_ledger(self.control_paths[rows], self.time_grid.dt)
+            if not np.array_equal(rebuilt, self.qv_paths[rows]):
+                raise UsageError("qv ledger does not equal the running sum h^2 dt")
 
     @property
     def n_paths(self) -> int:
         return self.b_paths.shape[0]
+
+
+# Bytes of one node-shaped path block: the unit in which the along-path
+# checks (the ledger check above, ``ito`` and ``gbsde``'s residuals) hold
+# their temporaries, so their scratch stays fixed whatever the path count.
+_PATH_BLOCK_BYTES = 8 * 1024 * 1024
+
+
+def _path_blocks(n_paths: int, n_nodes: int) -> list:
+    """Consecutive path slices whose ``(rows, n_nodes)`` float blocks hold
+    about ``_PATH_BLOCK_BYTES`` (at least one path each).  Every row of an
+    along-path result depends on its own path only, so a block-by-block
+    computation is bitwise the whole-array one."""
+    rows = max(1, _PATH_BLOCK_BYTES // (8 * n_nodes))
+    return [slice(p0, min(p0 + rows, n_paths)) for p0 in range(0, n_paths, rows)]
 
 
 def _qv_ledger(control_paths: np.ndarray, dt: float) -> np.ndarray:

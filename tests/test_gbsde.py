@@ -8,6 +8,7 @@ the remaining tolerances meaningful.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from gbrownian import (
     solve_ppde,
     solve_ppde_picard,
 )
+from gbrownian import mc
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -282,10 +284,21 @@ class TestPathsAndResiduals:
         assert 0.0 < report.max_residual <= budget
 
     def test_residual_is_the_plain_formula_bitwise(self):
+        self.check_plain_formula(n_paths=300)
+
+    @pytest.mark.parametrize("n_paths", [2, 4, 7])
+    def test_residual_is_the_plain_formula_in_path_blocks(self, monkeypatch,
+                                                          n_paths):
+        # blocks of 3 paths: one partial block, one block plus one path,
+        # and two blocks plus one path
+        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * 101 * 3)
+        self.check_plain_formula(n_paths)
+
+    def check_plain_formula(self, n_paths):
         problem = GBSDEProblem(terminal_square(), lambda t, y, z: 0.05 * z - 0.1 * y,
                                BAND, driver_lipschitz=0.1)
         solution = solve_ppde(problem, TIME, SPACE)
-        bundle = self.lo_bundle(n_steps=100, n_paths=300)
+        bundle = self.lo_bundle(n_steps=100, n_paths=n_paths)
         report = gbsde_residual(solution, bundle)
         # the backward relation written out with fresh arrays
         y, z, k = solution.paths_view(bundle)
@@ -299,9 +312,46 @@ class TestPathsAndResiduals:
                                                axis=1)], axis=1)
         resid = y - (xi[:, None] + (cum_f[:, -1:] - cum_f)
                      - (zint[:, -1:] - zint) - (k[:, -1:] - k))
-        assert report.max_residual == float(np.max(np.abs(resid)))
-        assert report.terminal_gap == float(np.max(np.abs(y[:, -1] - xi)))
+        assert report.max_residual.hex() == float(np.max(np.abs(resid))).hex()
+        assert report.terminal_gap.hex() == float(np.max(np.abs(y[:, -1] - xi))).hex()
+        assert report.k_initial.hex() == float(np.max(np.abs(k[:, 0]))).hex()
+        assert report.k_monotone == bool(np.all(np.diff(k, axis=-1) <= 1e-15))
         assert report.k_initial == 0.0 and report.k_monotone
+
+    def test_residual_peak_does_not_grow_with_the_path_count(self, monkeypatch):
+        # blocks of 64 paths: Y, Z, K and the tail sums exist per block only
+        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * 101 * 64)
+        solution = self.solved()
+
+        def peak(n_paths):
+            bundle = self.lo_bundle(n_steps=100, n_paths=n_paths)
+            tracemalloc.start()
+            try:
+                gbsde_residual(solution, bundle)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(500), peak(2000)
+        assert large <= 1.5 * small, (small, large)
+
+    def test_paths_view_holds_its_outputs_and_fixed_scratch(self):
+        # the peak above the three outputs is the walk's scratch, which
+        # does not grow with the bundle's length
+        solution = self.solved()
+
+        def excess(n_steps):
+            bundle = self.lo_bundle(n_steps=n_steps, n_paths=1000)
+            tracemalloc.start()
+            try:
+                solution.paths_view(bundle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - 3 * bundle.b_paths.nbytes
+
+        short, long = excess(64), excess(400)
+        assert long <= 1.25 * short, (short, long)
 
     def test_equivalence_both_directions(self):
         solution = self.solved()

@@ -35,7 +35,7 @@ from gbrownian import (
     step2_limit_check,
     stochastic_integral,
 )
-from gbrownian import ito
+from gbrownian import ito, mc
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -220,6 +220,18 @@ class TestMartingaleDecomposition:
         order = math.log(res[0] / res[2]) / math.log(1024 / 64)
         assert order >= 0.4
 
+    @pytest.mark.parametrize("n_paths", [2, 4, 7])
+    def test_residuals_are_the_whole_array_formula_bitwise(self, monkeypatch,
+                                                           n_paths):
+        # blocks of 3 paths: one partial block, one block plus one path,
+        # and two blocks plus one path
+        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * 17 * 3)
+        dec, bundle = self.decompose(16, n_paths=n_paths)
+        rebuilt = (dec.initial + stochastic_integral(dec.z_paths, bundle.b_paths)
+                   + dec.k_paths)
+        want = np.max(np.abs(dec.m_paths - rebuilt), axis=-1)
+        assert np.array_equal(dec.residuals().view(np.int64), want.view(np.int64))
+
     def test_band_mismatch_is_refused(self):
         other = GParams(1.0, 1.5)
         bundle = simulate(ConstantControl(band=other, level=1.0),
@@ -284,6 +296,42 @@ class TestAlongPathKernel:
         # K is the ledger of half the reference curvature
         np.testing.assert_array_equal(dec.k_paths,
                                       ito.k_ledger(0.5 * curv[:, :-1], bundle))
+
+    @pytest.mark.parametrize("n_paths", [2, 7])
+    @pytest.mark.parametrize("n_steps", [1, 30, 31, 32, 64])
+    def test_k_in_the_walk_is_the_whole_array_ledger(self, n_steps, n_paths):
+        # n_steps + 1 = 2, 31, 32, 33 and 65 frames straddle the default
+        # _BLOCK_FRAMES of 32 (a grid has one step at least, so a walk sees
+        # two frames at least)
+        bundle = lo_bundle(n_paths=n_paths, seed=n_steps,
+                           grid=TimeGrid(1.0, n_steps))
+        frames = np.random.default_rng(n_steps).normal(
+            size=(n_steps + 1, self.SPACE.n_points))
+        # every path starts on node 40, where this curvature is -0.0: step 0
+        # is -0.0, and K_1 keeps cumsum's -0.0, not 0.0 + (-0.0)
+        frames[0, 39:42] = (-0.0, 0.0, -0.0)
+        fields = ito.eval_on_paths(frames, bundle, lambda j: [j], self.SPACE)
+        pts, dx, b = self.SPACE.points(), self.SPACE.dx, bundle.b_paths
+        want = np.empty((3,) + b.shape)
+        for j, frame in enumerate(frames):
+            for out, field in zip(want, (frame, oracles.gradient_reference(frame, dx),
+                                         oracles.curvature_reference(frame, dx))):
+                out[:, j] = oracles.eval_frame_reference(field, pts, [b[:, j]])
+        want[2] = ito.k_ledger(0.5 * want[2][:, :-1], bundle)
+        assert np.all(np.signbit(want[2][:, 1]))
+        for got, ref in zip(fields, want):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # a slice of paths walks to the whole walk's rows
+        part = ito.eval_on_paths(frames, bundle, lambda j: [j], self.SPACE,
+                                 slice(1, None))
+        for got, ref in zip(part, fields):
+            assert np.array_equal(got.view(np.int64), ref[1:].view(np.int64))
+
+    def test_one_frame_per_node(self):
+        bundle = lo_bundle(n_paths=2, grid=TimeGrid(1.0, 4))
+        with pytest.raises(UsageError, match="4 frames for a bundle of 5 nodes"):
+            ito.eval_on_paths(np.zeros((4, self.SPACE.n_points)), bundle,
+                              lambda j: [j], self.SPACE)
 
 
 class TestMartingaleTest:

@@ -180,6 +180,41 @@ class TestPathBundleValidation:
         with pytest.raises(DomainError):
             PathBundle(BAND, GRID, src.b_paths, src.qv_paths, h, 3)
 
+    def test_rejects_a_tampered_last_path_block(self, monkeypatch):
+        # the checks run in blocks of 3 paths: path 3 of 4 is alone in the
+        # last one
+        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * (GRID.n_steps + 1) * 3)
+        src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
+        PathBundle(BAND, GRID, src.b_paths, src.qv_paths, src.control_paths, 3)
+        qv = src.qv_paths.copy()
+        qv[3, -1] += 1e-9
+        with pytest.raises(UsageError):
+            PathBundle(BAND, GRID, src.b_paths, qv, src.control_paths, 3)
+        h = src.control_paths.copy()
+        h[3, 10] = 2.5
+        with pytest.raises(DomainError):
+            PathBundle(BAND, GRID, src.b_paths, src.qv_paths, h, 3)
+
+    def test_checks_hold_block_sized_temporaries(self, monkeypatch):
+        # blocks of 32 paths; a whole-bundle check would hold two more
+        # bundle-sized arrays
+        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * (GRID.n_steps + 1) * 32)
+
+        def peak(n_paths):
+            src = simulate(ConstantControl(band=BAND, level=1.0), GRID,
+                           n_paths, seed=3)
+            tracemalloc.start()
+            try:
+                PathBundle(BAND, GRID, src.b_paths, src.qv_paths,
+                           src.control_paths, 3)
+                return tracemalloc.get_traced_memory()[1], src.qv_paths.nbytes
+            finally:
+                tracemalloc.stop()
+
+        (small, _), (large, node_bytes) = peak(500), peak(2000)
+        assert large <= 1.5 * small, (small, large)
+        assert large < node_bytes / 8, (large, node_bytes)
+
     def test_rejects_nonzero_start(self):
         src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
         b = src.b_paths.copy()
