@@ -222,6 +222,14 @@ class SpaceGrid:
     def points(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n_points)
 
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        """``points()`` built once and read-only: the grid interpolator
+        reads it for every frame and path block of a walk."""
+        pts = self.points()
+        pts.flags.writeable = False
+        return pts
+
 
 # ---------------------------------------------------------------------------
 # cylinder functionals

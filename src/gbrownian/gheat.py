@@ -225,7 +225,7 @@ class FramePoints:
     """
 
     def __init__(self, space_grid: SpaceGrid, coords) -> None:
-        pts = space_grid.points()
+        pts = space_grid._nodes
         xs = [np.asarray(c, dtype=float) for c in coords]
         if not xs or any(x.ndim != 1 or x.shape != xs[0].shape for x in xs):
             raise UsageError("frame points need one 1-d array of equal length "
@@ -387,14 +387,25 @@ def pde_residual(surface: ValueSurface) -> np.ndarray:
     return resid[:, 1:-1]
 
 
+# Bytes of the row blocks in which ``feedback_field`` takes the curvature.
+_FIELD_BLOCK_BYTES = 1024 * 1024
+
+
 def feedback_field(surface: ValueSurface) -> np.ndarray:
     """Bang-bang volatility field sign_vol(curvature) on the surface grid.
 
     Values are exactly sigma_lo or sigma_hi everywhere; edge columns copy
-    their interior neighbour since curvature is not defined there.
+    their interior neighbour since curvature is not defined there.  The
+    curvature and the selector act row by row, so the field is filled in
+    blocks of about ``_FIELD_BLOCK_BYTES`` of rows: the only temporaries
+    are one block's curvature and mask, never a surface-sized one.
     """
-    d2u = curvature(surface.values, surface.space_grid.dx)
-    return np.asarray(sign_vol(surface.band, d2u))
+    u, dx = surface.values, surface.space_grid.dx
+    out = np.empty(u.shape)
+    step = max(1, _FIELD_BLOCK_BYTES // (8 * u.shape[-1]))
+    for r0 in range(0, len(u), step):
+        out[r0:r0 + step] = sign_vol(surface.band, curvature(u[r0:r0 + step], dx))
+    return out
 
 
 def export_surface_csv(surface: ValueSurface, path, time_stride: int = 1) -> int:

@@ -13,8 +13,13 @@ to march time-major: normals, paths and levels live in
 ``(n_steps, n_paths)`` buffers whose rows are contiguous, and the finished
 paths and levels are transposed once into the path-major bundle arrays.
 The Monte Carlo pass marches path chunks of about ``_CHUNK_BYTES`` of
-normals, drawn once per stream and chunk into one reused buffer and shared
-by every control on that stream: O(chunk x n_steps) memory at any n_paths.
+normals, drawn once per stream and chunk and shared by every control on
+that stream: O(chunk x n_steps) memory at any n_paths.  Its draws form one
+sequence of (chunk, stream) units; with two chunks or more and a second
+usable CPU, one worker thread draws unit u + 1 into a second buffer while
+the main thread marches unit u.  Every generator is drawn by one thread at
+a time and always in unit order, so every normal is the serial pass's,
+whatever the timing.
 The accumulated variance is carried alongside the path exactly as
 ``sum h_k^2 dt`` — the simulation's quadratic-variation ledger, which
 stays inside the band's bounds pathwise by construction.
@@ -28,6 +33,7 @@ marginal-match and weak-convergence checks measure what those rewrites do
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -150,16 +156,30 @@ _DRAW_CHUNK = 256
 _CHUNK_BYTES = 4 * 1024 * 1024
 
 
-def _fill_normals(gen: np.random.Generator, zt: np.ndarray) -> np.ndarray:
-    """Fill time-major ``zt`` with the next rows of ``gen``'s row-major draw."""
+def _fill_normals(gen: np.random.Generator, zt: np.ndarray,
+                  block: np.ndarray = None) -> np.ndarray:
+    """Fill time-major ``zt`` with the next rows of ``gen``'s row-major draw.
+
+    The rows pass through a path-major ``(paths, n_steps)`` scratch
+    ``block``, ``len(block)`` paths at a time; a caller that draws many
+    times passes one to reuse, otherwise one is made for this call.
+    """
     n_steps, n_paths = zt.shape
-    block = np.empty((min(_DRAW_CHUNK, n_paths), n_steps))
-    for p0 in range(0, n_paths, _DRAW_CHUNK):
-        p1 = min(p0 + _DRAW_CHUNK, n_paths)
+    if block is None:
+        block = np.empty((min(_DRAW_CHUNK, n_paths), n_steps))
+    for p0 in range(0, n_paths, len(block)):
+        p1 = min(p0 + len(block), n_paths)
         chunk = block[:p1 - p0]
         gen.standard_normal(out=chunk)
         zt[:, p0:p1] = chunk.T
     return zt
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _march(control: ControlProcess, time_grid: TimeGrid,
@@ -226,6 +246,18 @@ def _simulate_reduce(family, time_grid: TimeGrid, n_paths: int, seed: int,
     statistic's concatenated vector is reduced by ``_estimate``, bitwise as
     for one whole bundle.  By default every control runs on stream 0 of the
     seed (common random numbers); independent samples pass ``streams``.
+
+    The draws are the (chunk, stream) units in order, each shared by the
+    unit's controls.  A pass of two chunks or more, on more than one usable
+    CPU, keeps two normal buffers and one worker thread: while the unit in
+    one buffer is marched, the worker fills the next unit into the other.
+    When the main thread needs a unit whose prefetch has not started (the
+    second core is busy), it cancels it and draws inline; it waits only
+    on a draw that is already running.  A generator is thus drawn by one
+    thread at a time, in unit order, and the normals are those of the
+    serial draw.  One-chunk passes, and every pass on one CPU, draw inline
+    into one buffer.  The worker is shut down before the pass returns or
+    raises.
     """
     family = list(family)
     if not family:
@@ -233,17 +265,41 @@ def _simulate_reduce(family, time_grid: TimeGrid, n_paths: int, seed: int,
     if n_paths < 2:
         raise UsageError("need at least 2 paths for variance estimates")
     streams = list(streams or [0] * len(family))
-    n_chunks = max(1, n_paths // max(1, _CHUNK_BYTES // (8 * time_grid.n_steps)))
+    n_steps = time_grid.n_steps
+    n_chunks = max(1, n_paths // max(1, _CHUNK_BYTES // (8 * n_steps)))
     bounds = [n_paths * i // n_chunks for i in range(n_chunks + 1)]
     gens = {s: _philox(seed, s) for s in streams}   # first-appearance order
-    zt = np.empty((time_grid.n_steps, -(-n_paths // n_chunks)))
+    units = [(p0, p1, s) for p0, p1 in zip(bounds, bounds[1:]) for s in gens]
+    width = -(-n_paths // n_chunks)
+    prefetch = n_chunks > 1 and _usable_cpus() > 1
+    buffers = [np.empty((n_steps, width)) for _ in range(1 + prefetch)]
+    # the worker draws during the march, so its scratch is made once here;
+    # an inline draw makes its own and frees it before the march
+    block = np.empty((min(_DRAW_CHUNK, width), n_steps)) if prefetch else None
+
+    def draw(u):
+        p0, p1, stream = units[u]
+        return _fill_normals(gens[stream], buffers[u % len(buffers)][:, :p1 - p0],
+                             block)
+
     parts = [[] for _ in family]
-    for p0, p1 in zip(bounds, bounds[1:]):
-        for stream, gen in gens.items():
-            z = _fill_normals(gen, zt[:, :p1 - p0])
+    worker = None
+    if prefetch:
+        # imported here: a process whose passes never prefetch never loads it
+        from concurrent.futures import ThreadPoolExecutor
+        worker = ThreadPoolExecutor(1)
+    try:
+        ahead = None
+        for u, (_, _, stream) in enumerate(units):
+            z = draw(u) if ahead is None or ahead.cancel() else ahead.result()
+            if worker is not None and u + 1 < len(units):
+                ahead = worker.submit(draw, u + 1)
             for j in (j for j, s in enumerate(streams) if s == stream):
                 parts[j].append([np.array(v, dtype=float) for v in per_path(
                     _run_euler(family[j], time_grid, z.T, seed))])
+    finally:
+        if worker is not None:
+            worker.shutdown(cancel_futures=True)
     return [tuple(_estimate(np.concatenate(v), seed) for v in zip(*chunks))
             for chunks in parts]
 

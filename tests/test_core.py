@@ -187,6 +187,17 @@ class TestGrids:
         assert sg.dx == pytest.approx(1.0)
         np.testing.assert_allclose(sg.points(), [-2, -1, 0, 1, 2])
 
+    def test_cached_nodes_are_the_points_read_only(self):
+        sg = SpaceGrid(-6.0, 6.0, 241)
+        nodes = sg._nodes
+        assert sg._nodes is nodes and not nodes.flags.writeable
+        assert np.array_equal(nodes, sg.points())
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        pts = sg.points()       # callers still get an array of their own
+        pts *= 2.0
+        assert pts.flags.writeable and np.array_equal(nodes, sg.points())
+
     def test_space_grid_validation(self):
         with pytest.raises(ConfigurationError):
             SpaceGrid(1.0, -1.0, 5)

@@ -286,6 +286,18 @@ class TestFrameKernel:
                                  r"\[-3\.7, 5\.1\]"):
             gheat.FramePoints(space_grid, coords)(frame)
 
+    def test_located_points_read_the_cached_grid(self, monkeypatch):
+        space_grid = SpaceGrid(-3.7, 5.1, 43)     # fresh: nothing cached yet
+        built = []
+        points = SpaceGrid.points
+        monkeypatch.setattr(SpaceGrid, "points",
+                            lambda sg: built.append(sg) or points(sg))
+        frame = np.arange(space_grid.n_points, dtype=float)
+        for x in (-1.0, 0.5, 5.1):
+            assert gheat.FramePoints(space_grid, [[x]])(frame)[0] == \
+                np.interp(x, points(space_grid), frame)
+        assert built == [space_grid]      # one linspace for every location
+
     def test_field_shape_and_arity_are_checked(self):
         space_grid = self.GRIDS[2]
         coords = [np.zeros(3), np.zeros(3)]

@@ -10,6 +10,7 @@ frozen below with headroom.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from gbrownian import (
     export_surface_csv,
     feedback_field,
     pde_residual,
+    sign_vol,
     solve_gheat,
 )
 from gbrownian import gheat
@@ -389,6 +391,32 @@ class TestFeedbackField:
         second = v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]
         want = np.where(second >= 0.0, 2.0, 1.0)
         np.testing.assert_array_equal(field[:, 1:-1], want)
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    def test_row_blocks_change_no_bits(self, butterfly_surface, rows,
+                                       monkeypatch):
+        if rows is not None:
+            monkeypatch.setattr(gheat, "_FIELD_BLOCK_BYTES",
+                                8 * SPACE.n_points * rows)
+        whole = sign_vol(BAND, gheat.curvature(butterfly_surface.values,
+                                               SPACE.dx))
+        field = feedback_field(butterfly_surface)
+        assert field.dtype == whole.dtype and np.array_equal(field, whole)
+
+    def test_peak_is_the_field_plus_one_blocks_scratch(
+            self, butterfly_surface, monkeypatch):
+        block = 8 * SPACE.n_points * 50     # 32 blocks of the 1601-row surface
+        monkeypatch.setattr(gheat, "_FIELD_BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            field = feedback_field(butterfly_surface)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's scratch: its curvature, the stencil's temporaries and
+        # the selector's mask and output, at most five block-sized arrays;
+        # the whole-surface field peaked at the field plus two surfaces
+        assert peak <= field.nbytes + 5 * block, (peak, field.nbytes)
 
 
 class TestExport:

@@ -6,7 +6,12 @@ every verdict below is reproducible bit for bit.
 """
 
 import math
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent import futures
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -532,6 +537,139 @@ class TestOnePassStreams:
         assert [(e.mean, e.stderr, e.n_paths) for (e,) in rows] == refs
 
 
+def set_cpus(monkeypatch, n):
+    """Make the pass see ``n`` usable CPUs, whatever the machine's affinity."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def count_workers(monkeypatch, executor=ThreadPoolExecutor):
+    """Patch the pass's executor with ``executor`` and list each one made."""
+    made = []
+
+    def make(*args):
+        made.append(executor(*args))
+        return made[-1]
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", make)
+    return made
+
+
+class StalledWorker(ThreadPoolExecutor):
+    """A worker whose core is busy: every prefetch queues behind a task
+    that holds the thread until the prefetch is cancelled."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.submitted = []
+
+    def submit(self, fn, *args):
+        released = threading.Event()
+        super().submit(released.wait, 30.0)
+        future = super().submit(fn, *args)
+        future.add_done_callback(lambda _: released.set())
+        self.submitted.append(future)
+        return future
+
+
+class TestPrefetchingPass:
+    """The pass with its drawing worker against the same pass drawn inline
+    on one CPU: equal float for float, and no thread left behind."""
+
+    GRID = TimeGrid(1.0, 64)
+    # two default chunks at 64 steps, so the worker runs at the default
+    # width too
+    N_PATHS = 2 * (mc._CHUNK_BYTES // (8 * 64)) + 37
+
+    def run(self, monkeypatch, cpus, n_paths, streams=None):
+        set_cpus(monkeypatch, cpus)
+        xi = TestOnePassMatchesTheLoops.XIS[1]
+        rows = mc._simulate_reduce(five_controls(), self.GRID, n_paths, 47,
+                                   lambda b: (mc._functional_on_paths(xi, b),
+                                              b.b_paths[:, -1]),
+                                   streams=streams)
+        return [[(e.mean, e.stderr, e.n_paths) for e in row] for row in rows]
+
+    @pytest.mark.parametrize("streams", [None, TestOnePassStreams.STREAMS],
+                             ids=["common", "interleaved"])
+    @pytest.mark.parametrize("width", [None, 1, 7])
+    def test_worker_draws_the_inline_normals(self, width, streams, monkeypatch):
+        n_paths = self.N_PATHS
+        if width is not None:
+            monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * self.GRID.n_steps * width)
+            n_paths = TestOnePassMatchesTheLoops.N_PATHS
+        made = count_workers(monkeypatch)
+        threads = threading.active_count()
+        inline = self.run(monkeypatch, 1, n_paths, streams)
+        assert made == []
+        assert self.run(monkeypatch, 2, n_paths, streams) == inline
+        assert len(made) == 1
+        assert threading.active_count() == threads
+
+    def test_fine_thread_switching_changes_no_bits(self, monkeypatch):
+        # 3-path chunks on three streams and a thread switch every
+        # microsecond: draws and marches interleave as finely as they can
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * self.GRID.n_steps * 3)
+        n_paths = TestOnePassMatchesTheLoops.N_PATHS
+        inline = self.run(monkeypatch, 1, n_paths, TestOnePassStreams.STREAMS)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            switched = self.run(monkeypatch, 2, n_paths,
+                                TestOnePassStreams.STREAMS)
+        finally:
+            sys.setswitchinterval(interval)
+        assert switched == inline
+
+    def test_one_chunk_pass_starts_no_worker(self, monkeypatch):
+        made = count_workers(monkeypatch)
+        self.run(monkeypatch, 2, TestOnePassMatchesTheLoops.N_PATHS)
+        assert made == []
+
+    def test_cancelled_prefetches_are_drawn_inline(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * self.GRID.n_steps * 50)
+        n_paths = TestOnePassMatchesTheLoops.N_PATHS
+        inline = self.run(monkeypatch, 1, n_paths)
+        threads = threading.active_count()
+        made = count_workers(monkeypatch, StalledWorker)
+        assert self.run(monkeypatch, 2, n_paths) == inline
+        # ten chunks of 50 to 59 paths: units 1 to 9 were prefetched
+        (worker,) = made
+        assert len(worker.submitted) == 9
+        assert all(f.cancelled() for f in worker.submitted)
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_raising_per_path(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        calls = []
+
+        def per_path(bundle):     # fails on chunk 0, while chunk 1 is drawn
+            calls.append(bundle)
+            raise RuntimeError("statistic failed")
+
+        threads = threading.active_count()
+        made = count_workers(monkeypatch)
+        with pytest.raises(RuntimeError, match="statistic failed"):
+            mc._simulate_reduce([ConstantControl(band=BAND, level=1.0)],
+                                self.GRID, self.N_PATHS, 53, per_path)
+        assert len(made) == 1 and len(calls) == 1
+        assert threading.active_count() == threads
+
+    def test_no_thread_outlives_a_feedback_path_off_the_surface(self, monkeypatch):
+        set_cpus(monkeypatch, 2)
+        narrow = solve_gheat(oracles.butterfly, BAND, TimeGrid(1.0, 1000),
+                             SpaceGrid(-2.0, 2.0, 41))
+        threads = threading.active_count()
+        made = count_workers(monkeypatch)
+        with pytest.raises(ExtrapolationError):
+            sup_over_controls_table(
+                xi_terminal_square(),
+                [FeedbackControl(band=BAND, surface=narrow)], GRID, 4000,
+                seed=97)
+        assert len(made) == 1
+        assert threading.active_count() == threads
+
+
 class TestQvBandAudit:
     """The distinct-level audit against the per-path ``Fraction`` loop."""
 
@@ -581,6 +719,26 @@ class TestPassMemory:
 
         small, large = peak(4000), peak(16000)
         assert large <= 1.5 * small, (small, large)
+
+    def test_one_chunk_pass_keeps_one_buffer(self, monkeypatch):
+        # 2000 paths at 512 steps are one chunk: with a second CPU the pass
+        # peaks no higher than the single-buffer pass drawn on one CPU
+        family = [ConstantControl(band=BAND, level=1.0),
+                  ConstantControl(band=BAND, level=2.0)]
+
+        def peak(cpus):
+            set_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                sup_over_controls_table(xi_terminal_square(), family, GRID,
+                                        2000, seed=89)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a few interpreter objects may differ; a second buffer would add
+        # 8 MB and a scratch block kept through the march 1 MB
+        assert peak(2) <= peak(1) + 4096
 
     def test_feedback_off_the_surface_still_raises(self):
         narrow = solve_gheat(oracles.butterfly, BAND, TimeGrid(1.0, 1000),
