@@ -55,7 +55,7 @@ from .gexp import g_expectation
 from .gheat import export_surface_csv, pde_residual, solve_gheat
 from .ito import identify_drift, k_process, martingale_decomposition, \
     martingale_test, step2_limit_check
-from .mc import block_budget_gap, marginal_match_test, perturb_control, simulate
+from .mc import block_budget_gap, marginal_match_table, perturb_control, simulate
 
 _DEFAULTS = {
     "band": {"sigma_lo": 1.0, "sigma_hi": 2.0},
@@ -97,6 +97,31 @@ def _as_int(value, where: str) -> int:
     if n != int(n):
         raise ConfigurationError(f"{where}: expected an integer, got {value!r}")
     return int(n)
+
+
+def _as_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _choice(value, choices, what: str, where: str) -> str:
+    """``value`` if it is the name of one of ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigurationError(f"{where}: unknown {what} {value!r}; "
+                                 f"choose from {sorted(choices)}")
+    return value
+
+
+def _piecewise(exp: dict, key: str, default: dict, where: str) -> tuple:
+    """``exp[key]`` (or ``default``) as its ``(breaks, values)`` number lists."""
+    spec = exp.get(key, default)
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"{where}.{key}: expected an object with "
+                                 f"'breaks' and 'values', got {spec!r}")
+    return tuple([_as_number(v, f"{where}.{key}.{part}")
+                  for v in _as_list(spec.get(part), f"{where}.{key}.{part}")]
+                 for part in ("breaks", "values"))
 
 
 class _Env:
@@ -164,17 +189,14 @@ def _registry(band: GParams, horizon: float, strike: float) -> dict:
 
 def _build_functional(exp: dict, env: _Env, where: str,
                       default: str = "x2") -> CylinderFunctional:
-    name = exp.get("payoff", default)
     strike = _as_number(exp.get("strike", 1.0), f"{where}.strike")
     table = _registry(env.band, env.horizon, strike)
-    if name not in table:
-        raise ConfigurationError(
-            f"{where}: unknown payoff {name!r}; choose from "
-            f"{sorted(table)}"
-        )
+    name = _choice(exp.get("payoff", default), table, "payoff",
+                   f"{where}.payoff")
     arity, fn, lip, bound = table[name]
     if "dates" in exp:
-        times = tuple(_as_number(t, f"{where}.dates") for t in exp["dates"])
+        times = tuple(_as_number(t, f"{where}.dates")
+                      for t in _as_list(exp["dates"], f"{where}.dates"))
     else:
         times = tuple(env.horizon * j / arity for j in range(1, arity + 1))
     if len(times) != arity:
@@ -386,13 +408,13 @@ def _run_verify_lemma32(env: _Env, exp: dict, label: str, out_dir: str,
         CylinderFunctional((half, env.horizon), lambda a, b: np.abs(b - a),
                            1.0, 2.0 * big, name="increment-abs"),
     ]
+    cells = marginal_match_table(
+        base, [perturb_control(base, sched) for sched in schedules], psis,
+        grid, env.n_paths, env.seed)
     rows = []
     table = []
-    for sched in schedules:
-        alt = perturb_control(base, sched)
-        for psi in psis:
-            res = marginal_match_test(base, alt, psi, grid, env.n_paths,
-                                      env.seed)
+    for sched, results in zip(schedules, cells):
+        for psi, res in zip(psis, results):
             metric = f"match-r{sched.refinement}-{psi.name}"
             if res.status != "tested":
                 rows.append(_row(label, metric, res.status, "", env.seed,
@@ -436,11 +458,9 @@ def _run_verify_theorem35(env: _Env, exp: dict, label: str, out_dir: str,
                           where: str) -> list:
     rows = _step1_level_rows(env, label)
 
-    zeta = exp.get("zeta", {"breaks": [0.0, 0.25, 1.0], "values": [2.0, 0.5]})
-    zbreaks = [_as_number(b, f"{where}.zeta.breaks") for b in zeta["breaks"]]
-    zvalues = [_as_number(v, f"{where}.zeta.values") for v in zeta["values"]]
-    ks = [1, 2, 4, 8, 16]
-    table = step2_limit_check((zbreaks, zvalues), 0.25, ks)
+    zeta = _piecewise(exp, "zeta", {"breaks": [0.0, 0.25, 1.0],
+                                    "values": [2.0, 0.5]}, where)
+    table = step2_limit_check(zeta, 0.25, [1, 2, 4, 8, 16])
     csv_rows = [[r["k"], int(r["aligned"]), r["gap"],
                  int(r["gap_exact_zero"]), r["per_block_identity_gap"],
                  r["signed_gap"], int(r["proportionality_exact"])]
@@ -480,14 +500,13 @@ def _run_verify_theorem35(env: _Env, exp: dict, label: str, out_dir: str,
 
 def _run_identify_drift(env: _Env, exp: dict, label: str, out_dir: str,
                         where: str) -> list:
-    eta = exp.get("eta", {"breaks": [0.0, env.horizon / 2.0, env.horizon],
-                          "values": [1.0, -1.0]})
-    breaks = [_as_number(b, f"{where}.eta.breaks") for b in eta["breaks"]]
-    values = [_as_number(v, f"{where}.eta.values") for v in eta["values"]]
+    eta = _piecewise(exp, "eta", {
+        "breaks": [0.0, env.horizon / 2.0, env.horizon], "values": [1.0, -1.0]},
+        where)
     family = [ConstantControl(env.band, env.band.sigma_lo),
               ConstantControl(env.band, env.band.sigma_hi)]
-    out = identify_drift((breaks, values), env.band, family, env.mc_grid,
-                         env.n_paths, env.seed)
+    out = identify_drift(eta, env.band, family, env.mc_grid, env.n_paths,
+                         env.seed)
     rows = []
     table = []
     for r in out:
@@ -517,12 +536,8 @@ _DRIVERS = {
 def _run_gbsde(env: _Env, exp: dict, label: str, out_dir: str,
                where: str) -> list:
     xi = _build_functional(exp, env, where)
-    driver_name = exp.get("driver", "discount")
-    if driver_name not in _DRIVERS:
-        raise ConfigurationError(
-            f"{where}: unknown driver {driver_name!r}; choose from "
-            f"{sorted(_DRIVERS)}"
-        )
+    driver_name = _choice(exp.get("driver", "discount"), _DRIVERS, "driver",
+                          f"{where}.driver")
     r = _as_number(exp.get("rate", 0.1), f"{where}.rate")
     a = _as_number(exp.get("a", 0.0), f"{where}.a")
     b = _as_number(exp.get("b", 0.0), f"{where}.b")
@@ -620,12 +635,7 @@ def run_suite(config: dict, out_dir: str, seed_override=None):
             where = f"experiments[{i}]"
             if not isinstance(exp, dict) or "name" not in exp:
                 raise ConfigurationError(f"{where}: expected an object with a 'name'")
-            name = exp["name"]
-            if name not in _RUNNERS:
-                raise ConfigurationError(
-                    f"{where}: unknown experiment {name!r}; choose from "
-                    f"{sorted(_RUNNERS)}"
-                )
+            name = _choice(exp["name"], _RUNNERS, "experiment", f"{where}.name")
             label = f"{i:02d}-{name}"
             try:
                 env = _Env(config, exp, where, seed_override)

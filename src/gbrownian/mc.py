@@ -26,8 +26,8 @@ stays inside the band's bounds pathwise by construction.
 
 The perturbation tools rewrite an m-block self-dependent control on dyadic
 sub-blocks while preserving each block's exact squared-level budget; the
-marginal-match and weak-convergence checks measure what those rewrites do
-(nothing, in distribution, for functionals of the block increments).
+marginal-match table measures what those rewrites do (nothing, in
+distribution, for functionals of the block increments).
 """
 
 from __future__ import annotations
@@ -538,64 +538,49 @@ def _times_on_block_grid(times, m: int, horizon: float) -> bool:
     return all(abs(t / grid - round(t / grid)) < 1e-9 for t in times)
 
 
-def _within_3se(base: McEstimate, alt: McEstimate) -> tuple:
-    """``(diff, stderr, within 3 se)`` of two independent estimates."""
-    diff = alt.mean - base.mean
-    se = math.hypot(base.stderr, alt.stderr)
-    return diff, se, bool(abs(diff) <= 3.0 * se)
+def marginal_match_table(base: SelfDependentControl, alts, psis,
+                         time_grid: TimeGrid, n_paths: int, seed: int) -> list:
+    """Compare E[psi] under the base and each rewrite, for every psi, in one
+    pass: one row per rewrite, each a list of results in the order of
+    ``psis``.
+
+    The base runs on stream 0 and every rewrite on stream 1, so each
+    rewrite sees the normals it would see compared alone and the base's
+    estimates serve every row; the difference's standard error is the plain
+    quadrature sum and the verdict is two-sided at three standard errors.
+    Every cell is measured; scope sets only ``status`` and ``passed``.  A
+    cell is in scope iff psi's dates lie on the base's block grid refined
+    ``2**r`` times, where r is the rewrite's refinement if it is a
+    ``PerturbedControl`` of ``base`` and 0 otherwise: the budgets it keeps
+    say nothing about finer marginals.
+    """
+    alts, psis = list(alts), list(psis)
+    base_ests, *alt_ests = _simulate_reduce(
+        [base, *alts], time_grid, n_paths, seed,
+        lambda b: [_functional_on_paths(psi, b) for psi in psis],
+        streams=[0] + [1] * len(alts))
+    table = []
+    for alt, ests in zip(alts, alt_ests):
+        r = alt.schedule.refinement if isinstance(alt, PerturbedControl) \
+            and alt.base == base else 0
+        row = []
+        for psi, est_base, est_alt in zip(psis, base_ests, ests):
+            diff = est_alt.mean - est_base.mean
+            se = math.hypot(est_base.stderr, est_alt.stderr)
+            tested = _times_on_block_grid(psi.times, base.n_blocks * 2 ** r,
+                                          time_grid.horizon)
+            row.append(MarginalMatchResult(
+                "tested" if tested else "out-of-scope", est_base.mean,
+                est_alt.mean, diff, se,
+                bool(abs(diff) <= 3.0 * se) if tested else None, n_paths, seed))
+        table.append(row)
+    return table
 
 
 def marginal_match_test(base: SelfDependentControl, alt: ControlProcess,
                         psi: CylinderFunctional, time_grid: TimeGrid,
                         n_paths: int, seed: int) -> MarginalMatchResult:
-    """Compare E[psi] under the base and rewritten controls.
-
-    Only functionals of the base control's block increments are in scope:
-    if ``psi`` monitors dates off the block grid the result is reported as
-    out-of-scope instead of pass/fail (block-budget preservation says
-    nothing about finer marginals).  The two runs use independent
-    substreams of the same seed, so the difference's standard error is the
-    plain quadrature sum; the verdict is two-sided at three standard
-    errors.
-    """
-    if not _times_on_block_grid(psi.times, base.n_blocks, time_grid.horizon):
-        return MarginalMatchResult("out-of-scope", float("nan"), float("nan"),
-                                   float("nan"), float("nan"), None,
-                                   n_paths, seed)
-    (est_base,), (est_alt,) = _simulate_reduce(
-        [base, alt], time_grid, n_paths, seed,
-        lambda b: (_functional_on_paths(psi, b),), streams=[0, 1])
-    return MarginalMatchResult("tested", est_base.mean, est_alt.mean,
-                               *_within_3se(est_base, est_alt), n_paths, seed)
-
-
-def weak_convergence_probe(base: SelfDependentControl, schedules,
-                           psi: CylinderFunctional, time_grid: TimeGrid,
-                           n_paths: int, seed: int) -> list:
-    """Table of E[psi] gaps between the base control and its rewrites.
-
-    ``psi`` should be a functional of the dyadic refinement of the block
-    grid at some level k; rows with ``refinement >= k`` are expected to
-    match (their block budgets pin all the marginals psi can see), rows
-    below k may drift — both outcomes are reported, not asserted.
-    """
-    k_psi = next((k for k in range(22) if _times_on_block_grid(
-        psi.times, base.n_blocks * 2 ** k, time_grid.horizon)), None)
-    schedules = list(schedules)
-    (est_base,), *perturbed = _simulate_reduce(
-        [base] + [perturb_control(base, sched) for sched in schedules],
-        time_grid, n_paths, seed, lambda b: (_functional_on_paths(psi, b),),
-        streams=[0] + [2 + j for j in range(len(schedules))])
-    rows = []
-    for sched, (est,) in zip(schedules, perturbed):
-        diff, se, within = _within_3se(est_base, est)
-        rows.append({
-            "refinement": sched.refinement,
-            "mean_base": est_base.mean,
-            "mean_perturbed": est.mean,
-            "diff": diff,
-            "stderr": se,
-            "within_3se": within,
-            "expected_match": None if k_psi is None else sched.refinement >= k_psi,
-        })
-    return rows
+    """One cell of ``marginal_match_table``: E[psi] under ``base`` and
+    ``alt``."""
+    return marginal_match_table(base, [alt], [psi], time_grid, n_paths,
+                                seed)[0][0]

@@ -41,7 +41,7 @@ from gbrownian import (
     gbsde_residual,
     identify_drift,
     k_process,
-    marginal_match_test,
+    marginal_match_table,
     martingale_decomposition,
     martingale_test,
     perturb_control,
@@ -194,12 +194,13 @@ def test_criterion_05_marginal_match_under_rewrites():
         CylinderFunctional(times=(0.5, 1.0), payoff=lambda a, b: np.abs(b - a),
                            lipschitz_bound=1.0, value_bound=2.0 * big),
     ]
+    alts = [perturb_control(base, PerturbationSchedule(refinement, 0.25, sub))
+            for refinement in (0, 1, 2)]
     hits, total = 0, 0
     worst = 0.0
-    for refinement in (0, 1, 2):
-        alt = perturb_control(base, PerturbationSchedule(refinement, 0.25, sub))
-        for psi in psis:
-            res = marginal_match_test(base, alt, psi, MC_GRID, N_PATHS, SEED)
+    for results in marginal_match_table(base, alts, psis, MC_GRID, N_PATHS,
+                                        SEED):
+        for res in results:
             total += 1
             if res.status == "tested" and abs(res.diff) <= 3.0 * res.stderr:
                 hits += 1

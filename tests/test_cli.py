@@ -108,6 +108,24 @@ class TestConfigRejection:
         self.rejects(tmp_path, capsys, base_config(experiments=[experiment]),
                      location, "finite")
 
+    @pytest.mark.parametrize("experiment,location", [
+        ({"name": "identify-drift", "eta": 1.0}, "experiments[0].eta"),
+        ({"name": "verify-theorem35", "zeta": [0.0, 1.0]},
+         "experiments[0].zeta"),
+        ({"name": "identify-drift", "eta": {"values": [1.0, -1.0]}},
+         "experiments[0].eta.breaks"),
+        ({"name": "gexp", "payoff": "x2", "dates": 1.0},
+         "experiments[0].dates"),
+        ({"name": "gexp", "payoff": ["x2"]}, "experiments[0].payoff"),
+        ({"name": "gbsde", "driver": ["zero"]}, "experiments[0].driver"),
+        ({"name": ["gexp"]}, "experiments[0].name"),
+    ], ids=["eta-not-an-object", "zeta-not-an-object", "eta-without-breaks",
+            "dates-not-a-list", "payoff-a-list", "driver-a-list",
+            "name-a-list"])
+    def test_malformed_shape(self, tmp_path, capsys, experiment, location):
+        self.rejects(tmp_path, capsys, base_config(experiments=[experiment]),
+                     location)
+
     def test_drift_breaks_must_increase(self, tmp_path, capsys):
         cfg = base_config(experiments=[{
             "name": "identify-drift",

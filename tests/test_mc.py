@@ -32,6 +32,7 @@ from gbrownian import (
     block_budget_gap,
     identify_drift,
     k_process,
+    marginal_match_table,
     marginal_match_test,
     martingale_test,
     mc_expectation,
@@ -41,7 +42,6 @@ from gbrownian import (
     solve_gheat,
     sup_over_controls,
     sup_over_controls_table,
-    weak_convergence_probe,
 )
 from gbrownian import gheat, mc
 from gbrownian.errors import ExtrapolationError
@@ -405,19 +405,19 @@ class TestMarginalMatch:
     def test_weak_probe_flags_coarse_rewrites_only(self):
         # psi looks at the half-block increment, i.e. one dyadic level below
         # the block grid: refinement 0 moves it, refinement >= 1 cannot
-        base = self.one_block = SelfDependentControl(band=BAND,
-                                                     rules=(math.sqrt(2.0),))
-        scheds = [PerturbationSchedule(refinement=r, alpha=0.25,
-                                       sub_control=ConstantControl(band=BAND,
-                                                                   level=1.0))
-                  for r in (0, 1, 2)]
-        rows = weak_convergence_probe(base, scheds,
-                                      self.psi_second_increment_square(),
-                                      GRID, 4000, seed=71)
-        assert [r["expected_match"] for r in rows] == [False, True, True]
-        assert rows[0]["within_3se"] is False   # 7/6 vs 1: far beyond noise
-        assert rows[1]["within_3se"] is True
-        assert rows[2]["within_3se"] is True
+        base = SelfDependentControl(band=BAND, rules=(math.sqrt(2.0),))
+        alts = [perturb_control(base, PerturbationSchedule(
+            refinement=r, alpha=0.25,
+            sub_control=ConstantControl(band=BAND, level=1.0)))
+            for r in (0, 1, 2)]
+        cells = [row[0] for row in marginal_match_table(
+            base, alts, [self.psi_second_increment_square()], GRID, 4000,
+            seed=71)]
+        assert [c.status for c in cells] == ["out-of-scope", "tested", "tested"]
+        assert abs(cells[0].diff) > 3.0 * cells[0].stderr  # 7/6 vs 1: far beyond noise
+        assert cells[0].passed is None
+        assert cells[1].passed is True
+        assert cells[2].passed is True
 
 
 class TestOnePassMatchesTheLoops:
@@ -488,21 +488,35 @@ class TestOnePassMatchesTheLoops:
                 res.passed) == ref
         assert (res.status, res.n_paths, res.seed) == ("tested", self.N_PATHS, 37)
 
-    def test_weak_convergence_rows(self):
+    def test_marginal_match_table(self):
         base = five_controls()[3]
-        scheds = [PerturbationSchedule(
-            refinement=r, alpha=0.25,
-            sub_control=ConstantControl(band=BAND, level=1.0)) for r in (0, 1, 2)]
-        rows = weak_convergence_probe(base, scheds, self.XIS[1], self.GRID,
-                                      self.N_PATHS, 41)
-        assert len(rows) == len(scheds)
-        for j, (row, sched) in enumerate(zip(rows, scheds)):
-            ref = oracles.compare_reference(
-                simulate, base, perturb_control(base, sched), self.XIS[1],
-                self.GRID, self.N_PATHS, 41, 2 + j)
-            assert (row["mean_base"], row["mean_perturbed"], row["diff"],
-                    row["stderr"], row["within_3se"]) == ref
-            assert row["refinement"] == sched.refinement
+        sub = ConstantControl(band=BAND, level=1.0)
+        other = SelfDependentControl(band=BAND, rules=(math.sqrt(2.5),))
+        alts = [perturb_control(base, PerturbationSchedule(r, 0.25, sub))
+                for r in (0, 2)]
+        alts += [ConstantControl(band=BAND, level=1.5),
+                 perturb_control(other, PerturbationSchedule(2, 0.25, sub))]
+        # the quarter date is on the block grid that only a refinement-2
+        # rewrite of the base pins; the cells out of scope are measured all
+        # the same
+        psis = [*self.XIS, CylinderFunctional(
+            times=(0.25, 1.0), payoff=lambda a, b: np.abs(b - a),
+            lipschitz_bound=1.0, value_bound=40.0)]
+        table = marginal_match_table(base, alts, psis, self.GRID,
+                                     self.N_PATHS, 41)
+        assert [[res.status for res in row] for row in table] == [
+            ["tested", "tested", "out-of-scope"],
+            ["tested", "tested", "tested"],
+            ["tested", "tested", "out-of-scope"],
+            ["tested", "tested", "out-of-scope"]]
+        for row, alt in zip(table, alts):
+            for res, psi in zip(row, psis):
+                ref = oracles.compare_reference(simulate, base, alt, psi,
+                                                self.GRID, self.N_PATHS, 41, 1)
+                assert (res.mean_base, res.mean_alt, res.diff,
+                        res.stderr) == ref[:4]
+                assert res.passed is (ref[4] if res.status == "tested" else None)
+                assert (res.n_paths, res.seed) == (self.N_PATHS, 41)
 
 
 class TestChunkWidthChangesNoBits(TestOnePassMatchesTheLoops):
