@@ -546,7 +546,7 @@ class FeedbackControl(ControlProcess):
     @cached_property
     def _field(self) -> np.ndarray:    # once per control, not per driver
         from .gheat import feedback_field  # local import: gheat depends on core
-        return feedback_field(self.surface)
+        return feedback_field(self.surface)     # mask: curvature >= 0
 
     def make_driver(self, time_grid: TimeGrid, n_paths: int) -> Callable:
         surf = self.surface
@@ -554,7 +554,7 @@ class FeedbackControl(ControlProcess):
             raise UsageError(
                 "feedback surface covers a shorter horizon than the simulation"
             )
-        field_vals = self._field
+        mask, lo, hi = self._field, surf.band.sigma_lo, surf.band.sigma_hi
         sg = surf.space_grid
         sdt = surf.time_grid.dt
         n_rows = surf.time_grid.n_steps
@@ -571,7 +571,7 @@ class FeedbackControl(ControlProcess):
                     f"path reached {worst!r}, outside the feedback surface grid "
                     f"[{sg.x_min}, {sg.x_max}]; enlarge the surface domain"
                 )
-            return field_vals[row, cols]
+            return np.where(mask[row, cols], hi, lo)    # sign_vol's floats
 
         return driver
 

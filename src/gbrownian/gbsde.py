@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -207,13 +208,16 @@ def _check_driver_stability(problem: GBSDEProblem, dt: float, dx: float) -> None
 
 @dataclass(frozen=True, eq=False)
 class GBSDESolution:
-    """Solved backward surface with its derivative field."""
+    """Solved backward surface; its derivative field is derived on first read."""
 
     problem: GBSDEProblem
     time_grid: TimeGrid
     space_grid: SpaceGrid
     y_values: np.ndarray     # (n_steps + 1, n_points), row i at time t_i
-    z_values: np.ndarray     # same shape, D_x of y
+
+    @cached_property
+    def z_values(self) -> np.ndarray:     # same shape, D_x of y
+        return gradient(self.y_values, self.space_grid.dx)
 
     def y_surface(self) -> ValueSurface:
         return ValueSurface(self.problem.band, self.time_grid, self.space_grid,
@@ -290,8 +294,7 @@ def solve_ppde(problem: GBSDEProblem, time_grid: TimeGrid,
     values = _march_backward(
         problem, time_grid, space_grid,
         lambda k, v: problem.driver(times[k], v, gradient(v, dx)))
-    return GBSDESolution(problem, time_grid, space_grid, values,
-                         gradient(values, dx))
+    return GBSDESolution(problem, time_grid, space_grid, values)
 
 
 def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -315,8 +318,7 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
         values = new_values
         if delta <= 1e-10:
             break
-    return (GBSDESolution(problem, time_grid, space_grid, values,
-                          gradient(values, dx)),
+    return (GBSDESolution(problem, time_grid, space_grid, values),
             iterations, delta)
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GParams, SpaceGrid, TimeGrid, _g_inplace, g_value, sign_vol
+from .core import GParams, SpaceGrid, TimeGrid, _g_inplace, g_value
 from .errors import ConfigurationError, ExtrapolationError, UsageError
 
 
@@ -392,19 +392,18 @@ _FIELD_BLOCK_BYTES = 1024 * 1024
 
 
 def feedback_field(surface: ValueSurface) -> np.ndarray:
-    """Bang-bang volatility field sign_vol(curvature) on the surface grid.
+    """Bang-bang field as a mask, true where ``curvature >= 0``: mapped by
+    ``np.where(mask, sigma_hi, sigma_lo)`` it is ``sign_vol(curvature)``.
 
-    Values are exactly sigma_lo or sigma_hi everywhere; edge columns copy
-    their interior neighbour since curvature is not defined there.  The
-    curvature and the selector act row by row, so the field is filled in
-    blocks of about ``_FIELD_BLOCK_BYTES`` of rows: the only temporaries
-    are one block's curvature and mask, never a surface-sized one.
+    Edge columns copy their interior neighbour since curvature is not
+    defined there.  The mask is filled in row blocks of about
+    ``_FIELD_BLOCK_BYTES``: the only temporary is one block's curvature.
     """
     u, dx = surface.values, surface.space_grid.dx
-    out = np.empty(u.shape)
+    out = np.empty(u.shape, dtype=bool)
     step = max(1, _FIELD_BLOCK_BYTES // (8 * u.shape[-1]))
     for r0 in range(0, len(u), step):
-        out[r0:r0 + step] = sign_vol(surface.band, curvature(u[r0:r0 + step], dx))
+        out[r0:r0 + step] = curvature(u[r0:r0 + step], dx) >= 0.0
     return out
 
 

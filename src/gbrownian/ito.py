@@ -32,7 +32,7 @@ from .core import (CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value
 from .errors import DomainError, ExtrapolationError, UsageError
 from .gexp import conditional_frames
 from .gheat import FramePoints, curvature, gradient
-from .mc import PathBundle, _path_blocks, _simulate_reduce
+from .mc import PathBundle, _path_blocks, _qv_steps, _simulate_reduce
 
 # Frames per block of along-path evaluation: the scratch is about
 # 5 * _BLOCK_FRAMES rows of n_paths values, the three fields' rows
@@ -188,11 +188,14 @@ def _k_steps(varsigma, qv_lo, qv_hi, bundle: PathBundle) -> np.ndarray:
 class ItoDecomposition:
     """Pathwise pieces of a conditional-value process on one bundle."""
 
-    initial: float
     m_paths: np.ndarray     # conditional value along paths, (n_paths, n+1)
     z_paths: np.ndarray     # integrand of the martingale part, (n_paths, n+1)
     k_paths: np.ndarray     # non-increasing remainder, (n_paths, n+1)
     bundle: PathBundle
+
+    @property
+    def initial(self) -> float:     # every path starts at the origin
+        return float(self.m_paths[0, 0])
 
     def residuals(self) -> np.ndarray:
         """Per-path max absolute gap between m and its reconstruction
@@ -235,13 +238,13 @@ def eval_on_paths(frames, bundle: PathBundle, columns_at,
     shared by its fields.  K accumulates inside the walk: node j + 1 holds
     node j's value plus :func:`k_ledger`'s step for half frame j's
     curvature, added in ``cumsum``'s order, so K is bitwise
-    ``k_ledger(0.5 * curvature)`` and no node-shaped curvature exists.  A
-    block of ``_BLOCK_FRAMES`` frames is evaluated into time-major scratch
-    and then written into the outputs' columns: the peak is the three
-    outputs plus ``O(_BLOCK_FRAMES * n_rows)`` scratch, whatever the
-    bundle's length.
+    ``k_ledger(0.5 * curvature)`` and no node-shaped curvature exists; the
+    qv ledger is carried likewise from each block's levels.  A block of
+    ``_BLOCK_FRAMES`` frames is evaluated into time-major scratch and then
+    written into the outputs' columns: the peak is the three outputs plus
+    ``O(_BLOCK_FRAMES * n_rows)`` scratch, whatever the bundle's length.
     """
-    b_paths, qv_paths = bundle.b_paths[rows], bundle.qv_paths[rows]
+    b_paths, h = bundle.b_paths[rows], bundle.control_paths[rows]
     (n_paths, n_nodes), n = b_paths.shape, len(frames)
     if n != n_nodes:
         raise UsageError(f"{n} frames for a bundle of {n_nodes} nodes")
@@ -249,12 +252,12 @@ def eval_on_paths(frames, bundle: PathBundle, columns_at,
     width = max(1, min(n, _BLOCK_FRAMES))
     block = np.empty((3, width, n_paths))
     half = np.empty(n_paths)
-    k_run = None                # K at the current node, once past node 0
-    dx = space_grid.dx
+    qv, k_run = 0.0, None       # the ledger and K at the current node
+    dx, dt = space_grid.dx, bundle.time_grid.dt
     for j0 in range(0, n, width):
         j1 = min(n, j0 + width)
         current = np.ascontiguousarray(b_paths[:, j0:j1].T)
-        qv = np.ascontiguousarray(qv_paths[:, j0:j1 + 1].T)
+        qv_steps = _qv_steps(np.ascontiguousarray(h[:, j0:j1].T), dt)
         for j in range(j0, j1):
             frame = frames[j]
             at = FramePoints(space_grid, [
@@ -267,8 +270,9 @@ def eval_on_paths(frames, bundle: PathBundle, columns_at,
             if j + 1 < n:
                 at(curvature(frame, dx), out=half)
                 half *= 0.5
-                step = _k_steps(half, qv[j - j0], qv[j + 1 - j0], bundle)
                 # cumsum's order: K_1 is step 0 itself, then K_j + step j
+                qv, qv_lo = qv + qv_steps[j - j0], qv
+                step = _k_steps(half, qv_lo, qv, bundle)
                 k_run = step if k_run is None else np.add(k_run, step, out=k_run)
         for out, fresh in zip(fields, block):
             out[:, j0:j1] = fresh[:j1 - j0].T
@@ -305,10 +309,8 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
             observed = observed[:-1]
         return observed + [j]
 
-    m_paths, z_paths, k_paths = eval_on_paths(frames, bundle, columns_at,
-                                              space_grid)
-    # every path starts at 0, so column 0 holds the value at the origin
-    return ItoDecomposition(float(m_paths[0, 0]), m_paths, z_paths, k_paths, bundle)
+    return ItoDecomposition(*eval_on_paths(frames, bundle, columns_at,
+                                           space_grid), bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,8 @@ usable CPU, one worker thread draws unit u + 1 into a second buffer while
 the main thread marches unit u.  Every generator is drawn by one thread at
 a time and always in unit order, so every normal is the serial pass's,
 whatever the timing.
-The accumulated variance is carried alongside the path exactly as
-``sum h_k^2 dt`` — the simulation's quadratic-variation ledger, which
-stays inside the band's bounds pathwise by construction.
+The quadratic-variation ledger ``sum h_k^2 dt``, inside the band's bounds
+pathwise by construction, is derived from the recorded levels when read.
 
 The perturbation tools rewrite an m-block self-dependent control on dyadic
 sub-blocks while preserving each block's exact squared-level budget; the
@@ -36,6 +35,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -64,50 +64,44 @@ def _philox(seed: int, stream: int = 0) -> np.random.Generator:
 
 @dataclass(frozen=True, eq=False)
 class PathBundle:
-    """Simulated paths plus their control and quadratic-variation ledgers.
+    """Simulated paths plus their control levels.
 
-    Shapes: ``b_paths`` and ``qv_paths`` are ``(n_paths, n_steps + 1)``,
-    ``control_paths`` is ``(n_paths, n_steps)`` (level applied on each
-    step).  Construction re-verifies the defining invariants: paths start
-    at zero, levels sit inside the band, and the qv ledger is exactly the
-    running sum of ``h^2 dt`` (recomputed with the same accumulation the
-    simulator used, so the comparison is bitwise).  The levels are
-    checked, and the ledger rebuilt and compared, one path block of about
-    ``_PATH_BLOCK_BYTES`` at a time: the checks hold block-sized
-    temporaries only, never a second bundle-sized array.
+    Shapes: ``b_paths`` is ``(n_paths, n_steps + 1)``, ``control_paths``
+    ``(n_paths, n_steps)`` (level applied on each step).  Construction
+    checks that paths start at zero and, one path block of about
+    ``_PATH_BLOCK_BYTES`` at a time, that levels sit inside the band.  The
+    qv ledger ``qv_paths`` is derived from the levels on first read.
     """
 
     band: GParams
     time_grid: TimeGrid
     b_paths: np.ndarray
-    qv_paths: np.ndarray
     control_paths: np.ndarray
     seed: int
 
     def __post_init__(self) -> None:
         n_paths, n_nodes = self.b_paths.shape
         n = self.time_grid.n_steps
-        if n_nodes != n + 1 or self.qv_paths.shape != (n_paths, n + 1) \
-                or self.control_paths.shape != (n_paths, n):
+        if n_nodes != n + 1 or self.control_paths.shape != (n_paths, n):
             raise UsageError("bundle arrays inconsistent with the time grid")
-        if np.any(self.b_paths[:, 0] != 0.0) or np.any(self.qv_paths[:, 0] != 0.0):
-            raise UsageError("paths and qv ledgers must start at zero")
-        blocks = _path_blocks(n_paths, n_nodes)
+        if np.any(self.b_paths[:, 0] != 0.0):
+            raise UsageError("paths must start at zero")
         if not all(np.all(self.band.contains_level(self.control_paths[rows],
-                                                   tol=1e-12)) for rows in blocks):
+                                                   tol=1e-12))
+                   for rows in _path_blocks(n_paths, n_nodes)):
             raise DomainError("recorded control levels leave the band")
-        for rows in blocks:
-            rebuilt = _qv_ledger(self.control_paths[rows], self.time_grid.dt)
-            if not np.array_equal(rebuilt, self.qv_paths[rows]):
-                raise UsageError("qv ledger does not equal the running sum h^2 dt")
 
     @property
     def n_paths(self) -> int:
         return self.b_paths.shape[0]
 
+    @cached_property
+    def qv_paths(self) -> np.ndarray:
+        return _qv_ledger(self.control_paths, self.time_grid.dt)
+
 
 # Bytes of one node-shaped path block: the unit in which the along-path
-# checks (the ledger check above, ``ito`` and ``gbsde``'s residuals) hold
+# checks (the level check above, ``ito`` and ``gbsde``'s residuals) hold
 # their temporaries, so their scratch stays fixed whatever the path count.
 _PATH_BLOCK_BYTES = 8 * 1024 * 1024
 
@@ -121,10 +115,14 @@ def _path_blocks(n_paths: int, n_nodes: int) -> list:
     return [slice(p0, min(p0 + rows, n_paths)) for p0 in range(0, n_paths, rows)]
 
 
+def _qv_steps(levels: np.ndarray, dt: float) -> np.ndarray:
+    steps = levels * levels     # out of place: ``levels`` may be a view
+    steps *= dt                 # (h * h) * dt
+    return steps
+
+
 def _qv_ledger(control_paths: np.ndarray, dt: float) -> np.ndarray:
-    steps = control_paths * control_paths
-    steps *= dt         # (h * h) * dt, one node-shaped temporary
-    return running_sum(steps)
+    return running_sum(_qv_steps(control_paths, dt))
 
 
 @dataclass(frozen=True)
@@ -217,9 +215,7 @@ def _run_euler(control: ControlProcess, time_grid: TimeGrid,
     if z.ndim != 2 or z.shape[1] != time_grid.n_steps:
         raise UsageError("normal matrix does not match the time grid")
     b, h = _march(control, time_grid, z.T)
-    del z       # a caller's temporary normals are freed before the ledger
-    return PathBundle(control.band, time_grid, b, _qv_ledger(h, time_grid.dt),
-                      h, seed)
+    return PathBundle(control.band, time_grid, b, h, seed)
 
 
 def simulate(control: ControlProcess, time_grid: TimeGrid, n_paths: int,
@@ -494,7 +490,7 @@ def qv_band_violation(bundle: PathBundle) -> float:
     Returns the largest gap found (0.0 = bounds hold pathwise).
     """
     dt = bundle.time_grid.dt
-    gains = bundle.control_paths * bundle.control_paths * dt
+    gains = _qv_steps(bundle.control_paths, dt)
     lo_step = bundle.band.var_lo * dt
     hi_step = bundle.band.var_hi * dt
     worst = max(0.0, float(np.max(lo_step - gains)),

@@ -378,7 +378,7 @@ class TestPathsAndResiduals:
         y_bad = good.y_values.copy()
         y_bad[:800] += 1.0
         bad = GBSDESolution(good.problem, good.time_grid, good.space_grid,
-                            y_bad, good.z_values)
+                            y_bad)
         bundle = self.lo_bundle(n_steps=64, n_paths=64)
         report = equivalence_check(bad, bundle)
         assert not report.pde_ok

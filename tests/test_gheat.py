@@ -377,20 +377,18 @@ class TestDerivativeFields:
 
 class TestFeedbackField:
     def test_convex_payoff_runs_at_the_top(self, square_surface):
-        field = feedback_field(square_surface)
-        np.testing.assert_array_equal(field, 2.0)
+        np.testing.assert_array_equal(feedback_field(square_surface), True)
 
     def test_concave_payoff_runs_at_the_bottom(self):
         surf = solve_gheat(lambda x: -x * x, BAND, TIME, SPACE)
-        np.testing.assert_array_equal(feedback_field(surf), 1.0)
+        np.testing.assert_array_equal(feedback_field(surf), False)
 
     def test_tent_field_follows_the_curvature_sign(self, butterfly_surface):
-        field = feedback_field(butterfly_surface)
-        assert set(np.unique(field)) == {1.0, 2.0}
+        mask = feedback_field(butterfly_surface)
+        assert mask.dtype == bool and mask.any() and not mask.all()
         v = butterfly_surface.values
         second = v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]
-        want = np.where(second >= 0.0, 2.0, 1.0)
-        np.testing.assert_array_equal(field[:, 1:-1], want)
+        np.testing.assert_array_equal(mask[:, 1:-1], second >= 0.0)
 
     @pytest.mark.parametrize("rows", [None, 1, 7])
     def test_row_blocks_change_no_bits(self, butterfly_surface, rows,
@@ -398,10 +396,13 @@ class TestFeedbackField:
         if rows is not None:
             monkeypatch.setattr(gheat, "_FIELD_BLOCK_BYTES",
                                 8 * SPACE.n_points * rows)
-        whole = sign_vol(BAND, gheat.curvature(butterfly_surface.values,
-                                               SPACE.dx))
-        field = feedback_field(butterfly_surface)
-        assert field.dtype == whole.dtype and np.array_equal(field, whole)
+        c = gheat.curvature(butterfly_surface.values, SPACE.dx)
+        mask = feedback_field(butterfly_surface)
+        assert mask.dtype == bool and np.array_equal(mask, c >= 0.0)
+        # mapped as the feedback driver maps it: sign_vol's floats, bitwise
+        levels = np.where(mask, BAND.sigma_hi, BAND.sigma_lo)
+        whole = sign_vol(BAND, c)
+        assert levels.dtype == whole.dtype and np.array_equal(levels, whole)
 
     def test_peak_is_the_field_plus_one_blocks_scratch(
             self, butterfly_surface, monkeypatch):
@@ -413,9 +414,9 @@ class TestFeedbackField:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one block's scratch: its curvature, the stencil's temporaries and
-        # the selector's mask and output, at most five block-sized arrays;
-        # the whole-surface field peaked at the field plus two surfaces
+        # one block's scratch: its curvature and the stencil's temporaries,
+        # at most five block-sized arrays; the whole-surface field peaked at
+        # the field plus two surfaces
         assert peak <= field.nbytes + 5 * block, (peak, field.nbytes)
 
 

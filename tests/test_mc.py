@@ -22,6 +22,7 @@ from gbrownian import (
     CylinderFunctional,
     DomainError,
     FeedbackControl,
+    GBSDEProblem,
     GParams,
     PerturbationSchedule,
     SelfDependentControl,
@@ -30,6 +31,7 @@ from gbrownian import (
     TimeGrid,
     UsageError,
     block_budget_gap,
+    gbsde_residual,
     identify_drift,
     k_process,
     marginal_match_table,
@@ -40,6 +42,7 @@ from gbrownian import (
     qv_band_violation,
     simulate,
     solve_gheat,
+    solve_ppde,
     sup_over_controls,
     sup_over_controls_table,
 )
@@ -171,34 +174,23 @@ class TestTimeMajorEngine:
 
 
 class TestPathBundleValidation:
-    def test_rejects_tampered_qv_ledger(self):
-        src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
-        qv = src.qv_paths.copy()
-        qv[0, -1] += 1e-9
-        with pytest.raises(UsageError):
-            PathBundle(BAND, GRID, src.b_paths, qv, src.control_paths, 3)
-
     def test_rejects_out_of_band_controls(self):
         src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
         h = src.control_paths.copy()
         h[1, 10] = 2.5
         with pytest.raises(DomainError):
-            PathBundle(BAND, GRID, src.b_paths, src.qv_paths, h, 3)
+            PathBundle(BAND, GRID, src.b_paths, h, 3)
 
     def test_rejects_a_tampered_last_path_block(self, monkeypatch):
         # the checks run in blocks of 3 paths: path 3 of 4 is alone in the
         # last one
         monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * (GRID.n_steps + 1) * 3)
         src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
-        PathBundle(BAND, GRID, src.b_paths, src.qv_paths, src.control_paths, 3)
-        qv = src.qv_paths.copy()
-        qv[3, -1] += 1e-9
-        with pytest.raises(UsageError):
-            PathBundle(BAND, GRID, src.b_paths, qv, src.control_paths, 3)
+        PathBundle(BAND, GRID, src.b_paths, src.control_paths, 3)
         h = src.control_paths.copy()
         h[3, 10] = 2.5
         with pytest.raises(DomainError):
-            PathBundle(BAND, GRID, src.b_paths, src.qv_paths, h, 3)
+            PathBundle(BAND, GRID, src.b_paths, h, 3)
 
     def test_checks_hold_block_sized_temporaries(self, monkeypatch):
         # blocks of 32 paths; a whole-bundle check would hold two more
@@ -210,9 +202,8 @@ class TestPathBundleValidation:
                            n_paths, seed=3)
             tracemalloc.start()
             try:
-                PathBundle(BAND, GRID, src.b_paths, src.qv_paths,
-                           src.control_paths, 3)
-                return tracemalloc.get_traced_memory()[1], src.qv_paths.nbytes
+                PathBundle(BAND, GRID, src.b_paths, src.control_paths, 3)
+                return tracemalloc.get_traced_memory()[1], src.b_paths.nbytes
             finally:
                 tracemalloc.stop()
 
@@ -225,7 +216,52 @@ class TestPathBundleValidation:
         b = src.b_paths.copy()
         b[2, 0] = 0.1
         with pytest.raises(UsageError):
-            PathBundle(BAND, GRID, b, src.qv_paths, src.control_paths, 3)
+            PathBundle(BAND, GRID, b, src.control_paths, 3)
+
+
+class TestLedgerIsBuiltOnlyWhenRead:
+    """The qv ledger is derived from the levels on first read: passes and
+    walks that never read it build none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counting(control_paths, dt):
+            calls.append(len(control_paths))
+            return _qv_ledger(control_paths, dt)
+
+        monkeypatch.setattr(mc, "_qv_ledger", counting)
+        return calls
+
+    def test_the_sup_table_builds_none(self, builds):
+        sup_over_controls_table(xi_terminal_square(), [
+            ConstantControl(band=BAND, level=1.0),
+            ConstantControl(band=BAND, level=2.0)], GRID, 200, seed=5)
+        assert builds == []
+
+    def test_the_martingale_test_builds_one_per_control_and_chunk(
+            self, builds, monkeypatch):
+        monkeypatch.setattr(mc, "_CHUNK_BYTES", 8 * GRID.n_steps * 100)
+        family = [ConstantControl(band=BAND, level=1.0),
+                  ConstantControl(band=BAND, level=2.0)]
+        martingale_test(lambda b: k_process(1.0, b), family, [(0.0, 1.0)],
+                        GRID, 300, seed=5)
+        # three chunks of 100 paths, each read once by each control
+        assert builds == [100] * 6
+
+    def test_the_walks_build_none(self, builds):
+        problem = GBSDEProblem(
+            CylinderFunctional(times=(1.0,), payoff=lambda x: x * x,
+                               lipschitz_bound=12.0, value_bound=36.0),
+            lambda t, y, z: -0.1 * y, BAND, driver_lipschitz=0.1)
+        solution = solve_ppde(problem, TimeGrid(1.0, 2560),
+                              SpaceGrid(-6.0, 6.0, 121))
+        bundle = simulate(ConstantControl(band=BAND, level=1.0),
+                          TimeGrid(1.0, 64), 50, seed=5)
+        gbsde_residual(solution, bundle)
+        solution.paths_view(bundle)
+        assert builds == []
 
 
 class TestMcExpectation:
@@ -708,8 +744,7 @@ class TestQvBandAudit:
         h = np.full((48, 8), 1.5)
         h[3, 5] = 2.0 + 5e-13       # exact layer (path < 32) and float layer
         h[40, 2] = 1.0 - 5e-13      # float layer only
-        bundle = PathBundle(BAND, grid, np.zeros((48, 9)),
-                            _qv_ledger(h, grid.dt), h, seed=0)
+        bundle = PathBundle(BAND, grid, np.zeros((48, 9)), h, seed=0)
         gap = qv_band_violation(bundle)
         assert gap > 0.0
         assert gap == self.reference(bundle)
