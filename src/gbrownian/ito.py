@@ -35,8 +35,8 @@ from .gheat import FramePoints, curvature, gradient
 from .mc import PathBundle, _path_blocks, _qv_steps, _simulate_reduce
 
 # Frames per block of along-path evaluation: the scratch is about
-# 5 * _BLOCK_FRAMES rows of n_paths values, the three fields' rows
-# transposed into the outputs once per block.
+# 5 * _BLOCK_FRAMES rows of n_paths values.  A simulated bundle's blocks
+# are read in place (time-major already); a path slice's are gathered.
 _BLOCK_FRAMES = 32
 
 # ---------------------------------------------------------------------------
@@ -129,15 +129,13 @@ def step_values_on_grid(breaks, values, time_grid: TimeGrid) -> np.ndarray:
 
 
 def _integrand_on_grid(integrand, bundle: PathBundle) -> np.ndarray:
-    """Normalise the accepted integrand forms to per-step columns."""
+    """The accepted integrand forms as a scalar, one value per step or one
+    row per path: arrays that broadcast against the steps, kept compact."""
     n = bundle.time_grid.n_steps
     if isinstance(integrand, tuple) and len(integrand) == 2:
-        return np.broadcast_to(step_values_on_grid(*integrand, bundle.time_grid),
-                               (bundle.n_paths, n))
+        return step_values_on_grid(*integrand, bundle.time_grid)
     arr = np.asarray(integrand, dtype=float)
-    if arr.ndim == 0 or arr.shape == (n,):
-        return np.broadcast_to(arr, (bundle.n_paths, n))
-    if arr.shape == (bundle.n_paths, n):
+    if arr.ndim == 0 or arr.shape == (n,) or arr.shape == (bundle.n_paths, n):
         return arr
     raise UsageError("integrand must be scalar, (breaks, values), (n_steps,), "
                      "or (n_paths, n_steps)")
@@ -158,9 +156,10 @@ def k_ledger(varsigma: np.ndarray, bundle: PathBundle) -> np.ndarray:
     """Running sum of ``varsigma dqv - 2 G(varsigma) dt``, one column per step.
 
     Given half the curvature c this is ``0.5 c dqv - G(c) dt`` bitwise.
-    Whole-array: the peak is ``varsigma``, the node-shaped result and two
-    step-shaped temporaries.  Along paths, :func:`eval_on_paths` adds the
-    same steps node by node instead and holds no such array.
+    Whole-array: the peak is ``varsigma``, the node-shaped result and one
+    step-shaped temporary (two if ``varsigma`` has one row per path).
+    Along paths, :func:`eval_on_paths` adds the same steps node by node
+    instead and holds no such array.
     """
     return running_sum(_k_steps(varsigma, bundle.qv_paths[..., :-1],
                                 bundle.qv_paths[..., 1:], bundle))
@@ -170,14 +169,13 @@ def _k_steps(varsigma, qv_lo, qv_hi, bundle: PathBundle) -> np.ndarray:
     """K's increments ``varsigma (qv_hi - qv_lo) - 2 G(varsigma) dt`` in a
     new array: the one home of K's step, for whole ledgers and for the
     walk's single nodes alike.  Rounded as
-    ``(-2.0 * G * dt) + varsigma * dqv``, in place after G."""
+    ``(-2.0 * G * dt) + varsigma * dqv``, with G on ``varsigma`` as given."""
     steps = g_value(bundle.band, varsigma)
     steps *= -2.0
     steps *= bundle.time_grid.dt
     gain = np.subtract(qv_hi, qv_lo)
     gain *= varsigma
-    steps += gain
-    return steps
+    return np.add(steps, gain, out=gain)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +238,11 @@ def eval_on_paths(frames, bundle: PathBundle, columns_at,
     curvature, added in ``cumsum``'s order, so K is bitwise
     ``k_ledger(0.5 * curvature)`` and no node-shaped curvature exists; the
     qv ledger is carried likewise from each block's levels.  A block of
-    ``_BLOCK_FRAMES`` frames is evaluated into time-major scratch and then
-    written into the outputs' columns: the peak is the three outputs plus
-    ``O(_BLOCK_FRAMES * n_rows)`` scratch, whatever the bundle's length.
+    ``_BLOCK_FRAMES`` frames reads time-major rows of paths and levels (in
+    place on a simulated bundle's whole paths), is evaluated into
+    time-major scratch and then written into the outputs' columns: the
+    peak is the three outputs plus ``O(_BLOCK_FRAMES * n_rows)`` scratch,
+    whatever the bundle's length.
     """
     b_paths, h = bundle.b_paths[rows], bundle.control_paths[rows]
     (n_paths, n_nodes), n = b_paths.shape, len(frames)

@@ -10,8 +10,8 @@ cannot be reached by advancing the counter a fixed amount; what does hold
 is that consecutive draws continue one stream, so drawing the rows in path
 chunks reproduces the single big draw bit for bit.  The engine uses that
 to march time-major: normals, paths and levels live in
-``(n_steps, n_paths)`` buffers whose rows are contiguous, and the finished
-paths and levels are transposed once into the path-major bundle arrays.
+``(n_steps, n_paths)`` buffers whose rows are contiguous, and the bundle
+keeps the path and level buffers, read path-major through their transposes.
 The Monte Carlo pass marches path chunks of about ``_CHUNK_BYTES`` of
 normals, drawn once per stream and chunk and shared by every control on
 that stream: O(chunk x n_steps) memory at any n_paths.  Its draws form one
@@ -67,10 +67,11 @@ class PathBundle:
     """Simulated paths plus their control levels.
 
     Shapes: ``b_paths`` is ``(n_paths, n_steps + 1)``, ``control_paths``
-    ``(n_paths, n_steps)`` (level applied on each step).  Construction
-    checks that paths start at zero and, one path block of about
-    ``_PATH_BLOCK_BYTES`` at a time, that levels sit inside the band.  The
-    qv ledger ``qv_paths`` is derived from the levels on first read.
+    ``(n_paths, n_steps)`` (level applied on each step), in any layout:
+    simulated bundles hold the engine's time-major buffers, transposed.
+    Construction checks the zero start and the band on the levels with
+    whole-array min and max, which need no scratch.  The qv ledger
+    ``qv_paths`` is derived from the levels on first read.
     """
 
     band: GParams
@@ -84,11 +85,12 @@ class PathBundle:
         n = self.time_grid.n_steps
         if n_nodes != n + 1 or self.control_paths.shape != (n_paths, n):
             raise UsageError("bundle arrays inconsistent with the time grid")
-        if np.any(self.b_paths[:, 0] != 0.0):
+        # an ``initial`` lets an empty bundle pass; NaN fails every test
+        start, h = self.b_paths[:, 0], self.control_paths
+        if not np.min(start, initial=0.0) == 0.0 == np.max(start, initial=0.0):
             raise UsageError("paths must start at zero")
-        if not all(np.all(self.band.contains_level(self.control_paths[rows],
-                                                   tol=1e-12))
-                   for rows in _path_blocks(n_paths, n_nodes)):
+        if not (np.min(h, initial=np.inf) >= self.band.sigma_lo - 1e-12
+                and np.max(h, initial=-np.inf) <= self.band.sigma_hi + 1e-12):
             raise DomainError("recorded control levels leave the band")
 
     @property
@@ -101,8 +103,8 @@ class PathBundle:
 
 
 # Bytes of one node-shaped path block: the unit in which the along-path
-# checks (the level check above, ``ito`` and ``gbsde``'s residuals) hold
-# their temporaries, so their scratch stays fixed whatever the path count.
+# checks (``ito`` and ``gbsde``'s residuals) hold their temporaries, so
+# their scratch stays fixed whatever the path count.
 _PATH_BLOCK_BYTES = 8 * 1024 * 1024
 
 
@@ -182,7 +184,8 @@ def _usable_cpus() -> int:
 
 def _march(control: ControlProcess, time_grid: TimeGrid,
            zt: np.ndarray) -> tuple:
-    """Time-major Euler march; returns path-major ``(b_paths, control_paths)``.
+    """Time-major Euler march; returns ``(b_paths, control_paths)`` as
+    transposed views of the buffers it marched.
 
     ``zt`` holds the normals as ``(n_steps, n_paths)``.  Every step reads
     and writes whole contiguous rows.  Drivers see the history through a
@@ -203,10 +206,7 @@ def _march(control: ControlProcess, time_grid: TimeGrid,
         np.multiply(ht[k], sqdt, out=bt[k + 1])
         bt[k + 1] *= zt[k]
         bt[k + 1] += bt[k]
-    del hist, driver            # no view of bt may outlive the transpose
-    b = np.ascontiguousarray(bt.T)
-    del bt
-    return b, np.ascontiguousarray(ht.T)
+    return bt.T, ht.T
 
 
 def _run_euler(control: ControlProcess, time_grid: TimeGrid,
@@ -481,11 +481,11 @@ def qv_band_violation(bundle: PathBundle) -> float:
     so the audit runs in exact rational arithmetic on the first 32 paths:
     in exact arithmetic the all-windows statement collapses to the per-step
     statement (prefix sums minus ``j*bound*dt`` are monotone iff each step
-    gain is in band), which is checked term by term.  On *all* paths the float layer is checked too: rounding is
+    gain is in band), which is checked term by term.  On *all* paths the
+    float layer is checked too, on the least and greatest gain: rounding is
     monotone, so an in-band ``h`` forces ``fl(fl(h*h)*dt)`` into
-    ``[fl(var_lo*dt), fl(var_hi*dt)]`` — also tolerance-free.  (Differences
-    of the float cumulative ledger itself may sit an ulp off the exact
-    sums; that is a representation artifact, not a bound violation.)
+    ``[fl(var_lo*dt), fl(var_hi*dt)]``.  (The float ledger's differences may
+    sit an ulp off the exact sums: an artifact, not a bound violation.)
 
     Returns the largest gap found (0.0 = bounds hold pathwise).
     """
@@ -493,8 +493,8 @@ def qv_band_violation(bundle: PathBundle) -> float:
     gains = _qv_steps(bundle.control_paths, dt)
     lo_step = bundle.band.var_lo * dt
     hi_step = bundle.band.var_hi * dt
-    worst = max(0.0, float(np.max(lo_step - gains)),
-                float(np.max(gains - hi_step)))
+    worst = max(0.0, float(lo_step - np.min(gains)),
+                float(np.max(gains) - hi_step))
 
     dt_f = Fraction(bundle.time_grid.horizon) / bundle.time_grid.n_steps
     lo_f = Fraction(bundle.band.sigma_lo) ** 2 * dt_f

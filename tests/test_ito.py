@@ -24,6 +24,7 @@ from gbrownian import (
     TimeGrid,
     UsageError,
     conditional_frames,
+    g_value,
     identify_drift,
     k_process,
     martingale_decomposition,
@@ -158,6 +159,35 @@ class TestKProcess:
         per_step = np.ones(GRID.n_steps)
         np.testing.assert_array_equal(k_process(1.0, bundle),
                                       k_process(per_step, bundle))
+
+    @staticmethod
+    def compact_forms(n_paths):
+        step = ((0.0, 0.25, 1.0), (-1.5, 0.75))
+        per_step = np.random.default_rng(137).normal(size=GRID.n_steps)
+        shape = (n_paths, GRID.n_steps)
+        return [(1.0, np.full(shape, 1.0)),
+                (per_step, np.tile(per_step, (n_paths, 1))),
+                (step, np.tile(ito.step_values_on_grid(*step, GRID), (n_paths, 1)))]
+
+    def test_compact_forms_are_the_explicit_array_bitwise(self):
+        bundle = simulate(StepControl(band=BAND, breaks=(0.0, 0.5, 1.0),
+                                      levels=(1.25, 1.75)), GRID, 24, seed=139)
+        for compact, explicit in self.compact_forms(24):
+            got, want = k_process(compact, bundle), k_process(explicit, bundle)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_compact_forms_take_g_once_per_value(self, monkeypatch):
+        sizes = []
+
+        def counting(band, a):
+            sizes.append(np.size(a))
+            return g_value(band, a)
+
+        monkeypatch.setattr(ito, "g_value", counting)
+        bundle = lo_bundle(24)
+        for compact, _ in self.compact_forms(24):
+            k_process(compact, bundle)
+        assert len(sizes) == 3 and max(sizes) <= GRID.n_steps, sizes
 
     def test_half_curvature_gives_the_decomposition_ledger(self):
         # K = 0.5 c dqv - G(c) dt summed, as the decompositions book it;

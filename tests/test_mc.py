@@ -36,13 +36,18 @@ from gbrownian import (
     k_process,
     marginal_match_table,
     marginal_match_test,
+    martingale_decomposition,
     martingale_test,
     mc_expectation,
     perturb_control,
+    qn_integrand,
+    qn_quadratic_variation,
     qv_band_violation,
+    realized_qv,
     simulate,
     solve_gheat,
     solve_ppde,
+    stochastic_integral,
     sup_over_controls,
     sup_over_controls_table,
 )
@@ -169,8 +174,9 @@ class TestTimeMajorEngine:
             assert np.array_equal(bundle.b_paths, b), control.kind
             assert np.array_equal(bundle.qv_paths, qv), control.kind
             assert np.array_equal(bundle.control_paths, h), control.kind
-            assert bundle.b_paths.flags.c_contiguous
-            assert bundle.control_paths.flags.c_contiguous
+            # the bundle holds the engine's time-major buffers, uncopied
+            assert bundle.b_paths.T.flags.c_contiguous
+            assert bundle.control_paths.T.flags.c_contiguous
 
 
 class TestPathBundleValidation:
@@ -217,6 +223,40 @@ class TestPathBundleValidation:
         b[2, 0] = 0.1
         with pytest.raises(UsageError):
             PathBundle(BAND, GRID, b, src.control_paths, 3)
+
+    # the engine's time-major layout, and a path-major copy of it
+    LAYOUTS = [np.asfortranarray, np.ascontiguousarray]
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("where, value", [
+        ((0, 0), 2.5), ((-1, -1), 2.5), ((0, 0), 0.5), ((-1, -1), 0.5),
+        ((0, 0), np.nan), ((-1, -1), np.nan), ((1, 7), np.nan)])
+    def test_rejects_a_tampered_level_at_either_end(self, layout, where, value):
+        src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
+        h = layout(src.control_paths)
+        h[where] = value
+        with pytest.raises(DomainError):
+            PathBundle(BAND, GRID, layout(src.b_paths), h, 3)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_rejects_a_nan_start(self, layout):
+        src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
+        b = layout(src.b_paths)
+        b[3, 0] = np.nan
+        with pytest.raises(UsageError, match="start at zero"):
+            PathBundle(BAND, GRID, b, layout(src.control_paths), 3)
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_accepts_a_negative_zero_start(self, layout):
+        src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
+        b = layout(src.b_paths)
+        b[1, 0] = -0.0
+        PathBundle(BAND, GRID, b, layout(src.control_paths), 3)
+
+    def test_accepts_a_bundle_of_no_paths(self):
+        bundle = PathBundle(BAND, GRID, np.empty((0, GRID.n_steps + 1)),
+                            np.empty((0, GRID.n_steps)), 3)
+        assert bundle.n_paths == 0
 
 
 class TestLedgerIsBuiltOnlyWhenRead:
@@ -748,6 +788,113 @@ class TestQvBandAudit:
         gap = qv_band_violation(bundle)
         assert gap > 0.0
         assert gap == self.reference(bundle)
+
+
+    @pytest.mark.parametrize("scale, nudge", [
+        (0.3, None), (3.0, None), (1.0, 0.97), (1.0, 1.05)])
+    def test_float_layer_is_the_elementwise_formula(self, monkeypatch, scale,
+                                                    nudge):
+        # gains pushed out of band as a whole or at one step; the levels
+        # stay in band, so the exact layer finds nothing and the gap is the
+        # float layer's alone
+        bundle = simulate(ConstantControl(band=BAND, level=1.5), GRID, 40,
+                          seed=83)
+        qv_steps = mc._qv_steps
+
+        def out_of_band(levels, dt):
+            gains = qv_steps(levels, dt) * scale
+            if nudge is not None:
+                gains[37, 300] = (BAND.var_lo if nudge < 1.0
+                                  else BAND.var_hi) * dt * nudge
+            return gains
+
+        monkeypatch.setattr(mc, "_qv_steps", out_of_band)
+        gains = out_of_band(bundle.control_paths, GRID.dt)
+        want = max(0.0, float(np.max(BAND.var_lo * GRID.dt - gains)),
+                   float(np.max(gains - BAND.var_hi * GRID.dt)))
+        assert want > 0.0
+        assert qv_band_violation(bundle).hex() == want.hex()
+
+
+class TestLayoutChangesNoBits:
+    """Every reader of a bundle gives the same bits on the engine's
+    time-major arrays and on a path-major copy of them."""
+
+    GRID = TimeGrid(1.0, 64)
+    SPACE = SpaceGrid(-10.0, 10.0, 81)
+    N_PATHS = 41
+
+    @staticmethod
+    def base():
+        return SelfDependentControl(band=BAND, rules=(
+            math.sqrt(2.5),
+            lambda inc: np.where(inc > 0.0, math.sqrt(3.25), math.sqrt(1.75))))
+
+    def controls(self):
+        return {
+            "constant": ConstantControl(band=BAND, level=1.5),
+            "step": StepControl(band=BAND, breaks=(0.0, 0.25, 1.0),
+                                levels=(2.0, 1.0)),
+            "self-dependent": self.base(),
+            "perturbed": perturb_control(self.base(), PerturbationSchedule(
+                refinement=2, alpha=0.25,
+                sub_control=ConstantControl(band=BAND, level=1.0))),
+        }
+
+    @pytest.fixture(scope="class")
+    def solution(self):
+        problem = GBSDEProblem(
+            CylinderFunctional(times=(1.0,), payoff=lambda x: x * x,
+                               lipschitz_bound=12.0, value_bound=36.0),
+            lambda t, y, z: -0.1 * y, BAND, driver_lipschitz=0.1)
+        return solve_ppde(problem, TimeGrid(1.0, 2560), SpaceGrid(-6.0, 6.0, 121))
+
+    def readings(self, bundle, solution):
+        b, n = bundle.b_paths, self.GRID.n_steps
+        xi = CylinderFunctional(times=(0.5, 1.0),
+                                payoff=lambda x, y: np.abs(y - x),
+                                lipschitz_bound=1.0, value_bound=40.0)
+        rng = np.random.default_rng(89)
+        out = {
+            "functional": mc._functional_on_paths(xi, bundle),
+            "k-scalar": k_process(1.0, bundle),
+            "k-step": k_process(((0.0, 0.5, 1.0), (1.0, -1.0)), bundle),
+            "k-per-step": k_process(rng.normal(size=n), bundle),
+            "k-per-path": k_process(rng.normal(size=(self.N_PATHS, n)), bundle),
+            "realized-qv": realized_qv(b),
+            "qn-qv": qn_quadratic_variation(b, 3),
+            "qn-integrand": qn_integrand(b, 3),
+            "integral": stochastic_integral(bundle.control_paths, b),
+            "qv-band-violation": qv_band_violation(bundle),
+            "budget-gap": block_budget_gap(bundle, self.base()),
+        }
+        dec = martingale_decomposition(xi, BAND, TimeGrid(1.0, 128),
+                                       self.SPACE, bundle)
+        out.update(m=dec.m_paths, z=dec.z_paths, k=dec.k_paths,
+                   residuals=dec.residuals())
+        out.update(zip(("y-view", "z-view", "k-view"), solution.paths_view(bundle)))
+        report = gbsde_residual(solution, bundle)
+        out.update(("report-" + f, getattr(report, f)) for f in (
+            "max_residual", "k_initial", "k_monotone", "terminal_gap"))
+        return out
+
+    @pytest.mark.parametrize("kind", ["constant", "step", "self-dependent",
+                                      "perturbed"])
+    def test_time_major_and_path_major_read_alike(self, monkeypatch, solution,
+                                                  kind):
+        # path blocks of 7 paths: the residuals and the G-BSDE report walk
+        # path slices, the decomposition and the view whole bundles
+        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * (self.GRID.n_steps + 1) * 7)
+        bundle = simulate(self.controls()[kind], self.GRID, self.N_PATHS, seed=97)
+        assert bundle.b_paths.T.flags.c_contiguous
+        twin = PathBundle(BAND, self.GRID, np.ascontiguousarray(bundle.b_paths),
+                          np.ascontiguousarray(bundle.control_paths), bundle.seed)
+        assert twin.b_paths.flags.c_contiguous
+        got, want = self.readings(bundle, solution), self.readings(twin, solution)
+        for name, value in got.items():
+            a, b = np.asarray(value, dtype=float), np.asarray(want[name], dtype=float)
+            assert a.shape == b.shape, name
+            assert np.array_equal(a.view(np.int64), b.view(np.int64)), name
 
 
 class TestPassMemory:
