@@ -235,9 +235,10 @@ class GBSDESolution:
         return stride
 
     def paths_view(self, bundle: PathBundle) -> tuple:
-        """(Y, Z, K) along the bundle's paths at the bundle's nodes: the
-        three node-shaped outputs plus the walk's fixed scratch (see
-        :func:`ito.eval_on_paths`)."""
+        """(Y, Z, K) along the bundle's paths at the bundle's nodes, each
+        ``(n_paths, n_nodes)`` and time-major like the bundle's paths: the
+        peak is the three outputs plus a few rows of one value per path
+        (see :func:`ito.eval_on_paths`)."""
         return self._walk(bundle)(slice(None))
 
     def _walk(self, bundle: PathBundle):

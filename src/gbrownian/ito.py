@@ -10,7 +10,9 @@ The decomposition of a conditional-value process along paths is
 with K starting at zero and non-increasing pathwise (the curvature c
 satisfies ``c * h^2 / 2 <= G(c)`` for every band level h, with equality at
 the bang-bang choice, so each step's increment is <= 0 exactly).  Frames
-are read along paths by ``gheat.FramePoints`` and G is ``core.g_value``.
+are read along paths by ``gheat.FramePoints`` and G is ``core.g_value``,
+one node at a time in the bundle's time-major layout, so the three
+processes come out time-major like the bundle's paths.
 
 The dyadic quadratic variation ``Q^n`` satisfies the discrete identity
 ``Q^n = integral(lambda^n dB) + Q^finest`` where ``Q^finest`` is the
@@ -32,12 +34,7 @@ from .core import (CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value
 from .errors import DomainError, ExtrapolationError, UsageError
 from .gexp import conditional_frames
 from .gheat import FramePoints, curvature, gradient
-from .mc import PathBundle, _path_blocks, _qv_steps, _simulate_reduce
-
-# Frames per block of along-path evaluation: the scratch is about
-# 5 * _BLOCK_FRAMES rows of n_paths values.  A simulated bundle's blocks
-# are read in place (time-major already); a path slice's are gathered.
-_BLOCK_FRAMES = 32
+from .mc import PathBundle, _qv_steps, _simulate_reduce
 
 # ---------------------------------------------------------------------------
 # elementary pathwise operations
@@ -81,7 +78,9 @@ def realized_qv(b_paths: np.ndarray) -> np.ndarray:
 
 
 def _dyadic_anchor(b_paths, level: int) -> tuple:
-    """Paths as rows, and for each step the level at its dyadic block's start."""
+    """Each step's left and right nodes as ``(paths, 2**level, block)``
+    views, and each dyadic block's starting node broadcast against them:
+    views only, no node-shaped copy."""
     b = np.atleast_2d(np.asarray(b_paths, dtype=float))
     n_steps = b.shape[-1] - 1
     if level < 0:
@@ -91,7 +90,9 @@ def _dyadic_anchor(b_paths, level: int) -> tuple:
             f"2**{level} dyadic blocks do not divide {n_steps} grid steps"
         )
     block = n_steps // 2 ** level
-    return b, b[:, (np.arange(n_steps) // block) * block]
+    blocks = (b.shape[0], 2 ** level, block)
+    return (b[:, :-1].reshape(blocks), b[:, 1:].reshape(blocks),
+            b[:, :-1:block, None])
 
 
 def qn_quadratic_variation(b_paths: np.ndarray, level: int) -> np.ndarray:
@@ -101,16 +102,18 @@ def qn_quadratic_variation(b_paths: np.ndarray, level: int) -> np.ndarray:
     at a grid node is the sum of squared completed-block increments plus
     the squared running increment of the open block.
     """
-    b, anchor = _dyadic_anchor(b_paths, level)
-    contrib = (b[:, 1:] - anchor) ** 2 - (b[:, :-1] - anchor) ** 2
-    return running_sum(contrib).reshape(np.shape(b_paths)[:-1] + (b.shape[-1],))
+    left, right, anchor = _dyadic_anchor(b_paths, level)
+    contrib = (right - anchor) ** 2 - (left - anchor) ** 2
+    *paths, n_nodes = np.shape(b_paths)
+    return running_sum(contrib.reshape(*paths, n_nodes - 1))
 
 
 def qn_integrand(b_paths: np.ndarray, level: int) -> np.ndarray:
     """Integrand ``2 (B_t - B_{block anchor})`` sampled at the left nodes."""
-    b, anchor = _dyadic_anchor(b_paths, level)
-    lam = 2.0 * (b[:, :-1] - anchor)
-    return lam.reshape(np.shape(b_paths)[:-1] + (b.shape[-1] - 1,))
+    left, _, anchor = _dyadic_anchor(b_paths, level)
+    lam = 2.0 * (left - anchor)
+    *paths, n_nodes = np.shape(b_paths)
+    return lam.reshape(*paths, n_nodes - 1)
 
 
 def step_values_on_grid(breaks, values, time_grid: TimeGrid) -> np.ndarray:
@@ -186,9 +189,10 @@ def _k_steps(varsigma, qv_lo, qv_hi, bundle: PathBundle) -> np.ndarray:
 class ItoDecomposition:
     """Pathwise pieces of a conditional-value process on one bundle."""
 
-    m_paths: np.ndarray     # conditional value along paths, (n_paths, n+1)
-    z_paths: np.ndarray     # integrand of the martingale part, (n_paths, n+1)
-    k_paths: np.ndarray     # non-increasing remainder, (n_paths, n+1)
+    # each (n_paths, n+1), the transpose of a time-major buffer
+    m_paths: np.ndarray     # conditional value along paths
+    z_paths: np.ndarray     # integrand of the martingale part
+    k_paths: np.ndarray     # non-increasing remainder
     bundle: PathBundle
 
     @property
@@ -197,21 +201,23 @@ class ItoDecomposition:
 
     def residuals(self) -> np.ndarray:
         """Per-path max absolute gap between m and its reconstruction
-        ``initial + integral(Z dB) + K``.
-
-        Reconstructed one path block of about ``mc._PATH_BLOCK_BYTES`` at a
-        time, so the temporaries are block-sized and only the result, one
-        value per path, is bundle-sized.
-        """
-        m, z, k = self.m_paths, self.z_paths, self.k_paths
-        b = self.bundle.b_paths
-        out = np.empty(m.shape[:-1])
-        for rows in _path_blocks(*m.shape):
-            gap = self.initial + stochastic_integral(z[rows], b[rows])
-            gap += k[rows]
-            np.subtract(m[rows], gap, out=gap)
-            out[rows] = np.max(np.abs(gap, out=gap), axis=-1)
-        return out
+        ``initial + integral(Z dB) + K``, walked node by node in the
+        time-major layout with the integral carried in ``cumsum``'s order:
+        a few rows of scratch, and bitwise the whole-array formula."""
+        m, z, k = self.m_paths.T, self.z_paths.T, self.k_paths.T
+        b = self.bundle.b_paths.T
+        gap, worst = np.empty(m.shape[1]), np.zeros(m.shape[1])
+        integral = 0.0      # running_sum's column 0
+        for j in range(len(m)):
+            if j:
+                step = np.subtract(b[j], b[j - 1])
+                step *= z[j - 1]
+                integral = step if j == 1 else np.add(integral, step, out=integral)
+            np.add(self.initial, integral, out=gap)
+            gap += k[j]
+            np.subtract(m[j], gap, out=gap)
+            np.maximum(worst, np.abs(gap, out=gap), out=worst)
+        return worst
 
 
 def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
@@ -228,55 +234,43 @@ def eval_on_paths(frames, bundle: PathBundle, columns_at,
                   space_grid: SpaceGrid, rows=slice(None)) -> tuple:
     """The walk of ``frames[j]`` along the bundle's paths ``rows`` (all by
     default), one frame per node: value, Z (the gradient) and K, three
-    ``(n_rows, n_frames)`` arrays.
+    ``(n_rows, n_frames)`` arrays, each the transpose of a time-major
+    buffer written node by node.
 
-    ``columns_at(j)`` lists the columns of ``bundle.b_paths`` that are
-    frame j's coordinates, one per frame axis, the current position (the
-    derivatives' axis) last.  Each frame's points are located once and
+    ``columns_at(j)`` lists the columns (nodes) of ``bundle.b_paths`` that
+    are frame j's coordinates, one per frame axis, the current position
+    (the derivatives' axis) last.  Each frame's points are located once and
     shared by its fields.  K accumulates inside the walk: node j + 1 holds
     node j's value plus :func:`k_ledger`'s step for half frame j's
     curvature, added in ``cumsum``'s order, so K is bitwise
     ``k_ledger(0.5 * curvature)`` and no node-shaped curvature exists; the
-    qv ledger is carried likewise from each block's levels.  A block of
-    ``_BLOCK_FRAMES`` frames reads time-major rows of paths and levels (in
-    place on a simulated bundle's whole paths), is evaluated into
-    time-major scratch and then written into the outputs' columns: the
-    peak is the three outputs plus ``O(_BLOCK_FRAMES * n_rows)`` scratch,
-    whatever the bundle's length.
+    qv ledger is carried likewise from each node's levels.  Paths and
+    levels are read as the rows of their transposes, in place on a
+    simulated bundle (its time-major buffers), so the peak is the three
+    outputs plus ``O(n_rows)`` scratch, whatever the bundle's length.
     """
-    b_paths, h = bundle.b_paths[rows], bundle.control_paths[rows]
-    (n_paths, n_nodes), n = b_paths.shape, len(frames)
+    bt, ht = bundle.b_paths.T[:, rows], bundle.control_paths.T[:, rows]
+    (n_nodes, n_paths), n = bt.shape, len(frames)
     if n != n_nodes:
         raise UsageError(f"{n} frames for a bundle of {n_nodes} nodes")
-    fields = tuple(np.empty((n_paths, n)) for _ in range(3))
-    width = max(1, min(n, _BLOCK_FRAMES))
-    block = np.empty((3, width, n_paths))
+    value, z, k = (np.empty((n, n_paths)) for _ in range(3))
+    k[0] = 0.0
     half = np.empty(n_paths)
-    qv, k_run = 0.0, None       # the ledger and K at the current node
-    dx, dt = space_grid.dx, bundle.time_grid.dt
-    for j0 in range(0, n, width):
-        j1 = min(n, j0 + width)
-        current = np.ascontiguousarray(b_paths[:, j0:j1].T)
-        qv_steps = _qv_steps(np.ascontiguousarray(h[:, j0:j1].T), dt)
-        for j in range(j0, j1):
-            frame = frames[j]
-            at = FramePoints(space_grid, [
-                current[c - j0] if j0 <= c < j1
-                else np.ascontiguousarray(b_paths[:, c]) for c in columns_at(j)])
-            value, z, k = block[:, j - j0]
-            at(frame, out=value)
-            at(gradient(frame, dx), out=z)
-            k[...] = 0.0 if k_run is None else k_run
-            if j + 1 < n:
-                at(curvature(frame, dx), out=half)
-                half *= 0.5
-                # cumsum's order: K_1 is step 0 itself, then K_j + step j
-                qv, qv_lo = qv + qv_steps[j - j0], qv
-                step = _k_steps(half, qv_lo, qv, bundle)
-                k_run = step if k_run is None else np.add(k_run, step, out=k_run)
-        for out, fresh in zip(fields, block):
-            out[:, j0:j1] = fresh[:j1 - j0].T
-    return fields
+    qv, dx, dt = 0.0, space_grid.dx, bundle.time_grid.dt
+    for j, frame in enumerate(frames):
+        at = FramePoints(space_grid, [bt[c] for c in columns_at(j)])
+        at(frame, out=value[j])
+        at(gradient(frame, dx), out=z[j])
+        if j + 1 < n:
+            at(curvature(frame, dx), out=half)
+            half *= 0.5
+            qv, qv_lo = qv + _qv_steps(ht[j], dt), qv
+            step = _k_steps(half, qv_lo, qv, bundle)
+            if j:
+                np.add(k[j], step, out=k[j + 1])
+            else:   # cumsum's order: K_1 is step 0 itself (-0.0 stays -0.0)
+                k[1] = step
+    return value.T, z.T, k.T
 
 
 def martingale_decomposition(xi: CylinderFunctional, band: GParams,

@@ -81,10 +81,12 @@ class PathBundle:
     seed: int
 
     def __post_init__(self) -> None:
-        n_paths, n_nodes = self.b_paths.shape
         n = self.time_grid.n_steps
-        if n_nodes != n + 1 or self.control_paths.shape != (n_paths, n):
-            raise UsageError("bundle arrays inconsistent with the time grid")
+        b_shape, h_shape = np.shape(self.b_paths), np.shape(self.control_paths)
+        if len(b_shape) != 2 or b_shape[1] != n + 1 or h_shape != (b_shape[0], n):
+            raise UsageError(f"bundle paths of shape {b_shape} and levels of "
+                             f"shape {h_shape} do not fit a grid of {n} steps: "
+                             f"need (n_paths, {n + 1}) and (n_paths, {n})")
         # an ``initial`` lets an empty bundle pass; NaN fails every test
         start, h = self.b_paths[:, 0], self.control_paths
         if not np.min(start, initial=0.0) == 0.0 == np.max(start, initial=0.0):
@@ -102,9 +104,9 @@ class PathBundle:
         return _qv_ledger(self.control_paths, self.time_grid.dt)
 
 
-# Bytes of one node-shaped path block: the unit in which the along-path
-# checks (``ito`` and ``gbsde``'s residuals) hold their temporaries, so
-# their scratch stays fixed whatever the path count.
+# Bytes of one node-shaped path block: the unit in which ``gbsde``'s
+# along-path residual holds its temporaries, so its scratch stays fixed
+# whatever the path count.
 _PATH_BLOCK_BYTES = 8 * 1024 * 1024
 
 

@@ -264,6 +264,28 @@ def compensating_level(xi_sq, alpha, sub_sq):
 
 
 # ----------------------------------------------------------------------
+# Dyadic quadratic variation (gathered block anchors)
+# ----------------------------------------------------------------------
+
+
+def dyadic_qv_reference(b_paths, level):
+    """``(Q^n, lambda^n)`` at refinement ``level`` from a gathered copy of
+    each step's block anchor ``B_{(k // block) * block}``: the running sum
+    of ``(B_{k+1} - anchor)^2 - (B_k - anchor)^2`` (0.0 first, then
+    ``np.cumsum``) and ``2 (B_k - anchor)``, in 1-d or path rows."""
+    b = np.atleast_2d(np.asarray(b_paths, dtype=float))
+    n_steps = b.shape[-1] - 1
+    block = n_steps // 2 ** level
+    anchor = b[:, (np.arange(n_steps) // block) * block]
+    qv = np.zeros(b.shape)
+    qv[:, 1:] = np.cumsum((b[:, 1:] - anchor) ** 2 - (b[:, :-1] - anchor) ** 2,
+                          axis=-1)
+    lam = 2.0 * (b[:, :-1] - anchor)
+    shape = np.shape(b_paths)[:-1]
+    return qv.reshape(shape + (n_steps + 1,)), lam.reshape(shape + (n_steps,))
+
+
+# ----------------------------------------------------------------------
 # Reference Euler engine (path-major, one big draw)
 # ----------------------------------------------------------------------
 

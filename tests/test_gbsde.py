@@ -336,12 +336,13 @@ class TestPathsAndResiduals:
         assert large <= 1.5 * small, (small, large)
 
     def test_paths_view_holds_its_outputs_and_fixed_scratch(self):
-        # the peak above the three outputs is the walk's scratch, which
-        # does not grow with the bundle's length
+        # the peak above the three outputs is the walk's scratch, a few
+        # rows of n_paths values that do not grow with the bundle's length
         solution = self.solved()
+        n_paths = 1000
 
         def excess(n_steps):
-            bundle = self.lo_bundle(n_steps=n_steps, n_paths=1000)
+            bundle = self.lo_bundle(n_steps=n_steps, n_paths=n_paths)
             tracemalloc.start()
             try:
                 solution.paths_view(bundle)
@@ -352,6 +353,7 @@ class TestPathsAndResiduals:
 
         short, long = excess(64), excess(400)
         assert long <= 1.25 * short, (short, long)
+        assert long <= 16 * 8 * n_paths, long / (8 * n_paths)
 
     def test_equivalence_both_directions(self):
         solution = self.solved()

@@ -10,6 +10,7 @@ the test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from gbrownian import (
     step2_limit_check,
     stochastic_integral,
 )
-from gbrownian import ito, mc
+from gbrownian import ito
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -108,6 +109,34 @@ class TestDyadicQv:
                                              axis=-1))))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] <= 1e-12  # finest level closes the identity
+
+    @pytest.mark.parametrize("layout", ["time-major", "path-major", "one path"])
+    def test_bitwise_equal_to_the_gathered_anchors(self, layout):
+        bundle = simulate(StepControl(band=BAND, breaks=(0.0, 0.5, 1.0),
+                                      levels=(2.0, 1.0)), GRID, 24, seed=109)
+        b = {"time-major": bundle.b_paths,
+             "path-major": np.ascontiguousarray(bundle.b_paths),
+             "one path": bundle.b_paths[5]}[layout]
+        for level in (0, 1, 3, 5, 9):
+            want_qv, want_lam = oracles.dyadic_qv_reference(b, level)
+            for got, want in ((qn_quadratic_variation(b, level), want_qv),
+                              (qn_integrand(b, level), want_lam)):
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("level", [0, 5, 9])
+    def test_anchors_are_views_not_copies(self, level):
+        # the result plus one node-shaped temporary for Q^n, the result
+        # alone for lambda^n: a gathered anchor would add one more each
+        b = lo_bundle(400).b_paths
+        for fn, bound in ((qn_quadratic_variation, 2.5), (qn_integrand, 1.5)):
+            tracemalloc.start()
+            try:
+                fn(b, level)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * b.nbytes, (fn.__name__, peak / b.nbytes)
 
     def test_misaligned_levels_are_refused(self):
         bundle = lo_bundle(4)
@@ -251,16 +280,24 @@ class TestMartingaleDecomposition:
         assert order >= 0.4
 
     @pytest.mark.parametrize("n_paths", [2, 4, 7])
-    def test_residuals_are_the_whole_array_formula_bitwise(self, monkeypatch,
-                                                           n_paths):
-        # blocks of 3 paths: one partial block, one block plus one path,
-        # and two blocks plus one path
-        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * 17 * 3)
+    def test_residuals_are_the_whole_array_formula_bitwise(self, n_paths):
         dec, bundle = self.decompose(16, n_paths=n_paths)
         rebuilt = (dec.initial + stochastic_integral(dec.z_paths, bundle.b_paths)
                    + dec.k_paths)
         want = np.max(np.abs(dec.m_paths - rebuilt), axis=-1)
         assert np.array_equal(dec.residuals().view(np.int64), want.view(np.int64))
+
+    def test_residuals_hold_a_few_rows(self):
+        # walked node by node: the scratch is a few rows of one value per
+        # path, whatever the bundle's length
+        dec, bundle = self.decompose(256, n_paths=500)
+        tracemalloc.start()
+        try:
+            dec.residuals()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * bundle.n_paths, peak / (8 * bundle.n_paths)
 
     def test_band_mismatch_is_refused(self):
         other = GParams(1.0, 1.5)
@@ -296,18 +333,17 @@ class TestMartingaleDecomposition:
 
 class TestAlongPathKernel:
     """Decomposition fields, frame by frame, against ``np.interp``/scipy on
-    the reference derivative fields: bit for bit, whatever the block of
-    frames the walk evaluates at once."""
+    the reference derivative fields: bit for bit."""
 
     SPACE = SpaceGrid(-10.0, 10.0, 81)
     SWEEP = TimeGrid(1.0, 128)
 
-    @pytest.mark.parametrize("block", [1, 5, 64])
-    def test_bitwise_equal_to_the_reference(self, monkeypatch, block):
-        monkeypatch.setattr(ito, "_BLOCK_FRAMES", block)
+    @pytest.mark.parametrize("seed", [1, 5, 64])
+    def test_bitwise_equal_to_the_reference(self, seed):
+        # three independent bundles, so the paths cross different cells
         xi = CylinderFunctional(times=(0.5, 1.0), payoff=lambda a, b: np.abs(b - a),
                                 lipschitz_bound=1.0, value_bound=40.0)
-        bundle = lo_bundle(n_paths=64, seed=7, grid=TimeGrid(1.0, 16))
+        bundle = lo_bundle(n_paths=64, seed=seed, grid=TimeGrid(1.0, 16))
         dec = martingale_decomposition(xi, BAND, self.SWEEP, self.SPACE, bundle)
         frames = conditional_frames(xi, BAND, self.SPACE,
                                     bundle.time_grid.times(), self.SWEEP.dt)
@@ -330,9 +366,8 @@ class TestAlongPathKernel:
     @pytest.mark.parametrize("n_paths", [2, 7])
     @pytest.mark.parametrize("n_steps", [1, 30, 31, 32, 64])
     def test_k_in_the_walk_is_the_whole_array_ledger(self, n_steps, n_paths):
-        # n_steps + 1 = 2, 31, 32, 33 and 65 frames straddle the default
-        # _BLOCK_FRAMES of 32 (a grid has one step at least, so a walk sees
-        # two frames at least)
+        # from the shortest walk (a grid has one step at least, so a walk
+        # sees two frames at least) to 65 frames
         bundle = lo_bundle(n_paths=n_paths, seed=n_steps,
                            grid=TimeGrid(1.0, n_steps))
         frames = np.random.default_rng(n_steps).normal(
@@ -356,6 +391,23 @@ class TestAlongPathKernel:
                                  slice(1, None))
         for got, ref in zip(part, fields):
             assert np.array_equal(got.view(np.int64), ref[1:].view(np.int64))
+
+    def test_outputs_are_time_major(self):
+        # each output is the transpose of a buffer written node by node,
+        # like the bundle's paths, on whole walks and path slices alike
+        bundle = lo_bundle(n_paths=6, seed=3, grid=TimeGrid(1.0, 8))
+        frames = np.random.default_rng(3).normal(size=(9, self.SPACE.n_points))
+        for rows in (slice(None), slice(2, 5)):
+            fields = ito.eval_on_paths(frames, bundle, lambda j: [j],
+                                       self.SPACE, rows)
+            for field in fields:
+                assert field.shape == bundle.b_paths[rows].shape
+                assert field.T.flags.c_contiguous
+        xi = CylinderFunctional(times=(1.0,), payoff=lambda x: x * x,
+                                lipschitz_bound=20.0, value_bound=100.0)
+        dec = martingale_decomposition(xi, BAND, self.SWEEP, self.SPACE, bundle)
+        for field in (dec.m_paths, dec.z_paths, dec.k_paths):
+            assert field.T.flags.c_contiguous
 
     def test_one_frame_per_node(self):
         bundle = lo_bundle(n_paths=2, grid=TimeGrid(1.0, 4))

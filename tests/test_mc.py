@@ -253,6 +253,15 @@ class TestPathBundleValidation:
         b[1, 0] = -0.0
         PathBundle(BAND, GRID, b, layout(src.control_paths), 3)
 
+    @pytest.mark.parametrize("paths, levels", [
+        ((GRID.n_steps + 1,), (GRID.n_steps,)),
+        ((2, 4, GRID.n_steps + 1), (2, 4, GRID.n_steps)),
+        ((4, GRID.n_steps + 1), (4, GRID.n_steps, 1))])
+    def test_refuses_arrays_that_are_not_2d_naming_both_shapes(self, paths, levels):
+        with pytest.raises(UsageError) as err:
+            PathBundle(BAND, GRID, np.zeros(paths), np.ones(levels), 3)
+        assert str(paths) in str(err.value) and str(levels) in str(err.value)
+
     def test_accepts_a_bundle_of_no_paths(self):
         bundle = PathBundle(BAND, GRID, np.empty((0, GRID.n_steps + 1)),
                             np.empty((0, GRID.n_steps)), 3)
