@@ -225,7 +225,7 @@ class SpaceGrid:
     @cached_property
     def _nodes(self) -> np.ndarray:
         """``points()`` built once and read-only: the grid interpolator
-        reads it for every frame and path block of a walk."""
+        reads it for every frame of a walk."""
         pts = self.points()
         pts.flags.writeable = False
         return pts

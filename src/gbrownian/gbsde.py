@@ -18,10 +18,11 @@ backward-equation triple is read off:
     Z_t = D_x u(t, B_t),
     K_t = 0.5 * integral(D2_x u d qv) - integral(G(D2_x u) dt),
 
-with ``K_0 = 0`` and K non-increasing pathwise.  The triple comes from
-``ito.eval_on_paths``, the walk that also decomposes conditional values
-along paths, so both read K off one ledger and interpolate with
-``gheat.FramePoints``.  The pair
+with ``K_0 = 0`` and K non-increasing pathwise.  The triple comes node
+by node from the walk that also decomposes conditional values along
+paths (``ito._node_rows``), so both read K off one ledger and
+interpolate with ``gheat.FramePoints``; :func:`gbsde_residual` reduces
+it as it goes and never holds the triple.  The pair
 (surface solves the equation) <-> (triple satisfies the backward relation
 ``Y_t = xi + integral_t^T f - integral_t^T Z dB - (K_T - K_t)``) is
 checked in both directions by :func:`equivalence_check`.
@@ -46,11 +47,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value, running_sum
+from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value
 from .errors import CapabilityError, ConfigurationError, UsageError
 from .gheat import ValueSurface, curvature, gradient, pde_residual, sweep_rows
-from .mc import PathBundle, _path_blocks
-from .ito import check_paths_inside, eval_on_paths, integral_steps
+from .mc import PathBundle
+from .ito import _node_rows, check_paths_inside, eval_on_paths
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,22 @@ class GBSDESolution:
         return ValueSurface(self.problem.band, self.time_grid, self.space_grid,
                             self.y_values, "backward", self.problem.name)
 
-    def _stride_for(self, bundle: PathBundle) -> int:
+    def paths_view(self, bundle: PathBundle) -> tuple:
+        """(Y, Z, K) along the bundle's paths at the bundle's nodes, each
+        ``(n_paths, n_nodes)`` and time-major like the bundle's paths: the
+        peak is the three outputs plus a few rows of one value per path
+        (see :func:`ito.eval_on_paths`).  :func:`gbsde_residual` reads the
+        same walk without storing it."""
+        return eval_on_paths(self._frames_for(bundle), bundle, lambda j: [j],
+                             self.space_grid)
+
+    def _frames_for(self, bundle: PathBundle) -> np.ndarray:
+        """The rows of Y at the bundle's nodes, once the bundle is checked:
+        the problem's band, paths inside the space grid, and a grid that
+        divides the solution grid."""
+        if bundle.band != self.problem.band:
+            raise UsageError("bundle band differs from the problem band")
+        check_paths_inside(bundle, self.space_grid)
         bundle.time_grid.require_horizon(self.time_grid.horizon, "solution")
         ratio = self.time_grid.n_steps / bundle.time_grid.n_steps
         stride = int(round(ratio))
@@ -232,25 +248,7 @@ class GBSDESolution:
                 f"bundle grid ({bundle.time_grid.n_steps} steps) must divide "
                 f"the solution grid ({self.time_grid.n_steps} steps)"
             )
-        return stride
-
-    def paths_view(self, bundle: PathBundle) -> tuple:
-        """(Y, Z, K) along the bundle's paths at the bundle's nodes, each
-        ``(n_paths, n_nodes)`` and time-major like the bundle's paths: the
-        peak is the three outputs plus a few rows of one value per path
-        (see :func:`ito.eval_on_paths`)."""
-        return self._walk(bundle)(slice(None))
-
-    def _walk(self, bundle: PathBundle):
-        """The checked walk along ``bundle``: a function of a path slice
-        that returns (Y, Z, K) on those paths."""
-        if bundle.band != self.problem.band:
-            raise UsageError("bundle band differs from the problem band")
-        sg = self.space_grid
-        check_paths_inside(bundle, sg)
-        frames = self.y_values[::self._stride_for(bundle)]
-        return lambda rows: eval_on_paths(frames, bundle, lambda j: [j], sg,
-                                          rows)
+        return self.y_values[::stride]
 
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -343,56 +341,55 @@ class GBSDEResidualReport:
 def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidualReport:
     """Pathwise residual of ``Y_t = xi + int_t^T f - int_t^T Z dB - (K_T - K_t)``.
 
-    Integrals are left-endpoint sums on the bundle grid.  The bundle is
-    walked and reduced one path block of about ``mc._PATH_BLOCK_BYTES`` at
-    a time: Y, Z, K, the driver values and the tail sums exist per block
-    only, so the peak above the inputs does not grow with the path count.
-    Each path's entries depend on that path alone and max / all do not
-    depend on order, so the report is bitwise the whole-bundle one.
+    Integrals are left-endpoint sums on the bundle grid, carried node by
+    node in ``cumsum``'s order as the running sums F of ``f dt`` and S of
+    ``Z dB``.  The along-path walk (``ito._node_rows``) runs twice on two
+    nodes' rows: pass 1 takes the totals, xi and the K and terminal
+    checks, pass 2 each node's ``Y - ((((F_T - F) + xi) - (S_T - S)) -
+    (K_T - K))``.  That is the whole-array formula's rounding order, so the
+    report is bitwise the same, and the scratch is a few rows of one value
+    per path, whatever the bundle's length.
     """
-    walk = solution._walk(bundle)
-    driver, dt = solution.problem.driver, bundle.time_grid.dt
-    n, times = bundle.time_grid.n_steps, bundle.time_grid.times()
-    payoff = solution.problem.terminal.as_levels()
-    parts = []
-    for rows in _path_blocks(*bundle.b_paths.shape):
-        y, z, k = walk(rows)
-        b = bundle.b_paths[rows]
-        xi = np.asarray(payoff(b[:, -1]), dtype=float)
-        k_initial = np.max(np.abs(k[:, 0]))
-        k_monotone = np.all(np.diff(k, axis=-1) <= 1e-15)
-        terminal_gap = np.max(np.abs(y[:, -1] - xi))
-        f_vals = np.empty((len(y), n))
-        for j in range(n):
-            f_vals[:, j] = driver(times[j], y[:, j], z[:, j])
-        z_steps = integral_steps(z, b)
-        del z
-        # one node-shaped buffer carries ((xi + tail_f) - tail_z) - tail_k,
-        # built in place in that order
-        f_vals *= dt
-        resid = _tail(running_sum(f_vals))
-        del f_vals
-        resid += xi[:, None]
-        resid -= _tail(running_sum(z_steps))
-        del z_steps
-        resid -= _tail(k)
-        np.subtract(y, resid, out=resid)
-        parts.append((np.max(np.abs(resid, out=resid)), k_initial,
-                      k_monotone, terminal_gap))
-        del y, k, resid     # freed before the next block's walk
-    max_residual, k_initial, k_monotone, terminal_gap = zip(*parts)
-    return GBSDEResidualReport(
-        max_residual=float(np.max(max_residual)),
-        k_initial=float(np.max(k_initial)),
-        k_monotone=bool(np.all(k_monotone)),
-        terminal_gap=float(np.max(terminal_gap)),
-    )
+    frames, n_paths = solution._frames_for(bundle), bundle.n_paths
+    driver, tg, bt = solution.problem.driver, bundle.time_grid, bundle.b_paths.T
+    times, ring = tg.times(), np.empty((3, 2, n_paths))
 
+    def walk():
+        """Each node's Y and K, and F and S up to it."""
+        f_sum = z_sum = 0.0     # running_sum's column 0
+        f_dt, z_db = np.empty(n_paths), np.empty(n_paths)
+        for j, (y, z, k) in enumerate(_node_rows(
+                frames, bundle, lambda j: [j], solution.space_grid, ring)):
+            yield y, k, f_sum, z_sum
+            if j < tg.n_steps:
+                f_dt[...] = driver(times[j], y, z)     # a float row, even
+                f_dt *= tg.dt                          # for a scalar driver
+                np.subtract(bt[j + 1], bt[j], out=z_db)
+                z_db *= z
+                # cumsum's order: the sums at node 1 are step 0 itself
+                f_sum = f_dt.copy() if j == 0 else np.add(f_sum, f_dt, out=f_sum)
+                z_sum = z_db.copy() if j == 0 else np.add(z_sum, z_db, out=z_sum)
 
-def _tail(running: np.ndarray) -> np.ndarray:
-    """``running[:, -1:] - running`` in place: the sum from each node on."""
-    np.subtract(running[:, -1:].copy(), running, out=running)
-    return running
+    k_monotone = True
+    for j, (y, k, f_total, z_total) in enumerate(walk()):
+        if j == 0:
+            k_initial = np.max(np.abs(k))
+        else:
+            k_monotone &= bool(np.all(np.subtract(k, k_last) <= 1e-15))
+        k_last = k
+    xi = np.asarray(solution.problem.terminal.as_levels()(bt[-1]), dtype=float)
+    terminal_gap = np.max(np.abs(y - xi))
+    k_total = k.copy()      # pass 2 rewrites the ring
+    worst, gap = np.zeros(n_paths), np.empty(n_paths)
+    for y, k, f_sum, z_sum in walk():
+        np.subtract(f_total, f_sum, out=gap)
+        gap += xi
+        gap -= np.subtract(z_total, z_sum)
+        gap -= np.subtract(k_total, k)
+        np.subtract(y, gap, out=gap)
+        np.maximum(worst, np.abs(gap, out=gap), out=worst)
+    return GBSDEResidualReport(float(np.max(worst)), float(k_initial),
+                               k_monotone, float(terminal_gap))
 
 
 @dataclass(frozen=True)

@@ -161,8 +161,8 @@ def k_ledger(varsigma: np.ndarray, bundle: PathBundle) -> np.ndarray:
     Given half the curvature c this is ``0.5 c dqv - G(c) dt`` bitwise.
     Whole-array: the peak is ``varsigma``, the node-shaped result and one
     step-shaped temporary (two if ``varsigma`` has one row per path).
-    Along paths, :func:`eval_on_paths` adds the same steps node by node
-    instead and holds no such array.
+    Along paths, the walk :func:`_node_rows` adds the same steps node by
+    node instead and holds no such array.
     """
     return running_sum(_k_steps(varsigma, bundle.qv_paths[..., :-1],
                                 bundle.qv_paths[..., 1:], bundle))
@@ -231,11 +231,25 @@ def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
 
 
 def eval_on_paths(frames, bundle: PathBundle, columns_at,
-                  space_grid: SpaceGrid, rows=slice(None)) -> tuple:
-    """The walk of ``frames[j]`` along the bundle's paths ``rows`` (all by
-    default), one frame per node: value, Z (the gradient) and K, three
-    ``(n_rows, n_frames)`` arrays, each the transpose of a time-major
-    buffer written node by node.
+                  space_grid: SpaceGrid) -> tuple:
+    """The walk of ``frames[j]`` along the bundle's paths, one frame per
+    node: value, Z (the gradient) and K, three ``(n_paths, n_frames)``
+    arrays, each the transpose of a time-major buffer that
+    :func:`_node_rows` writes node by node.  The peak is the three outputs
+    plus ``O(n_paths)`` scratch, whatever the bundle's length.
+    """
+    out = [np.empty((len(frames), bundle.n_paths)) for _ in range(3)]
+    for _ in _node_rows(frames, bundle, columns_at, space_grid, out):
+        pass
+    return tuple(o.T for o in out)
+
+
+def _node_rows(frames, bundle: PathBundle, columns_at, space_grid: SpaceGrid,
+               out):
+    """The one along-path walk: yields node j's value, Z (the gradient)
+    and K rows, one value per path, written into row ``j % m`` of each of
+    the three ``(m, n_paths)`` buffers ``out``.  Node j's K adds to node
+    j - 1's row, so m = 2, the least, streams the walk.
 
     ``columns_at(j)`` lists the columns (nodes) of ``bundle.b_paths`` that
     are frame j's coordinates, one per frame axis, the current position
@@ -246,31 +260,32 @@ def eval_on_paths(frames, bundle: PathBundle, columns_at,
     ``k_ledger(0.5 * curvature)`` and no node-shaped curvature exists; the
     qv ledger is carried likewise from each node's levels.  Paths and
     levels are read as the rows of their transposes, in place on a
-    simulated bundle (its time-major buffers), so the peak is the three
-    outputs plus ``O(n_rows)`` scratch, whatever the bundle's length.
+    simulated bundle (its time-major buffers).
     """
-    bt, ht = bundle.b_paths.T[:, rows], bundle.control_paths.T[:, rows]
+    bt, ht = bundle.b_paths.T, bundle.control_paths.T
     (n_nodes, n_paths), n = bt.shape, len(frames)
     if n != n_nodes:
         raise UsageError(f"{n} frames for a bundle of {n_nodes} nodes")
-    value, z, k = (np.empty((n, n_paths)) for _ in range(3))
-    k[0] = 0.0
     half = np.empty(n_paths)
     qv, dx, dt = 0.0, space_grid.dx, bundle.time_grid.dt
     for j, frame in enumerate(frames):
+        value, z, k = (o[j % len(o)] for o in out)
+        if j == 0:
+            k[...] = 0.0
+        elif j == 1:    # cumsum's order: K_1 is step 0 itself (-0.0 stays -0.0)
+            k[...] = step
+        else:
+            np.add(k_last, step, out=k)
         at = FramePoints(space_grid, [bt[c] for c in columns_at(j)])
-        at(frame, out=value[j])
-        at(gradient(frame, dx), out=z[j])
+        at(frame, out=value)
+        at(gradient(frame, dx), out=z)
         if j + 1 < n:
             at(curvature(frame, dx), out=half)
             half *= 0.5
             qv, qv_lo = qv + _qv_steps(ht[j], dt), qv
             step = _k_steps(half, qv_lo, qv, bundle)
-            if j:
-                np.add(k[j], step, out=k[j + 1])
-            else:   # cumsum's order: K_1 is step 0 itself (-0.0 stays -0.0)
-                k[1] = step
-    return value.T, z.T, k.T
+        k_last = k
+        yield value, z, k
 
 
 def martingale_decomposition(xi: CylinderFunctional, band: GParams,

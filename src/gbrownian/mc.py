@@ -104,21 +104,6 @@ class PathBundle:
         return _qv_ledger(self.control_paths, self.time_grid.dt)
 
 
-# Bytes of one node-shaped path block: the unit in which ``gbsde``'s
-# along-path residual holds its temporaries, so its scratch stays fixed
-# whatever the path count.
-_PATH_BLOCK_BYTES = 8 * 1024 * 1024
-
-
-def _path_blocks(n_paths: int, n_nodes: int) -> list:
-    """Consecutive path slices whose ``(rows, n_nodes)`` float blocks hold
-    about ``_PATH_BLOCK_BYTES`` (at least one path each).  Every row of an
-    along-path result depends on its own path only, so a block-by-block
-    computation is bitwise the whole-array one."""
-    rows = max(1, _PATH_BLOCK_BYTES // (8 * n_nodes))
-    return [slice(p0, min(p0 + rows, n_paths)) for p0 in range(0, n_paths, rows)]
-
-
 def _qv_steps(levels: np.ndarray, dt: float) -> np.ndarray:
     steps = levels * levels     # out of place: ``levels`` may be a view
     steps *= dt                 # (h * h) * dt

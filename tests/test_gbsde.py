@@ -35,7 +35,7 @@ from gbrownian import (
     solve_ppde,
     solve_ppde_picard,
 )
-from gbrownian import mc
+from gbrownian import ito
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -287,16 +287,23 @@ class TestPathsAndResiduals:
         self.check_plain_formula(n_paths=300)
 
     @pytest.mark.parametrize("n_paths", [2, 4, 7])
-    def test_residual_is_the_plain_formula_in_path_blocks(self, monkeypatch,
-                                                          n_paths):
-        # blocks of 3 paths: one partial block, one block plus one path,
-        # and two blocks plus one path
-        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * 101 * 3)
+    def test_residual_is_the_plain_formula_at_several_path_counts(self,
+                                                                  n_paths):
+        # every node's rows hold all the paths, from two of them to seven
         self.check_plain_formula(n_paths)
 
-    def check_plain_formula(self, n_paths):
-        problem = GBSDEProblem(terminal_square(), lambda t, y, z: 0.05 * z - 0.1 * y,
-                               BAND, driver_lipschitz=0.1)
+    @pytest.mark.parametrize("driver", [
+        pytest.param(lambda t, y, z: 0.7, id="scalar"),
+        pytest.param(lambda t, y, z: 0.1 * t * y + 0.5 * t, id="t-dependent"),
+    ])
+    def test_residual_is_the_plain_formula_per_driver(self, driver):
+        # a Python scalar from the driver becomes a float row before * dt
+        self.check_plain_formula(7, driver)
+
+    def check_plain_formula(self, n_paths,
+                            driver=lambda t, y, z: 0.05 * z - 0.1 * y):
+        problem = GBSDEProblem(terminal_square(), driver, BAND,
+                               driver_lipschitz=0.1)
         solution = solve_ppde(problem, TIME, SPACE)
         bundle = self.lo_bundle(n_steps=100, n_paths=n_paths)
         report = gbsde_residual(solution, bundle)
@@ -304,7 +311,8 @@ class TestPathsAndResiduals:
         y, z, k = solution.paths_view(bundle)
         b, times, dt = bundle.b_paths, bundle.time_grid.times(), bundle.time_grid.dt
         xi = b[:, -1] * b[:, -1]
-        f = np.stack([problem.driver(times[j], y[:, j], z[:, j])
+        f = np.stack([np.broadcast_to(driver(times[j], y[:, j], z[:, j]),
+                                      (bundle.n_paths,))
                       for j in range(bundle.time_grid.n_steps)], axis=1)
         zero = np.zeros((bundle.n_paths, 1))
         cum_f = np.concatenate([zero, np.cumsum(f * dt, axis=1)], axis=1)
@@ -318,13 +326,14 @@ class TestPathsAndResiduals:
         assert report.k_monotone == bool(np.all(np.diff(k, axis=-1) <= 1e-15))
         assert report.k_initial == 0.0 and report.k_monotone
 
-    def test_residual_peak_does_not_grow_with_the_path_count(self, monkeypatch):
-        # blocks of 64 paths: Y, Z, K and the tail sums exist per block only
-        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * 101 * 64)
+    def test_residual_scratch_is_a_few_rows_per_path(self):
+        # the walk runs twice on two nodes' rows: the peak is a few rows of
+        # one value per path, whatever the bundle's length
         solution = self.solved()
+        n_paths = 2000
 
-        def peak(n_paths):
-            bundle = self.lo_bundle(n_steps=100, n_paths=n_paths)
+        def peak(n_steps):
+            bundle = self.lo_bundle(n_steps=n_steps, n_paths=n_paths)
             tracemalloc.start()
             try:
                 gbsde_residual(solution, bundle)
@@ -332,8 +341,23 @@ class TestPathsAndResiduals:
             finally:
                 tracemalloc.stop()
 
-        small, large = peak(500), peak(2000)
-        assert large <= 1.5 * small, (small, large)
+        short, long = peak(100), peak(400)
+        assert long <= 1.1 * short, (short, long)
+        assert long <= 32 * 8 * n_paths, long / (8 * n_paths)
+
+    @pytest.mark.parametrize("n_paths", [7, 3000])
+    def test_residual_walks_each_frame_twice(self, monkeypatch, n_paths):
+        built = []
+
+        class Counting(ito.FramePoints):
+            def __init__(self, *args):
+                built.append(len(args[1][0]))
+                super().__init__(*args)
+
+        monkeypatch.setattr(ito, "FramePoints", Counting)
+        gbsde_residual(self.solved(), self.lo_bundle(n_steps=100,
+                                                     n_paths=n_paths))
+        assert built == [n_paths] * (2 * 101)
 
     def test_paths_view_holds_its_outputs_and_fixed_scratch(self):
         # the peak above the three outputs is the walk's scratch, a few

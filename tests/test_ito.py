@@ -386,23 +386,15 @@ class TestAlongPathKernel:
         assert np.all(np.signbit(want[2][:, 1]))
         for got, ref in zip(fields, want):
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
-        # a slice of paths walks to the whole walk's rows
-        part = ito.eval_on_paths(frames, bundle, lambda j: [j], self.SPACE,
-                                 slice(1, None))
-        for got, ref in zip(part, fields):
-            assert np.array_equal(got.view(np.int64), ref[1:].view(np.int64))
 
     def test_outputs_are_time_major(self):
         # each output is the transpose of a buffer written node by node,
-        # like the bundle's paths, on whole walks and path slices alike
+        # like the bundle's paths
         bundle = lo_bundle(n_paths=6, seed=3, grid=TimeGrid(1.0, 8))
         frames = np.random.default_rng(3).normal(size=(9, self.SPACE.n_points))
-        for rows in (slice(None), slice(2, 5)):
-            fields = ito.eval_on_paths(frames, bundle, lambda j: [j],
-                                       self.SPACE, rows)
-            for field in fields:
-                assert field.shape == bundle.b_paths[rows].shape
-                assert field.T.flags.c_contiguous
+        for field in ito.eval_on_paths(frames, bundle, lambda j: [j], self.SPACE):
+            assert field.shape == bundle.b_paths.shape
+            assert field.T.flags.c_contiguous
         xi = CylinderFunctional(times=(1.0,), payoff=lambda x: x * x,
                                 lipschitz_bound=20.0, value_bound=100.0)
         dec = martingale_decomposition(xi, BAND, self.SWEEP, self.SPACE, bundle)

@@ -187,10 +187,8 @@ class TestPathBundleValidation:
         with pytest.raises(DomainError):
             PathBundle(BAND, GRID, src.b_paths, h, 3)
 
-    def test_rejects_a_tampered_last_path_block(self, monkeypatch):
-        # the checks run in blocks of 3 paths: path 3 of 4 is alone in the
-        # last one
-        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * (GRID.n_steps + 1) * 3)
+    def test_rejects_a_tampered_last_path_block(self):
+        # one level out of the band on the last of four paths
         src = simulate(ConstantControl(band=BAND, level=1.0), GRID, 4, seed=3)
         PathBundle(BAND, GRID, src.b_paths, src.control_paths, 3)
         h = src.control_paths.copy()
@@ -198,10 +196,9 @@ class TestPathBundleValidation:
         with pytest.raises(DomainError):
             PathBundle(BAND, GRID, src.b_paths, h, 3)
 
-    def test_checks_hold_block_sized_temporaries(self, monkeypatch):
-        # blocks of 32 paths; a whole-bundle check would hold two more
-        # bundle-sized arrays
-        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * (GRID.n_steps + 1) * 32)
+    def test_checks_hold_block_sized_temporaries(self):
+        # no bundle-sized temporaries: whole-array min and max need no
+        # scratch, where a check through a derived array would hold one
 
         def peak(n_paths):
             src = simulate(ConstantControl(band=BAND, level=1.0), GRID,
@@ -889,11 +886,10 @@ class TestLayoutChangesNoBits:
 
     @pytest.mark.parametrize("kind", ["constant", "step", "self-dependent",
                                       "perturbed"])
-    def test_time_major_and_path_major_read_alike(self, monkeypatch, solution,
-                                                  kind):
-        # path blocks of 7 paths: the residuals and the G-BSDE report walk
-        # path slices, the decomposition and the view whole bundles
-        monkeypatch.setattr(mc, "_PATH_BLOCK_BYTES", 8 * (self.GRID.n_steps + 1) * 7)
+    def test_time_major_and_path_major_read_alike(self, solution, kind):
+        # every reading, the node-by-node walks of the decomposition, its
+        # residuals, the view and the G-BSDE report included, from a
+        # time-major bundle and from its path-major copy
         bundle = simulate(self.controls()[kind], self.GRID, self.N_PATHS, seed=97)
         assert bundle.b_paths.T.flags.c_contiguous
         twin = PathBundle(BAND, self.GRID, np.ascontiguousarray(bundle.b_paths),
