@@ -52,7 +52,7 @@ from .core import (
 )
 from .errors import GBrownianError, ConfigurationError
 from .gexp import g_expectation
-from .gheat import export_surface_csv, pde_residual, solve_gheat
+from .gheat import export_surface_csv, gradient, pde_residual, solve_gheat
 from .ito import identify_drift, k_process, martingale_decomposition, \
     martingale_test, step2_limit_check
 from .mc import block_budget_gap, marginal_match_table, perturb_control, simulate
@@ -204,14 +204,13 @@ def _build_functional(exp: dict, env: _Env, where: str,
             f"{where}: payoff {name!r} monitors {arity} date(s), "
             f"got dates={list(times)}"
         )
-    return CylinderFunctional(times, fn, lip, bound, "levels", name)
+    return CylinderFunctional(times, fn, lip, bound, name=name)
 
 
 def _negated(xi: CylinderFunctional) -> CylinderFunctional:
     fn = xi.payoff
     return CylinderFunctional(xi.times, lambda *a: -fn(*a), xi.lipschitz_bound,
-                              xi.value_bound, xi.convention,
-                              f"neg({xi.name})")
+                              xi.value_bound, f"neg({xi.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +256,7 @@ def _run_solve_gheat(env: _Env, exp: dict, label: str, out_dir: str,
     xi = _build_functional(exp, env, where, default="butterfly")
     if xi.n_times != 1:
         raise ConfigurationError(f"{where}: solve-gheat needs a one-date payoff")
-    surface = solve_gheat(xi.as_levels(), env.band, env.time_grid,
-                          env.space_grid, name=xi.name)
+    surface = solve_gheat(xi.payoff, env.band, env.time_grid, env.space_grid)
     stride = _as_int(exp.get("time_stride",
                              max(1, env.time_grid.n_steps // 64)),
                      f"{where}.time_stride")
@@ -544,7 +542,7 @@ def _run_gbsde(env: _Env, exp: dict, label: str, out_dir: str,
     c = _as_number(exp.get("c", 0.0), f"{where}.c")
     make, lip = _DRIVERS[driver_name]
     problem = gbsde_mod.GBSDEProblem(xi, make(r, a, b, c), env.band,
-                                     lip(r, a, b, c), name=xi.name)
+                                     lip(r, a, b, c))
     solution = gbsde_mod.solve_ppde(problem, env.time_grid, env.space_grid)
     picard, iters, delta = gbsde_mod.solve_ppde_picard(
         problem, env.time_grid, env.space_grid)
@@ -559,8 +557,8 @@ def _run_gbsde(env: _Env, exp: dict, label: str, out_dir: str,
     equiv = gbsde_mod.equivalence_check(solution, bundle)
 
     pts = env.space_grid.points()
-    profile = [[float(pts[j]), float(solution.y_values[0, j]),
-                float(solution.z_values[0, j])]
+    z0 = gradient(solution.y_values[0], env.space_grid.dx)
+    profile = [[float(pts[j]), float(solution.y_values[0, j]), float(z0[j])]
                for j in range(env.space_grid.n_points)]
     _write_csv(os.path.join(out_dir, f"{label}.csv"), ["x", "y0", "z0"],
                profile)

@@ -8,7 +8,8 @@ Everything downstream is parameterised by a volatility band
 
 its tilted variant ``G_eps(a) = G(a) - (eps/2) * |a|``, and the bang-bang
 volatility selector ``sign_vol``.  Grids are uniform; cylinder functionals
-carry their own monitoring dates and regularity bounds; controls are the
+are payoffs of the path levels at their own monitoring dates, with
+declared regularity bounds that construction spot-checks; controls are the
 adapted volatility processes the Monte Carlo layer can simulate.
 """
 
@@ -242,24 +243,21 @@ _SPOT_CHECK_POINTS = 48
 class CylinderFunctional:
     """A functional of finitely many path values.
 
-    ``payoff`` maps the path values at ``times`` to a real number and must
-    accept equal-shape numpy arrays (it is evaluated on meshes and on path
-    matrices).  ``convention`` says whether those arguments are the path
-    levels ``w(t_1), ..., w(t_n)`` or the increments
-    ``w(t_1), w(t_2)-w(t_1), ...``.
+    ``payoff`` maps the path levels ``w(t_1), ..., w(t_n)`` at ``times``
+    to a real number and must accept equal-shape numpy arrays (it is
+    evaluated on meshes and on path matrices).  A payoff of increments
+    takes the level differences itself, as ``lambda a, b: psi(b - a)``.
 
     ``lipschitz_bound`` and ``value_bound`` are the caller's declared
-    regularity constants on the working region; construction spot-checks
-    both on a seeded sample and raises :class:`DataError` on violation.
-    The declared constants also size interpolation and tolerance budgets
-    downstream, so generous-but-honest values are fine.
+    regularity constants on the working region.  Construction spot-checks
+    both on a seeded sample and raises :class:`DataError` on violation;
+    nothing else reads them, so generous-but-honest values are fine.
     """
 
     times: tuple
     payoff: Callable
     lipschitz_bound: float
     value_bound: float
-    convention: str = "levels"
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -274,10 +272,6 @@ class CylinderFunctional:
             )
         if not (self.lipschitz_bound > 0.0 and self.value_bound > 0.0):
             raise ConfigurationError("lipschitz_bound and value_bound must be > 0")
-        if self.convention not in ("levels", "increments"):
-            raise ConfigurationError(
-                f"convention must be 'levels' or 'increments', got {self.convention!r}"
-            )
         object.__setattr__(self, "times", times)
         self._spot_check()
 
@@ -317,20 +311,6 @@ class CylinderFunctional:
                 f"{self.lipschitz_bound!r} on the spot-check sample"
             )
 
-    def as_levels(self) -> Callable:
-        """Payoff as a function of path *levels*, whatever the convention."""
-        if self.convention == "levels":
-            return self.payoff
-        payoff = self.payoff
-
-        def on_levels(*levels):
-            args = [levels[0]]
-            for j in range(1, len(levels)):
-                args.append(levels[j] - levels[j - 1])
-            return payoff(*args)
-
-        return on_levels
-
     def evaluate_levels(self, *levels):
         """Apply the payoff to path levels at the monitoring dates."""
         if len(levels) != self.n_times:
@@ -338,7 +318,7 @@ class CylinderFunctional:
                 f"{self.name or 'functional'} takes {self.n_times} values, "
                 f"got {len(levels)}"
             )
-        return self.as_levels()(*levels)
+        return self.payoff(*levels)
 
 
 # ---------------------------------------------------------------------------

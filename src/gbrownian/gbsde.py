@@ -18,11 +18,13 @@ backward-equation triple is read off:
     Z_t = D_x u(t, B_t),
     K_t = 0.5 * integral(D2_x u d qv) - integral(G(D2_x u) dt),
 
-with ``K_0 = 0`` and K non-increasing pathwise.  The triple comes node
-by node from the walk that also decomposes conditional values along
-paths (``ito._node_rows``), so both read K off one ledger and
-interpolate with ``gheat.FramePoints``; :func:`gbsde_residual` reduces
-it as it goes and never holds the triple.  The pair
+with ``K_0 = 0`` and K non-increasing pathwise.  A solution stores Y
+only; Z is ``gheat.gradient`` of the rows a reader needs, taken where it
+is read.  The triple comes node by node from the walk that also
+decomposes conditional values along paths (``ito._node_rows``), so both
+read K off one ledger and interpolate with ``gheat.FramePoints``;
+:func:`gbsde_residual` reduces it as it goes and never holds the
+triple.  The pair
 (surface solves the equation) <-> (triple satisfies the backward relation
 ``Y_t = xi + integral_t^T f - integral_t^T Z dB - (K_T - K_t)``) is
 checked in both directions by :func:`equivalence_check`.
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -110,7 +111,7 @@ class CylinderPathProcess:
         if t < -tol or t > self.horizon + tol:
             raise UsageError(f"t={t!r} outside [0, {self.horizon}]")
         # t == boundary belongs to the opening interval (pre-observation
-        # frames), matching the conditional-value convention
+        # frames), as the conditional values have it
         k = sum(1 for ti in self.times[:-1] if ti <= t + tol)
         return min(k, len(self.pieces) - 1)
 
@@ -171,7 +172,8 @@ class GBSDEProblem:
     """Terminal functional + driver + band.
 
     ``driver(t, y, z)`` must be vectorised in (y, z); ``driver_lipschitz``
-    is the caller's Lipschitz bound in (y, z).  It is used only in the step
+    is the caller's Lipschitz bound in (y, z), a number >= 0 (NaN is
+    refused at construction).  It is used only in the step
     bound ``dt * driver_lipschitz * (1 + 1/dx) <= 0.5``, which is not a
     monotonicity condition (see the module docstring).  The terminal
     functional must monitor a single date (Markovian scope); richer
@@ -182,7 +184,6 @@ class GBSDEProblem:
     driver: object
     band: GParams
     driver_lipschitz: float = 0.0
-    name: str = ""
 
     def __post_init__(self) -> None:
         if self.terminal.n_times != 1:
@@ -190,8 +191,9 @@ class GBSDEProblem:
                 "only Markovian terminal data (one monitoring date) are "
                 "supported by the backward solvers"
             )
-        if self.driver_lipschitz < 0.0:
-            raise ConfigurationError("driver_lipschitz must be >= 0")
+        if not self.driver_lipschitz >= 0.0:    # NaN would pass the step guard
+            raise ConfigurationError(
+                f"driver_lipschitz must be >= 0, got {self.driver_lipschitz!r}")
 
     @property
     def horizon(self) -> float:
@@ -209,20 +211,17 @@ def _check_driver_stability(problem: GBSDEProblem, dt: float, dx: float) -> None
 
 @dataclass(frozen=True, eq=False)
 class GBSDESolution:
-    """Solved backward surface; its derivative field is derived on first read."""
+    """Solved backward surface Y.  Its derivative ``Z = D_x Y`` is not
+    stored: each reader takes :func:`gheat.gradient` of the rows it needs."""
 
     problem: GBSDEProblem
     time_grid: TimeGrid
     space_grid: SpaceGrid
     y_values: np.ndarray     # (n_steps + 1, n_points), row i at time t_i
 
-    @cached_property
-    def z_values(self) -> np.ndarray:     # same shape, D_x of y
-        return gradient(self.y_values, self.space_grid.dx)
-
     def y_surface(self) -> ValueSurface:
         return ValueSurface(self.problem.band, self.time_grid, self.space_grid,
-                            self.y_values, "backward", self.problem.name)
+                            self.y_values, "backward")
 
     def paths_view(self, bundle: PathBundle) -> tuple:
         """(Y, Z, K) along the bundle's paths at the bundle's nodes, each
@@ -269,7 +268,7 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     dt, n = time_grid.dt, time_grid.n_steps
     _check_driver_stability(problem, dt, space_grid.dx)
     values = np.empty((n + 1, space_grid.n_points))
-    values[n] = np.asarray(problem.terminal.as_levels()(space_grid.points()),
+    values[n] = np.asarray(problem.terminal.payoff(space_grid.points()),
                            dtype=float)
     sweep_rows(values[::-1], problem.band, dt, space_grid,
                None if driver_row is None
@@ -278,8 +277,10 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
 
 
 def _driver_field(problem: GBSDEProblem, time_grid: TimeGrid,
-                  y: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``f(t_i, y_i, z_i)`` row by row over a solved surface."""
+                  space_grid: SpaceGrid, y: np.ndarray) -> np.ndarray:
+    """``f(t_i, y_i, z_i)`` row by row over a solved surface y, with
+    ``z = D_x y`` a temporary of the surface's size."""
+    z = gradient(y, space_grid.dx)
     field = np.empty_like(y)
     for i, t in enumerate(time_grid.times()):
         field[i] = problem.driver(t, y[i], z[i])
@@ -307,10 +308,9 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
     fixed point, so the sup-gap after convergence is a genuine consistency
     signal.
     """
-    dx = space_grid.dx
     values = _march_backward(problem, time_grid, space_grid, None)
     for iterations in range(1, 11):
-        source = _driver_field(problem, time_grid, values, gradient(values, dx))
+        source = _driver_field(problem, time_grid, space_grid, values)
         new_values = _march_backward(problem, time_grid, space_grid,
                                      lambda k, v: source[k])
         delta = float(np.max(np.abs(new_values - values)))
@@ -377,7 +377,7 @@ def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidual
         else:
             k_monotone &= bool(np.all(np.subtract(k, k_last) <= 1e-15))
         k_last = k
-    xi = np.asarray(solution.problem.terminal.as_levels()(bt[-1]), dtype=float)
+    xi = np.asarray(solution.problem.terminal.payoff(bt[-1]), dtype=float)
     terminal_gap = np.max(np.abs(y - xi))
     k_total = k.copy()      # pass 2 rewrites the ring
     worst, gap = np.zeros(n_paths), np.empty(n_paths)
@@ -431,7 +431,7 @@ def ppde_residual(solution: GBSDESolution) -> float:
     surfaces that do not solve the equation.
     """
     f = _driver_field(solution.problem, solution.time_grid,
-                      solution.y_values, solution.z_values)
+                      solution.space_grid, solution.y_values)
     resid = pde_residual(solution.y_surface()) + f[1:, 1:-1]
     return float(np.max(np.abs(resid)))
 

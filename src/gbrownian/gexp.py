@@ -77,9 +77,8 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
 
     n = xi.n_times
     boundaries = (0.0,) + xi.times  # boundaries[k] opens interval k
-    payoff = xi.as_levels()
     mesh = np.meshgrid(*([x] * n), indexing="ij", sparse=True)
-    u = np.asarray(payoff(*mesh), dtype=float)
+    u = np.asarray(xi.payoff(*mesh), dtype=float)
     u = np.broadcast_to(u, (space_grid.n_points,) * n).copy()
     if not np.all(np.isfinite(u)):
         raise UsageError("payoff produced non-finite values on the mesh")
@@ -154,7 +153,7 @@ def conditional_g_expectation(xi: CylinderFunctional, t: float, prefix,
             f"current position ({n_observed + 1} entries), got {len(prefix)}"
         )
     if t >= horizon - tol:
-        return float(np.asarray(xi.as_levels()(*prefix[:-1]), dtype=float))
+        return float(np.asarray(xi.payoff(*prefix[:-1]), dtype=float))
     # FramePoints refuses a frame whose arity is not the prefix length
     frame, = _backward_sweep(xi, band, space_grid, time_grid.dt, [t])
     return float(FramePoints(space_grid, [[v] for v in prefix])(frame)[0])
@@ -167,7 +166,7 @@ def conditional_frames(xi: CylinderFunctional, band: GParams,
 
     This is the bulk interface behind the pathwise decompositions: it
     amortises one backward solve over all requested times instead of
-    re-solving per time.  See ``_backward_sweep`` for frame conventions.
+    re-solving per time.  See ``_backward_sweep`` for the frames' layout.
     """
     _validate_functional(xi, band, space_grid)
     return _backward_sweep(xi, band, space_grid, dt_max, record_times)

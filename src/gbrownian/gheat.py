@@ -54,8 +54,9 @@ def check_cfl(band: GParams, dt: float, space_grid: SpaceGrid) -> None:
         )
 
 
-# Rows marched together: about 256 KB of ``u``, so a block and its two
-# scratch buffers stay in a core's L2 cache for a whole interval.
+# Rows worked on together: about 256 KB of ``u``, so a block of the march
+# and its two scratch buffers stay in a core's L2 cache for a whole
+# interval.  ``feedback_field`` takes its curvature in blocks of this size.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -86,7 +87,7 @@ class _FlatMarch:
 
     def __call__(self, flat: np.ndarray, n: int) -> None:
         """Apply ``n`` steps in place to ``flat``: a contiguous run of
-        whole rows, or one row, which may be strided."""
+        one or more whole rows."""
         size = len(flat) - 2
         c, g = self.curv[:size], self.gain[:size]
         # per row but the last, the last two lanes of c; a lone row has none
@@ -115,38 +116,30 @@ def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> n
     this kernel.  Caller is responsible for the CFL check.
 
     The stencil acts along the last axis only, so every row evolves on its
-    own.  The leading axes are viewed as rows, split into fixed blocks of
-    about ``_BLOCK_BYTES``, and each block is marched through all ``n``
-    steps before the next, with ``O(block)`` scratch allocated once per
-    call.  A block is marched as one flat run of ``rows * m`` nodes (see
-    :class:`_FlatMarch`): in place when its rows are contiguous, else in a
-    contiguous copy written back after its ``n`` steps.  The result is
-    bitwise equal to updating the whole array step by step,
+    own.  ``u`` must be C-contiguous; its leading axes are viewed as rows,
+    split into fixed blocks of about ``_BLOCK_BYTES``, and each block is
+    marched in place through all ``n`` steps before the next, as one flat
+    run of ``rows * m`` nodes (see :class:`_FlatMarch`), with ``O(block)``
+    scratch allocated once per call.  The result is bitwise equal to
+    updating the whole array step by step,
     ``u[..., 1:-1] += dt * G(second difference)``, whatever the block
     size: each interior node gets the same operations in the same order,
-    and each seam lane adds ``-0.0`` to an edge node.  Leading axes that
-    cannot be viewed as rows without a copy (some strided views of 3+-axis
-    arrays) raise :class:`UsageError`.
+    and each seam lane adds ``-0.0`` to an edge node.  Any other ``u``
+    raises :class:`UsageError`.
     """
     m = u.shape[-1]
     if n <= 0 or m < 3 or u.size == 0:
         return u
-    rows = u.reshape(-1, m)
-    if not np.may_share_memory(rows, u):
+    if not u.flags.c_contiguous:
         raise UsageError(
             f"march_steps: u of shape {u.shape} and strides {u.strides} "
-            f"cannot be viewed as rows without a copy; pass a contiguous array"
+            f"is not C-contiguous; pass a contiguous array"
         )
+    rows = u.reshape(-1, m)
     block = max(1, _BLOCK_BYTES // (m * u.itemsize))
     march = _FlatMarch(band, dt, dx, m, min(block, len(rows)), u.dtype)
     for start in range(0, len(rows), block):
-        ub = rows[start:start + block]
-        if ub.flags.c_contiguous:
-            march(ub.reshape(-1), n)
-        else:
-            work = np.ascontiguousarray(ub)
-            march(work.reshape(-1), n)
-            ub[...] = work
+        march(rows[start:start + block].reshape(-1), n)
     return u
 
 
@@ -308,7 +301,6 @@ class ValueSurface:
     space_grid: SpaceGrid
     values: np.ndarray
     orientation: str = "forward"
-    name: str = ""
 
     def __post_init__(self) -> None:
         expect = (self.time_grid.n_steps + 1, self.space_grid.n_points)
@@ -332,7 +324,7 @@ class ValueSurface:
 
 
 def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
-                space_grid: SpaceGrid, name: str = "") -> ValueSurface:
+                space_grid: SpaceGrid) -> ValueSurface:
     """Solve the band heat equation forward from initial data.
 
     ``payoff`` is a callable evaluated on the space grid, or a ready-made
@@ -346,7 +338,7 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
     values = np.empty((time_grid.n_steps + 1, space_grid.n_points))
     values[0] = data
     sweep_rows(values, band, time_grid.dt, space_grid)
-    return ValueSurface(band, time_grid, space_grid, values, "forward", name)
+    return ValueSurface(band, time_grid, space_grid, values, "forward")
 
 
 def gradient(u: np.ndarray, dx: float) -> np.ndarray:
@@ -387,21 +379,17 @@ def pde_residual(surface: ValueSurface) -> np.ndarray:
     return resid[:, 1:-1]
 
 
-# Bytes of the row blocks in which ``feedback_field`` takes the curvature.
-_FIELD_BLOCK_BYTES = 1024 * 1024
-
-
 def feedback_field(surface: ValueSurface) -> np.ndarray:
     """Bang-bang field as a mask, true where ``curvature >= 0``: mapped by
     ``np.where(mask, sigma_hi, sigma_lo)`` it is ``sign_vol(curvature)``.
 
     Edge columns copy their interior neighbour since curvature is not
     defined there.  The mask is filled in row blocks of about
-    ``_FIELD_BLOCK_BYTES``: the only temporary is one block's curvature.
+    ``_BLOCK_BYTES``: the only temporary is one block's curvature.
     """
     u, dx = surface.values, surface.space_grid.dx
     out = np.empty(u.shape, dtype=bool)
-    step = max(1, _FIELD_BLOCK_BYTES // (8 * u.shape[-1]))
+    step = max(1, _BLOCK_BYTES // (8 * u.shape[-1]))
     for r0 in range(0, len(u), step):
         out[r0:r0 + step] = curvature(u[r0:r0 + step], dx) >= 0.0
     return out

@@ -48,12 +48,6 @@ def stochastic_integral(integrand: np.ndarray, driver: np.ndarray) -> np.ndarray
     ignored — values are read at the left endpoints only, which is what
     keeps the sum adapted).
     """
-    return running_sum(integral_steps(integrand, driver))
-
-
-def integral_steps(integrand: np.ndarray, driver: np.ndarray) -> np.ndarray:
-    """The terms ``integrand_k (driver_{k+1} - driver_k)`` that
-    :func:`stochastic_integral` sums, one column per step."""
     driver = np.asarray(driver, dtype=float)
     integrand = np.asarray(integrand, dtype=float)
     n = driver.shape[-1] - 1
@@ -68,7 +62,7 @@ def integral_steps(integrand: np.ndarray, driver: np.ndarray) -> np.ndarray:
         )
     steps = np.diff(driver, axis=-1)
     steps *= integrand
-    return steps
+    return running_sum(steps)
 
 
 def realized_qv(b_paths: np.ndarray) -> np.ndarray:
@@ -151,21 +145,17 @@ def k_process(varsigma, bundle: PathBundle) -> np.ndarray:
     levels h, with equality exactly at the bang-bang level — the defining
     inequality behind this process being a martingale under the band's
     sublinear expectation.
+
+    The running sum of :func:`_k_steps` over the whole ledger: the peak is
+    the node-shaped result and one step-shaped temporary (two if
+    ``varsigma`` has one row per path).  Given half the curvature c each
+    step is ``0.5 c dqv - G(c) dt`` bitwise; along paths, the walk
+    :func:`_node_rows` adds the same steps node by node instead and holds
+    no such array.
     """
-    return k_ledger(_integrand_on_grid(varsigma, bundle), bundle)
-
-
-def k_ledger(varsigma: np.ndarray, bundle: PathBundle) -> np.ndarray:
-    """Running sum of ``varsigma dqv - 2 G(varsigma) dt``, one column per step.
-
-    Given half the curvature c this is ``0.5 c dqv - G(c) dt`` bitwise.
-    Whole-array: the peak is ``varsigma``, the node-shaped result and one
-    step-shaped temporary (two if ``varsigma`` has one row per path).
-    Along paths, the walk :func:`_node_rows` adds the same steps node by
-    node instead and holds no such array.
-    """
-    return running_sum(_k_steps(varsigma, bundle.qv_paths[..., :-1],
-                                bundle.qv_paths[..., 1:], bundle))
+    qv = bundle.qv_paths
+    return running_sum(_k_steps(_integrand_on_grid(varsigma, bundle),
+                                qv[..., :-1], qv[..., 1:], bundle))
 
 
 def _k_steps(varsigma, qv_lo, qv_hi, bundle: PathBundle) -> np.ndarray:
@@ -255,9 +245,9 @@ def _node_rows(frames, bundle: PathBundle, columns_at, space_grid: SpaceGrid,
     are frame j's coordinates, one per frame axis, the current position
     (the derivatives' axis) last.  Each frame's points are located once and
     shared by its fields.  K accumulates inside the walk: node j + 1 holds
-    node j's value plus :func:`k_ledger`'s step for half frame j's
+    node j's value plus the :func:`_k_steps` step for half frame j's
     curvature, added in ``cumsum``'s order, so K is bitwise
-    ``k_ledger(0.5 * curvature)`` and no node-shaped curvature exists; the
+    ``k_process(0.5 * curvature)`` and no node-shaped curvature exists; the
     qv ledger is carried likewise from each node's levels.  Paths and
     levels are read as the rows of their transposes, in place on a
     simulated bundle (its time-major buffers).

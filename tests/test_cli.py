@@ -14,7 +14,9 @@ import os
 import numpy as np
 import pytest
 
-from gbrownian import GParams, SpaceGrid, TimeGrid, pde_residual, solve_gheat
+from gbrownian import (CylinderFunctional, GBSDEProblem, GParams, SpaceGrid,
+                        TimeGrid, pde_residual, solve_gheat, solve_ppde)
+from gbrownian.gheat import gradient
 from gbrownian.cli import OUT_DIR_ENV, main
 
 
@@ -269,6 +271,25 @@ class TestOutputs:
         want = float(np.max(np.abs(pde_residual(surface))))
         got = {r["metric"]: float(r["value"]) for r in read_summary(out)}
         assert got["interior-equation-residual"] == want
+
+    def test_gbsde_profile_is_the_solved_surface_row(self, tmp_path, capsys):
+        cfg = base_config(experiments=[
+            {"name": "gbsde", "payoff": "x2", "driver": "discount",
+             "rate": 0.1}])
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        space = SpaceGrid(-6.0, 6.0, 121)
+        xi = CylinderFunctional((1.0,), lambda x: x * x, 10.0, 25.0)
+        problem = GBSDEProblem(xi, lambda t, y, z: -0.1 * y, GParams(1.0, 2.0),
+                               0.1)
+        y = solve_ppde(problem, TimeGrid(1.0, 400), space).y_values
+        z = gradient(y, space.dx)       # the whole surface's gradient
+        with open(out / "00-gbsde.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["y0"]).hex() for r in rows] == [v.hex() for v in y[0]]
+        assert [float(r["z0"]).hex() for r in rows] == [v.hex() for v in z[0]]
 
     def test_surface_export_is_strided(self, tmp_path, capsys):
         cfg = base_config(experiments=[

@@ -221,18 +221,6 @@ class TestCylinderFunctional:
         assert xi.n_times == 2
         assert xi.horizon == 1.0
 
-    def test_increments_convention(self):
-        xi = CylinderFunctional(times=(0.5, 1.0),
-                                payoff=lambda a, b: b,
-                                convention="increments",
-                                lipschitz_bound=2.0, value_bound=40.0)
-        # second argument is w(1) - w(0.5)
-        assert xi.evaluate_levels(1.0, 4.0) == pytest.approx(3.0)
-        on_levels = xi.as_levels()
-        np.testing.assert_allclose(on_levels(np.array([1.0, -1.0]),
-                                             np.array([4.0, 1.0])),
-                                   [3.0, 2.0])
-
     def test_rejects_understated_lipschitz_bound(self):
         with pytest.raises(DataError):
             CylinderFunctional(times=(1.0,), payoff=lambda x: 10.0 * x,

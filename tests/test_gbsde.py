@@ -35,7 +35,7 @@ from gbrownian import (
     solve_ppde,
     solve_ppde_picard,
 )
-from gbrownian import ito
+from gbrownian import gheat, ito
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -176,6 +176,13 @@ class TestSolvePpde:
                                BAND, driver_lipschitz=50.0)
         with pytest.raises(ConfigurationError):
             solve_ppde(problem, TIME, SPACE)
+
+    @pytest.mark.parametrize("lipschitz", [math.nan, -1.0])
+    def test_driver_lipschitz_must_be_a_number_at_least_zero(self, lipschitz):
+        # NaN would pass the step guard, since nan > 0.5 is false
+        with pytest.raises(ConfigurationError, match="driver_lipschitz"):
+            GBSDEProblem(terminal_square(), lambda t, y, z: -50.0 * y, BAND,
+                         driver_lipschitz=lipschitz)
 
     def test_terminal_non_finite_on_the_grid(self):
         # finite on the functional's spot-check box (|x| < 4.5), infinite
@@ -387,6 +394,24 @@ class TestPathsAndResiduals:
         assert report.bsde_ok
         assert report.passed
         assert ppde_residual(solution) <= report.pde_tol
+
+    @pytest.mark.parametrize("driver", [
+        pytest.param(lambda t, y, z: 0.7, id="scalar"),
+        pytest.param(lambda t, y, z: 0.05 * z - 0.1 * y, id="z-dependent"),
+    ])
+    def test_ppde_residual_is_the_whole_surface_formula(self, driver):
+        # Z as one whole-surface gradient, the driver field row by row
+        problem = GBSDEProblem(terminal_square(), driver, BAND,
+                               driver_lipschitz=0.1)
+        solution = solve_ppde(problem, TIME, SPACE)
+        y = solution.y_values
+        z = gheat.gradient(y, SPACE.dx)
+        f = np.empty_like(y)
+        for i, t in enumerate(TIME.times()):
+            f[i] = driver(t, y[i], z[i])
+        want = np.max(np.abs(gheat.pde_residual(solution.y_surface())
+                             + f[1:, 1:-1]))
+        assert ppde_residual(solution).hex() == float(want).hex()
 
     def test_budgets_are_fixed(self):
         solution = self.solved()

@@ -59,16 +59,16 @@ class TestGExpectation:
                                 lipschitz_bound=1.0, value_bound=3.0)
         assert g_expectation(xi, BAND, TIME, SPACE) == pytest.approx(2.5, abs=1e-12)
 
+    # the bounds cover psi(b - a) on the spot-check box, |b - a| <= 9
     @pytest.mark.parametrize("psi, lip, vb, expected", [
-        (lambda y: y * y, 10.0, 25.0, 2.0),                  # var_hi * (T - s)
+        (lambda y: y * y, 20.0, 100.0, 2.0),                 # var_hi * (T - s)
         (np.abs, 1.5, 10.0, 1.1283791670955126),             # E|N(0, 2)|
     ])
     def test_pure_increment_reduces_to_single_solve(self, psi, lip, vb, expected):
         # payoff of B_1 - B_{1/2} alone; the two-date recursion must land
         # on the one-date value of psi(B_{1/2})
         xi = CylinderFunctional(times=(0.5, 1.0),
-                                payoff=lambda a, b: psi(b),
-                                convention="increments",
+                                payoff=lambda a, b: psi(b - a),
                                 lipschitz_bound=lip, value_bound=vb)
         assert g_expectation(xi, BAND, TIME, SPACE) \
             == pytest.approx(expected, abs=TWO_AXIS_TOL)
@@ -139,7 +139,6 @@ class TestGExpectation:
         # value must reproduce the direct two-date expectation
         xi = CylinderFunctional(times=(0.5, 1.0),
                                 payoff=lambda a, b: np.abs(b - a),
-                                convention="levels",
                                 lipschitz_bound=2.0, value_bound=20.0)
         direct = g_expectation(xi, BAND, TIME, SPACE)
         frame = conditional_frames(xi, BAND, SPACE, [0.5], TIME.dt)[0]
@@ -176,8 +175,7 @@ class TestConditional:
         # payoff |B_1 - B_{1/2}| conditioned at the first date: the already
         # observed value must not move the answer
         xi = CylinderFunctional(times=(0.5, 1.0),
-                                payoff=lambda u, v: np.abs(v),
-                                convention="increments",
+                                payoff=lambda u, v: np.abs(v - u),
                                 lipschitz_bound=1.5, value_bound=10.0)
         got = conditional_g_expectation(xi, 0.5, (a, a), BAND, TIME, SPACE)
         assert got == pytest.approx(1.1283791670955126, abs=TWO_AXIS_TOL)

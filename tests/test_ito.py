@@ -361,7 +361,7 @@ class TestAlongPathKernel:
                 assert np.array_equal(np.signbit(got), np.signbit(want))
         # K is the ledger of half the reference curvature
         np.testing.assert_array_equal(dec.k_paths,
-                                      ito.k_ledger(0.5 * curv[:, :-1], bundle))
+                                      ito.k_process(0.5 * curv[:, :-1], bundle))
 
     @pytest.mark.parametrize("n_paths", [2, 7])
     @pytest.mark.parametrize("n_steps", [1, 30, 31, 32, 64])
@@ -382,7 +382,7 @@ class TestAlongPathKernel:
             for out, field in zip(want, (frame, oracles.gradient_reference(frame, dx),
                                          oracles.curvature_reference(frame, dx))):
                 out[:, j] = oracles.eval_frame_reference(field, pts, [b[:, j]])
-        want[2] = ito.k_ledger(0.5 * want[2][:, :-1], bundle)
+        want[2] = ito.k_process(0.5 * want[2][:, :-1], bundle)
         assert np.all(np.signbit(want[2][:, 1]))
         for got, ref in zip(fields, want):
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))

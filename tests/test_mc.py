@@ -460,9 +460,11 @@ class TestMarginalMatch:
                    lambda inc: np.where(inc > 0.0, math.sqrt(3.0), math.sqrt(2.0))))
 
     def psi_second_increment_square(self):
-        return CylinderFunctional(times=(0.5, 1.0), payoff=lambda a, b: b * b,
-                                  convention="increments",
-                                  lipschitz_bound=16.0, value_bound=70.0)
+        # the square of the second increment; the bounds cover the
+        # spot-check box, where |b - a| <= 9
+        return CylinderFunctional(times=(0.5, 1.0),
+                                  payoff=lambda a, b: (b - a) * (b - a),
+                                  lipschitz_bound=20.0, value_bound=100.0)
 
     def test_block_functional_marginals_match(self):
         sched = PerturbationSchedule(refinement=1, alpha=0.25,
@@ -476,9 +478,9 @@ class TestMarginalMatch:
         assert abs(res.diff) <= 3.0 * res.stderr
 
     def test_off_grid_functional_is_out_of_scope(self):
-        psi = CylinderFunctional(times=(0.25, 1.0), payoff=lambda a, b: b * b,
-                                 convention="increments",
-                                 lipschitz_bound=16.0, value_bound=70.0)
+        psi = CylinderFunctional(times=(0.25, 1.0),
+                                 payoff=lambda a, b: (b - a) * (b - a),
+                                 lipschitz_bound=20.0, value_bound=100.0)
         res = marginal_match_test(self.base_two_blocks(),
                                   self.base_two_blocks(), psi, GRID, 100, seed=1)
         assert res.status == "out-of-scope"
