@@ -13,8 +13,8 @@ A suite is a JSON document::
 ``grids`` sizes the PDE solves (``n_steps`` must satisfy the CFL bound),
 ``mc.n_steps`` sizes the simulation grid (defaults to ``min(1024,
 grids.n_steps)``).  Each experiment entry may override any of the three
-sections with nested dicts of the same shape plus experiment-specific
-keys documented per runner below.
+sections with nested dicts of the same shape, plus the keys its runner
+reads (listed in ``_RUNNERS``); any other key is refused.
 
 Runners write ``<index>-<name>.csv`` into the output directory plus a
 shared ``summary.csv`` whose rows carry (experiment, metric, value,
@@ -52,7 +52,8 @@ from .core import (
 )
 from .errors import GBrownianError, ConfigurationError
 from .gexp import g_expectation
-from .gheat import export_surface_csv, gradient, pde_residual, solve_gheat
+from .gheat import FramePoints, export_surface_csv, gradient, pde_residual, \
+    solve_gheat
 from .ito import identify_drift, k_process, martingale_decomposition, \
     martingale_test, step2_limit_check
 from .mc import block_budget_gap, marginal_match_table, perturb_control, simulate
@@ -564,7 +565,8 @@ def _run_gbsde(env: _Env, exp: dict, label: str, out_dir: str,
                profile)
     scale = max(1.0, float(np.max(np.abs(solution.y_values))))
     return [
-        _row(label, "y-at-origin", solution.y_surface().value(0.0, 0.0)),
+        _row(label, "y-at-origin",
+             float(FramePoints(env.space_grid, [[0.0]])(solution.y_values[0])[0])),
         _check(label, "picard-agreement", picard_gap, 1e-7 * scale),
         _row(label, "picard-iterations", iters),
         _check(label, "equation-residual", equiv.pde_residual, equiv.pde_tol),
@@ -591,16 +593,17 @@ def _run_price_uvm(env: _Env, exp: dict, label: str, out_dir: str,
     ]
 
 
+# each runner and the keys it reads besides name, band, grids and mc
 _RUNNERS = {
-    "solve-gheat": _run_solve_gheat,
-    "gexp": _run_gexp,
-    "decompose": _run_decompose,
-    "verify-martingale": _run_verify_martingale,
-    "verify-lemma32": _run_verify_lemma32,
-    "verify-theorem35": _run_verify_theorem35,
-    "identify-drift": _run_identify_drift,
-    "gbsde": _run_gbsde,
-    "price-uvm": _run_price_uvm,
+    "solve-gheat": (_run_solve_gheat, "payoff strike dates time_stride"),
+    "gexp": (_run_gexp, "payoff strike dates"),
+    "decompose": (_run_decompose, "payoff strike dates bundle_steps budget"),
+    "verify-martingale": (_run_verify_martingale, ""),
+    "verify-lemma32": (_run_verify_lemma32, ""),
+    "verify-theorem35": (_run_verify_theorem35, "zeta"),
+    "identify-drift": (_run_identify_drift, "eta"),
+    "gbsde": (_run_gbsde, "payoff strike dates driver rate a b c bundle_steps"),
+    "price-uvm": (_run_price_uvm, "payoff strike dates"),
 }
 
 
@@ -634,10 +637,14 @@ def run_suite(config: dict, out_dir: str, seed_override=None):
             if not isinstance(exp, dict) or "name" not in exp:
                 raise ConfigurationError(f"{where}: expected an object with a 'name'")
             name = _choice(exp["name"], _RUNNERS, "experiment", f"{where}.name")
+            runner, keys = _RUNNERS[name]
+            for key in exp:
+                _choice(key, ["name", *_DEFAULTS, *keys.split()], "key",
+                        f"{where}.{key}")
             label = f"{i:02d}-{name}"
             try:
                 env = _Env(config, exp, where, seed_override)
-                rows.extend(_RUNNERS[name](env, exp, label, out_dir, where))
+                rows.extend(runner(env, exp, label, out_dir, where))
             except GBrownianError as err:
                 msg = str(err)
                 if where not in msg:

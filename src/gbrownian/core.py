@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -153,6 +154,16 @@ def running_sum(steps: np.ndarray) -> np.ndarray:
 # grids
 # ---------------------------------------------------------------------------
 
+def _set_count(obj, name: str, least: int) -> None:
+    """Keep ``obj.<name>`` as an int: an integer, not a bool, >= ``least``."""
+    value = getattr(obj, name)
+    if isinstance(value, bool) or not isinstance(value, Integral) \
+            or value < least:
+        raise ConfigurationError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid on [0, horizon] with n_steps steps."""
@@ -163,10 +174,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ConfigurationError(f"horizon must be > 0, got {self.horizon!r}")
-        if int(self.n_steps) < 1:
-            raise ConfigurationError(f"n_steps must be >= 1, got {self.n_steps!r}")
+        _set_count(self, "n_steps", 1)
         object.__setattr__(self, "horizon", float(self.horizon))
-        object.__setattr__(self, "n_steps", int(self.n_steps))
 
     @property
     def dt(self) -> float:
@@ -210,11 +219,9 @@ class SpaceGrid:
             raise ConfigurationError(
                 f"x_min must be < x_max, got [{self.x_min!r}, {self.x_max!r}]"
             )
-        if int(self.n_points) < 3:
-            raise ConfigurationError("n_points must be >= 3 for second differences")
+        _set_count(self, "n_points", 3)     # three for second differences
         object.__setattr__(self, "x_min", float(self.x_min))
         object.__setattr__(self, "x_max", float(self.x_max))
-        object.__setattr__(self, "n_points", int(self.n_points))
 
     @property
     def dx(self) -> float:
@@ -512,9 +519,9 @@ class SelfDependentControl(ControlProcess):
 class FeedbackControl(ControlProcess):
     """Bang-bang control read off a solved value surface.
 
-    At simulation time t and position x the driver picks
-    ``sign_vol(curvature of the surface at (t, x))`` using the nearest
-    surface node.  Paths that leave the surface's space grid raise
+    At simulation time t and position x the driver picks ``sign_vol`` of
+    the curvature at (T - t, x) on the nearest node of the surface, which
+    runs forward over [0, T].  Paths that leave its space grid raise
     :class:`ExtrapolationError` — widen the grid rather than extrapolating.
     """
 
@@ -540,8 +547,7 @@ class FeedbackControl(ControlProcess):
         n_rows = surf.time_grid.n_steps
 
         def driver(k, b_hist):
-            t = k * time_grid.dt
-            tau = t if surf.orientation == "backward" else surf.time_grid.horizon - t
+            tau = surf.time_grid.horizon - k * time_grid.dt
             row = min(max(int(round(tau / sdt)), 0), n_rows)
             x = b_hist[:, -1]
             cols = np.rint((x - sg.x_min) / sg.dx).astype(np.int64)
@@ -576,8 +582,7 @@ class PerturbationSchedule:
     sub_control: ControlProcess
 
     def __post_init__(self) -> None:
-        if int(self.refinement) < 0:
-            raise ConfigurationError(f"refinement must be >= 0, got {self.refinement!r}")
+        _set_count(self, "refinement", 0)
         if not (0.0 < float(self.alpha) < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not isinstance(self.sub_control, ControlProcess):
@@ -587,7 +592,6 @@ class PerturbationSchedule:
                 "perturbation needs a non-degenerate band: with "
                 "sigma_lo == sigma_hi there is no room to shrink"
             )
-        object.__setattr__(self, "refinement", int(self.refinement))
         object.__setattr__(self, "alpha", float(self.alpha))
 
     @property

@@ -50,7 +50,7 @@ import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value
 from .errors import CapabilityError, ConfigurationError, UsageError
-from .gheat import ValueSurface, curvature, gradient, pde_residual, sweep_rows
+from .gheat import curvature, gradient, sweep_rows
 from .mc import PathBundle
 from .ito import _node_rows, check_paths_inside, eval_on_paths
 
@@ -73,7 +73,6 @@ class CylinderPathProcess:
 
     times: tuple
     pieces: tuple
-    name: str = ""
 
     def __post_init__(self) -> None:
         times = tuple(float(t) for t in self.times)
@@ -211,17 +210,13 @@ def _check_driver_stability(problem: GBSDEProblem, dt: float, dx: float) -> None
 
 @dataclass(frozen=True, eq=False)
 class GBSDESolution:
-    """Solved backward surface Y.  Its derivative ``Z = D_x Y`` is not
-    stored: each reader takes :func:`gheat.gradient` of the rows it needs."""
+    """Solved backward surface Y; ``Z = D_x Y`` is not stored: each reader
+    takes :func:`gheat.gradient` of the rows it needs."""
 
     problem: GBSDEProblem
     time_grid: TimeGrid
     space_grid: SpaceGrid
-    y_values: np.ndarray     # (n_steps + 1, n_points), row i at time t_i
-
-    def y_surface(self) -> ValueSurface:
-        return ValueSurface(self.problem.band, self.time_grid, self.space_grid,
-                            self.y_values, "backward")
+    y_values: np.ndarray     # (n_steps + 1, n_points), row i at t_i, data last
 
     def paths_view(self, bundle: PathBundle) -> tuple:
         """(Y, Z, K) along the bundle's paths at the bundle's nodes, each
@@ -229,7 +224,7 @@ class GBSDESolution:
         peak is the three outputs plus a few rows of one value per path
         (see :func:`ito.eval_on_paths`).  :func:`gbsde_residual` reads the
         same walk without storing it."""
-        return eval_on_paths(self._frames_for(bundle), bundle, lambda j: [j],
+        return eval_on_paths(self._frames_for(bundle), bundle, (),
                              self.space_grid)
 
     def _frames_for(self, bundle: PathBundle) -> np.ndarray:
@@ -240,9 +235,8 @@ class GBSDESolution:
             raise UsageError("bundle band differs from the problem band")
         check_paths_inside(bundle, self.space_grid)
         bundle.time_grid.require_horizon(self.time_grid.horizon, "solution")
-        ratio = self.time_grid.n_steps / bundle.time_grid.n_steps
-        stride = int(round(ratio))
-        if abs(ratio - stride) > 1e-9 or stride < 1:
+        stride, rest = divmod(self.time_grid.n_steps, bundle.time_grid.n_steps)
+        if rest or stride < 1:
             raise UsageError(
                 f"bundle grid ({bundle.time_grid.n_steps} steps) must divide "
                 f"the solution grid ({self.time_grid.n_steps} steps)"
@@ -359,7 +353,7 @@ def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidual
         f_sum = z_sum = 0.0     # running_sum's column 0
         f_dt, z_db = np.empty(n_paths), np.empty(n_paths)
         for j, (y, z, k) in enumerate(_node_rows(
-                frames, bundle, lambda j: [j], solution.space_grid, ring)):
+                frames, bundle, (), solution.space_grid, ring)):
             yield y, k, f_sum, z_sum
             if j < tg.n_steps:
                 f_dt[...] = driver(times[j], y, z)     # a float row, even
@@ -425,14 +419,20 @@ class EquivalenceReport:
 def ppde_residual(solution: GBSDESolution) -> float:
     """Interior residual of the discrete equation the sweep advanced.
 
-    The :func:`pde_residual` of the backward surface (backward in time,
-    centred in space) plus the driver field on the rows the sweep read, so
-    the value is rounding noise for genuine solutions and O(1) for
-    surfaces that do not solve the equation.
+    Row i pairs ``(y[i+1] - y[i]) / dt`` with G of the curvature of row
+    i+1, the row the backward sweep read, and the driver field on that
+    row: ``((y[i+1] - y[i]) / dt + G(D2_x y[i+1])) + f[i+1]`` at the
+    interior nodes.  The value is rounding noise for genuine solutions and
+    O(1) for surfaces that do not solve the equation.
     """
-    f = _driver_field(solution.problem, solution.time_grid,
-                      solution.space_grid, solution.y_values)
-    resid = pde_residual(solution.y_surface()) + f[1:, 1:-1]
+    y, sg = solution.y_values, solution.space_grid
+    f = _driver_field(solution.problem, solution.time_grid, sg, y)
+    g = g_value(solution.problem.band, curvature(y[1:], sg.dx))
+    resid = np.diff(y, axis=0)
+    resid /= solution.time_grid.dt
+    resid += g
+    resid = resid[:, 1:-1]
+    resid += f[1:, 1:-1]
     return float(np.max(np.abs(resid)))
 
 

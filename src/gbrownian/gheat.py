@@ -7,9 +7,9 @@ the update is monotone, hence stable and convergent for the fully
 nonlinear equation; the CFL bound is enforced, never silently repaired.
 
 A surface solved forward from initial data satisfies
-``u(t, x) ~ E[payoff(x + B_t)]`` under the band's sublinear expectation;
-backward-oriented surfaces (terminal data) arrive from the conditional
-and path-PDE layers and share the representation and export code here.
+``u(t, x) ~ E[payoff(x + B_t)]`` under the band's sublinear expectation.
+Every :class:`ValueSurface` runs forward from its data row; the backward
+equations of ``gbsde`` keep their own rows and residual.
 
 :class:`_FlatMarch`, the only explicit step, takes G from ``core``'s one
 kernel and marches a contiguous run of whole rows as one flat array: the
@@ -18,7 +18,7 @@ which leaves every edge node's bits as they were.  :func:`march_steps`,
 the block loop, feeds it cache-sized blocks of rows (``gexp``'s nested
 sweeps); :func:`sweep_rows`, the row loop, feeds it one row per time step
 and fills forward surfaces and, over reversed rows, ``gbsde``'s backward
-ones.  Each allocates the step's scratch once per call.
+solutions.  Each allocates the step's scratch once per call.
 :class:`FramePoints`, the only grid interpolator, serves
 :meth:`ValueSurface.value`, ``gexp`` and the along-path walks of ``ito``
 and ``gbsde``.
@@ -291,16 +291,14 @@ class ValueSurface:
     """Solved values on a time x space grid.
 
     ``values[i, j]`` is the solution at ``(times()[i], points()[j])``.
-    ``orientation`` records where the data layer sits: ``"forward"`` means
-    ``values[0]`` is the payoff (elapsed-time coordinate), ``"backward"``
-    means ``values[-1]`` is the payoff (absolute-time coordinate).
+    The surface runs forward: ``values[0]`` is the payoff and time is the
+    time elapsed since it, so row i holds ``x -> E[payoff(x + B_{t_i})]``.
     """
 
     band: GParams
     time_grid: TimeGrid
     space_grid: SpaceGrid
     values: np.ndarray
-    orientation: str = "forward"
 
     def __post_init__(self) -> None:
         expect = (self.time_grid.n_steps + 1, self.space_grid.n_points)
@@ -308,8 +306,6 @@ class ValueSurface:
             raise UsageError(
                 f"surface values shape {self.values.shape} != grid shape {expect}"
             )
-        if self.orientation not in ("forward", "backward"):
-            raise UsageError(f"orientation must be forward/backward, got {self.orientation!r}")
 
     def value(self, t: float, x: float) -> float:
         """Bilinear interpolation in (t, x): the time-blended row, then
@@ -328,8 +324,8 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
     """Solve the band heat equation forward from initial data.
 
     ``payoff`` is a callable evaluated on the space grid, or a ready-made
-    array of nodal values.  Returns a forward-oriented surface whose row i
-    approximates ``x -> E[payoff(x + B_{t_i})]``.
+    array of nodal values.  Returns a surface whose row i approximates
+    ``x -> E[payoff(x + B_{t_i})]``.
     """
     x = space_grid.points()
     data = np.asarray(payoff(x) if callable(payoff) else payoff, dtype=float)
@@ -338,7 +334,7 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
     values = np.empty((time_grid.n_steps + 1, space_grid.n_points))
     values[0] = data
     sweep_rows(values, band, time_grid.dt, space_grid)
-    return ValueSurface(band, time_grid, space_grid, values, "forward")
+    return ValueSurface(band, time_grid, space_grid, values)
 
 
 def gradient(u: np.ndarray, dx: float) -> np.ndarray:
@@ -360,22 +356,18 @@ def curvature(u: np.ndarray, dx: float) -> np.ndarray:
 
 
 def pde_residual(surface: ValueSurface) -> np.ndarray:
-    """Interior residual ``du_dt -/+ G(d2u_dx2)`` of a solved surface.
+    """Interior residual ``du_dt - G(d2u_dx2)`` of a solved surface.
 
-    Forward surfaces solve ``u_t - G(u_xx) = 0`` and backward ones
-    ``u_t + G(u_xx) = 0``; row i pairs ``(u[i+1] - u[i]) / dt`` with the
-    curvature of the row the scheme read (i forward, i+1 backward).  For
-    surfaces produced by the marching kernel the interior residual is zero
-    to rounding by construction, so this is a self-consistency check, not
-    an accuracy estimate.
+    The surface solves ``u_t - G(u_xx) = 0`` forward from its data row:
+    row i pairs ``(u[i+1] - u[i]) / dt`` with the curvature of row i, the
+    row the scheme read.  For surfaces produced by the marching kernel the
+    interior residual is zero to rounding by construction, so this is a
+    self-consistency check, not an accuracy estimate.
     """
     g = g_value(surface.band, curvature(surface.values, surface.space_grid.dx))
     resid = np.diff(surface.values, axis=0)
     resid /= surface.time_grid.dt
-    if surface.orientation == "forward":
-        resid -= g[:-1]
-    else:
-        resid += g[1:]
+    resid -= g[:-1]
     return resid[:, 1:-1]
 
 
@@ -406,7 +398,7 @@ def export_surface_csv(surface: ValueSurface, path, time_stride: int = 1) -> int
         raise UsageError("time_stride must be >= 1")
     u, dx = surface.values, surface.space_grid.dx
     du_dx, d2u = gradient(u, dx), curvature(u, dx)
-    times = surface.time_grid.times()   # row i is at times[i] in both orientations
+    times = surface.time_grid.times()
     xs = surface.space_grid.points()
     rows = 0
     with open(path, "w", newline="") as fh:

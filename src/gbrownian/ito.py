@@ -220,42 +220,45 @@ def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
         )
 
 
-def eval_on_paths(frames, bundle: PathBundle, columns_at,
+def eval_on_paths(frames, bundle: PathBundle, date_nodes,
                   space_grid: SpaceGrid) -> tuple:
     """The walk of ``frames[j]`` along the bundle's paths, one frame per
     node: value, Z (the gradient) and K, three ``(n_paths, n_frames)``
     arrays, each the transpose of a time-major buffer that
-    :func:`_node_rows` writes node by node.  The peak is the three outputs
-    plus ``O(n_paths)`` scratch, whatever the bundle's length.
+    :func:`_node_rows` writes node by node (``date_nodes`` as there).  The
+    peak is the three outputs plus ``O(n_paths)`` scratch, whatever the
+    bundle's length.
     """
     out = [np.empty((len(frames), bundle.n_paths)) for _ in range(3)]
-    for _ in _node_rows(frames, bundle, columns_at, space_grid, out):
+    for _ in _node_rows(frames, bundle, date_nodes, space_grid, out):
         pass
     return tuple(o.T for o in out)
 
 
-def _node_rows(frames, bundle: PathBundle, columns_at, space_grid: SpaceGrid,
+def _node_rows(frames, bundle: PathBundle, date_nodes, space_grid: SpaceGrid,
                out):
     """The one along-path walk: yields node j's value, Z (the gradient)
     and K rows, one value per path, written into row ``j % m`` of each of
     the three ``(m, n_paths)`` buffers ``out``.  Node j's K adds to node
     j - 1's row, so m = 2, the least, streams the walk.
 
-    ``columns_at(j)`` lists the columns (nodes) of ``bundle.b_paths`` that
-    are frame j's coordinates, one per frame axis, the current position
-    (the derivatives' axis) last.  Each frame's points are located once and
-    shared by its fields.  K accumulates inside the walk: node j + 1 holds
-    node j's value plus the :func:`_k_steps` step for half frame j's
-    curvature, added in ``cumsum``'s order, so K is bitwise
-    ``k_process(0.5 * curvature)`` and no node-shaped curvature exists; the
-    qv ledger is carried likewise from each node's levels.  Paths and
-    levels are read as the rows of their transposes, in place on a
-    simulated bundle (its time-major buffers).
+    Frame j carries its axes as ``gexp`` makes them: its coordinates are
+    the paths at the first ``frame.ndim - 1`` of ``date_nodes`` (the
+    observed dates' nodes), then at node j (the current position, the
+    derivatives' axis); more observed axes raise :class:`UsageError`.
+    Each frame's points are located once and shared by its fields.  K
+    accumulates inside the walk: node j + 1 holds node j's value plus the
+    :func:`_k_steps` step for half frame j's curvature, added in
+    ``cumsum``'s order, so K is bitwise ``k_process(0.5 * curvature)`` and
+    no node-shaped curvature exists; the qv ledger is carried likewise
+    from each node's levels.  Paths and levels are read as the rows of
+    their transposes, in place on a simulated bundle's time-major buffers.
     """
     bt, ht = bundle.b_paths.T, bundle.control_paths.T
     (n_nodes, n_paths), n = bt.shape, len(frames)
     if n != n_nodes:
         raise UsageError(f"{n} frames for a bundle of {n_nodes} nodes")
+    observed = [bt[c] for c in date_nodes]
     half = np.empty(n_paths)
     qv, dx, dt = 0.0, space_grid.dx, bundle.time_grid.dt
     for j, frame in enumerate(frames):
@@ -266,7 +269,11 @@ def _node_rows(frames, bundle: PathBundle, columns_at, space_grid: SpaceGrid,
             k[...] = step
         else:
             np.add(k_last, step, out=k)
-        at = FramePoints(space_grid, [bt[c] for c in columns_at(j)])
+        if frame.ndim - 1 > len(observed):
+            raise UsageError(
+                f"the frame at node {j} has {frame.ndim - 1} observed axes, "
+                f"but {len(observed)} date node(s) were given")
+        at = FramePoints(space_grid, observed[:frame.ndim - 1] + [bt[j]])
         at(frame, out=value)
         at(gradient(frame, dx), out=z)
         if j + 1 < n:
@@ -295,20 +302,9 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
     cyl_idx = [bundle.time_grid.index_of(t) for t in xi.times]
     check_paths_inside(bundle, space_grid)
 
-    rec_times = bundle.time_grid.times()
-    frames = conditional_frames(xi, band, space_grid, rec_times, time_grid.dt)
-    tol = 1e-12 * max(1.0, xi.horizon)
-
-    def columns_at(j):
-        observed = [ci for ci, t in zip(cyl_idx, xi.times)
-                    if t <= rec_times[j] + tol]
-        if rec_times[j] >= xi.horizon - tol:
-            # the terminal frame is the raw payoff mesh: its last axis is
-            # the final observation, which IS the current position there
-            observed = observed[:-1]
-        return observed + [j]
-
-    return ItoDecomposition(*eval_on_paths(frames, bundle, columns_at,
+    frames = conditional_frames(xi, band, space_grid,
+                                bundle.time_grid.times(), time_grid.dt)
+    return ItoDecomposition(*eval_on_paths(frames, bundle, cyl_idx,
                                            space_grid), bundle)
 
 

@@ -56,6 +56,7 @@ from gbrownian import (
     stochastic_integral,
     sup_over_controls,
 )
+from gbrownian.gheat import FramePoints
 
 BAND = GParams(1.0, 2.0)
 REF_SPACE = SpaceGrid(-6.0, 6.0, 401)
@@ -334,7 +335,7 @@ def test_criterion_10_gbsde():
     linear = solve_ppde(GBSDEProblem(unit, lambda t_, y, z: -0.1 * y, flat,
                                      driver_lipschitz=0.1),
                         REF_TIME, REF_SPACE)
-    y0 = linear.y_surface().value(0.0, 0.0)
+    y0 = float(FramePoints(REF_SPACE, [[0.0]])(linear.y_values[0])[0])
 
     solution = solve_ppde(GBSDEProblem(xi, lambda t_, y, z: -0.1 * y, BAND,
                                        driver_lipschitz=0.1),

@@ -121,9 +121,21 @@ class TestConfigRejection:
         ({"name": "gexp", "payoff": ["x2"]}, "experiments[0].payoff"),
         ({"name": "gbsde", "driver": ["zero"]}, "experiments[0].driver"),
         ({"name": ["gexp"]}, "experiments[0].name"),
+        # a misspelled key is refused, not ignored in favour of its default
+        ({"name": "gexp", "payof": "max2", "strik": 3},
+         "experiments[0].payof"),
+        ({"name": "gbsde", "driver": "zero", "rates": 0.2},
+         "experiments[0].rates"),
+        # a key that another runner reads
+        ({"name": "gexp", "time_stride": 4}, "experiments[0].time_stride"),
+        ({"name": "verify-martingale", "payoff": "x2"},
+         "experiments[0].payoff"),
+        ({"name": "gexp", "grids": {"n_pts": 3}}, "experiments[0].grids"),
     ], ids=["eta-not-an-object", "zeta-not-an-object", "eta-without-breaks",
             "dates-not-a-list", "payoff-a-list", "driver-a-list",
-            "name-a-list"])
+            "name-a-list", "payoff-typo", "gbsde-rate-typo",
+            "another-runners-key", "payoff-on-a-payoff-free-runner",
+            "grids-typo"])
     def test_malformed_shape(self, tmp_path, capsys, experiment, location):
         self.rejects(tmp_path, capsys, base_config(experiments=[experiment]),
                      location)

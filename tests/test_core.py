@@ -7,6 +7,7 @@ drivers, validation behaviour) run on seeded samples.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,15 @@ class TestGrids:
             TimeGrid(0.0, 4)
         with pytest.raises(ConfigurationError):
             TimeGrid(1.0, 0)
+        # a count that is not an integer is refused, not truncated
+        for bad in (2.7, 8.0, "8", math.nan, math.inf, True):
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"n_steps must be an integer "
+                                               f">= 1, got {bad!r}")):
+                TimeGrid(1.0, bad)
+        for good in (8, np.int64(8), np.uint8(8)):
+            grid = TimeGrid(1.0, good)
+            assert grid.n_steps == 8 and type(grid.n_steps) is int
 
     def test_require_horizon_refuses_nan(self):
         tg = TimeGrid(1.0, 4)
@@ -203,6 +213,12 @@ class TestGrids:
             SpaceGrid(1.0, -1.0, 5)
         with pytest.raises(ConfigurationError):
             SpaceGrid(-1.0, 1.0, 2)
+        for bad in (3.5, 5.0, "5", math.nan, math.inf):
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"n_points must be an integer "
+                                               f">= 3, got {bad!r}")):
+                SpaceGrid(-1.0, 1.0, bad)
+        assert type(SpaceGrid(-1.0, 1.0, np.int32(5)).n_points) is int
 
     @pytest.mark.parametrize("bounds, name", [((-math.inf, 6.0), "x_min"),
                                               ((-6.0, math.inf), "x_max"),
@@ -325,6 +341,8 @@ class TestControls:
         sub = ConstantControl(band=BAND, level=1.0)
         with pytest.raises(ConfigurationError):
             PerturbationSchedule(refinement=-1, alpha=0.25, sub_control=sub)
+        with pytest.raises(ConfigurationError, match="refinement .* 1.5"):
+            PerturbationSchedule(refinement=1.5, alpha=0.25, sub_control=sub)
         with pytest.raises(DomainError):
             PerturbationSchedule(refinement=0, alpha=1.0, sub_control=sub)
         flat = ConstantControl(band=GParams(1.0, 1.0), level=1.0)

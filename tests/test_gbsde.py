@@ -28,6 +28,7 @@ from gbrownian import (
     a_g,
     cylinder_derivatives,
     equivalence_check,
+    g_value,
     gbsde_residual,
     ppde_residual,
     simulate,
@@ -158,9 +159,8 @@ class TestSolvePpde:
         problem = GBSDEProblem(xi, lambda t, y, z: -0.1 * y, flat,
                                driver_lipschitz=0.1)
         solution = solve_ppde(problem, TimeGrid(1.0, 400), SPACE)
-        surf = solution.y_surface()
-        assert surf.orientation == "backward"
-        assert surf.value(0.0, 0.0) == pytest.approx(math.exp(-0.1), abs=1e-3)
+        y0 = gheat.FramePoints(SPACE, [[0.0]])(solution.y_values[0])[0]
+        assert y0 == pytest.approx(math.exp(-0.1), abs=1e-3)
         # x-independence: the whole row discounts uniformly
         np.testing.assert_allclose(solution.y_values[0],
                                    math.exp(-0.1), atol=1e-3)
@@ -400,7 +400,8 @@ class TestPathsAndResiduals:
         pytest.param(lambda t, y, z: 0.05 * z - 0.1 * y, id="z-dependent"),
     ])
     def test_ppde_residual_is_the_whole_surface_formula(self, driver):
-        # Z as one whole-surface gradient, the driver field row by row
+        # Z as one whole-surface gradient, the driver field row by row;
+        # row i is ((y[i+1] - y[i]) / dt + G(curvature of y[i+1])) + f[i+1]
         problem = GBSDEProblem(terminal_square(), driver, BAND,
                                driver_lipschitz=0.1)
         solution = solve_ppde(problem, TIME, SPACE)
@@ -409,7 +410,8 @@ class TestPathsAndResiduals:
         f = np.empty_like(y)
         for i, t in enumerate(TIME.times()):
             f[i] = driver(t, y[i], z[i])
-        want = np.max(np.abs(gheat.pde_residual(solution.y_surface())
+        g = g_value(BAND, gheat.curvature(y, SPACE.dx))
+        want = np.max(np.abs(((y[1:] - y[:-1]) / TIME.dt + g[1:])[:, 1:-1]
                              + f[1:, 1:-1]))
         assert ppde_residual(solution).hex() == float(want).hex()
 

@@ -338,20 +338,33 @@ class TestAlongPathKernel:
     SPACE = SpaceGrid(-10.0, 10.0, 81)
     SWEEP = TimeGrid(1.0, 128)
 
-    @pytest.mark.parametrize("seed", [1, 5, 64])
-    def test_bitwise_equal_to_the_reference(self, seed):
-        # three independent bundles, so the paths cross different cells
-        xi = CylinderFunctional(times=(0.5, 1.0), payoff=lambda a, b: np.abs(b - a),
-                                lipschitz_bound=1.0, value_bound=40.0)
-        bundle = lo_bundle(n_paths=64, seed=seed, grid=TimeGrid(1.0, 16))
+    INCREMENT = CylinderFunctional(times=(0.5, 1.0),
+                                   payoff=lambda a, b: np.abs(b - a),
+                                   lipschitz_bound=1.0, value_bound=40.0)
+    MEAN3 = CylinderFunctional(times=(1 / 3, 2 / 3, 1.0),
+                               payoff=lambda a, b, c: (a + b + c) / 3.0,
+                               lipschitz_bound=1.0, value_bound=40.0)
+
+    @pytest.mark.parametrize("seed, xi, n_steps", [
+        (1, INCREMENT, 16), (5, INCREMENT, 16), (64, INCREMENT, 16),
+        (3, MEAN3, 12)], ids=["1", "5", "64", "mean3"])
+    def test_bitwise_equal_to_the_reference(self, seed, xi, n_steps):
+        # three independent bundles, so the paths cross different cells;
+        # the three-date mean has three frame axes from t = 2/3 on and
+        # ends on its raw payoff mesh
+        bundle = lo_bundle(n_paths=64, seed=seed, grid=TimeGrid(1.0, n_steps))
         dec = martingale_decomposition(xi, BAND, self.SWEEP, self.SPACE, bundle)
         frames = conditional_frames(xi, BAND, self.SPACE,
                                     bundle.time_grid.times(), self.SWEEP.dt)
         pts, dx, b = self.SPACE.points(), self.SPACE.dx, bundle.b_paths
+        dates = [round(t * n_steps) for t in xi.times]
         curv = np.empty_like(dec.m_paths)
         for j, frame in enumerate(frames):
-            # two axes from t = 0.5 on: the observed B_.5, then B_t
-            coords = [b[:, 8], b[:, j]] if frame.ndim == 2 else [b[:, j]]
+            # the path at each date reached so far, then B_t; at the
+            # horizon the last date is B_t itself
+            observed = [d for d in dates if d <= j][:len(dates) - 1]
+            assert frame.ndim == len(observed) + 1
+            coords = [b[:, d] for d in observed] + [b[:, j]]
             curv[:, j] = oracles.eval_frame_reference(
                 oracles.curvature_reference(frame, dx), pts, coords)
             for got, field in ((dec.m_paths[:, j], frame),
@@ -375,7 +388,7 @@ class TestAlongPathKernel:
         # every path starts on node 40, where this curvature is -0.0: step 0
         # is -0.0, and K_1 keeps cumsum's -0.0, not 0.0 + (-0.0)
         frames[0, 39:42] = (-0.0, 0.0, -0.0)
-        fields = ito.eval_on_paths(frames, bundle, lambda j: [j], self.SPACE)
+        fields = ito.eval_on_paths(frames, bundle, (), self.SPACE)
         pts, dx, b = self.SPACE.points(), self.SPACE.dx, bundle.b_paths
         want = np.empty((3,) + b.shape)
         for j, frame in enumerate(frames):
@@ -392,7 +405,7 @@ class TestAlongPathKernel:
         # like the bundle's paths
         bundle = lo_bundle(n_paths=6, seed=3, grid=TimeGrid(1.0, 8))
         frames = np.random.default_rng(3).normal(size=(9, self.SPACE.n_points))
-        for field in ito.eval_on_paths(frames, bundle, lambda j: [j], self.SPACE):
+        for field in ito.eval_on_paths(frames, bundle, (), self.SPACE):
             assert field.shape == bundle.b_paths.shape
             assert field.T.flags.c_contiguous
         xi = CylinderFunctional(times=(1.0,), payoff=lambda x: x * x,
@@ -405,7 +418,17 @@ class TestAlongPathKernel:
         bundle = lo_bundle(n_paths=2, grid=TimeGrid(1.0, 4))
         with pytest.raises(UsageError, match="4 frames for a bundle of 5 nodes"):
             ito.eval_on_paths(np.zeros((4, self.SPACE.n_points)), bundle,
-                              lambda j: [j], self.SPACE)
+                              (), self.SPACE)
+
+    def test_frames_observe_no_more_dates_than_given(self):
+        # from node 3 on the frames carry one observed axis, but the walk
+        # was given no date node to read it from
+        bundle = lo_bundle(n_paths=2, grid=TimeGrid(1.0, 4))
+        n = self.SPACE.n_points
+        frames = [np.zeros(n)] * 3 + [np.zeros((n, n))] * 2
+        with pytest.raises(UsageError, match="node 3 has 1 observed axes, "
+                                             r"but 0 date node\(s\)"):
+            ito.eval_on_paths(frames, bundle, (), self.SPACE)
 
 
 class TestMartingaleTest:
