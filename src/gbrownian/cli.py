@@ -52,10 +52,9 @@ from .core import (
 )
 from .errors import GBrownianError, ConfigurationError
 from .gexp import g_expectation
-from .gheat import FramePoints, export_surface_csv, gradient, pde_residual, \
-    solve_gheat
+from .gheat import export_surface_csv, gradient, pde_residual, solve_gheat
 from .ito import identify_drift, k_process, martingale_decomposition, \
-    martingale_test, step2_limit_check
+    martingale_table, martingale_test, step2_limit_check
 from .mc import block_budget_gap, marginal_match_table, perturb_control, simulate
 
 _DEFAULTS = {
@@ -339,14 +338,10 @@ def _run_verify_martingale(env: _Env, exp: dict, label: str, out_dir: str,
     family = _default_family(env)
     half = env.horizon / 2.0
     pairs = [(0.0, half), (half, env.horizon), (0.0, env.horizon)]
-    grid = env.mc_grid
-
-    k_report = martingale_test(lambda b: k_process(1.0, b), family, pairs,
-                               grid, env.n_paths, env.seed)
-    drift_report = martingale_test(
-        lambda b: np.broadcast_to(-b.time_grid.times(),
-                                  b.b_paths.shape).copy(),
-        family, pairs, grid, env.n_paths, env.seed)
+    k_report, drift_report = martingale_table(
+        [lambda b: k_process(1.0, b),
+         lambda b: np.broadcast_to(-b.time_grid.times(), b.b_paths.shape).copy()],
+        family, pairs, env.mc_grid, env.n_paths, env.seed)
 
     table = []
     for proc, rep in (("K(1)", k_report), ("drift", drift_report)):
@@ -565,8 +560,7 @@ def _run_gbsde(env: _Env, exp: dict, label: str, out_dir: str,
                profile)
     scale = max(1.0, float(np.max(np.abs(solution.y_values))))
     return [
-        _row(label, "y-at-origin",
-             float(FramePoints(env.space_grid, [[0.0]])(solution.y_values[0])[0])),
+        _row(label, "y-at-origin", solution.initial),
         _check(label, "picard-agreement", picard_gap, 1e-7 * scale),
         _row(label, "picard-iterations", iters),
         _check(label, "equation-residual", equiv.pde_residual, equiv.pde_tol),

@@ -50,7 +50,7 @@ import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value
 from .errors import CapabilityError, ConfigurationError, UsageError
-from .gheat import curvature, gradient, sweep_rows
+from .gheat import FramePoints, curvature, gradient, sweep_rows
 from .mc import PathBundle
 from .ito import _node_rows, check_paths_inside, eval_on_paths
 
@@ -217,6 +217,10 @@ class GBSDESolution:
     time_grid: TimeGrid
     space_grid: SpaceGrid
     y_values: np.ndarray     # (n_steps + 1, n_points), row i at t_i, data last
+
+    @property
+    def initial(self) -> float:     # Y at time 0 and the origin
+        return float(FramePoints(self.space_grid, [[0.0]])(self.y_values[0])[0])
 
     def paths_view(self, bundle: PathBundle) -> tuple:
         """(Y, Z, K) along the bundle's paths at the bundle's nodes, each

@@ -308,14 +308,16 @@ class ValueSurface:
             )
 
     def value(self, t: float, x: float) -> float:
-        """Bilinear interpolation in (t, x): the time-blended row, then
-        :class:`FramePoints` in x.  Refuses to extrapolate."""
+        """Bilinear interpolation in (t, x): the time-blended row (the row
+        itself on a node, t = T included), then :class:`FramePoints` in x.
+        Refuses to extrapolate."""
         tg = self.time_grid
         if not (-1e-12 <= t <= tg.horizon * (1.0 + 1e-12)):
             raise ExtrapolationError(f"t={t!r} outside [0, {tg.horizon}]")
         ti = min(int(t / tg.dt), tg.n_steps - 1)
         wt = t / tg.dt - ti
-        row = (1.0 - wt) * self.values[ti] + wt * self.values[ti + 1]
+        row = (self.values[ti] if wt == 0.0 else self.values[ti + 1] if wt == 1.0
+               else (1.0 - wt) * self.values[ti] + wt * self.values[ti + 1])
         return float(FramePoints(self.space_grid, [[x]])(row)[0])
 
 

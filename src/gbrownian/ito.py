@@ -332,57 +332,66 @@ class MartingaleReport:
         return "\n".join(lines)
 
 
-def martingale_test(process_builder, family, pairs, time_grid: TimeGrid,
-                    n_paths: int, seed: int) -> MartingaleReport:
-    """Scan E[X_t - X_s] over a control family for martingale violations.
+def martingale_table(builders, family, pairs, time_grid: TimeGrid,
+                     n_paths: int, seed: int) -> list:
+    """Scan E[X_t - X_s] over a control family for martingale violations:
+    one :class:`MartingaleReport` per process builder, from one pass.
 
     For a process that is a martingale under the band's sublinear
     expectation, the supremum of ``E[X_t - X_s]`` over *all* admissible
     controls is zero; over a finite family the estimate can therefore only
     refute the property (sup significantly away from zero), never certify
-    it — a family that misses the maximiser biases the sup low.  Each
-    control's bundle goes through ``mc._simulate_reduce``, which issues
-    every control identical normals (common random numbers) and reduces
-    the per-path window differences ``X_t - X_s`` to estimates.
-
-    ``process_builder`` maps one chunk's bundle to node-shaped paths, row p
-    from path p only.  Verdict: consistent iff the sup estimate lies within
-    three of its standard errors of zero on every window.
+    it — a family that misses the maximiser biases the sup low.  The pass
+    is ``mc._simulate_reduce`` (common random numbers); it reduces each
+    builder's per-path window differences on their own, so a report is
+    bitwise that of a one-builder table.  A builder maps one chunk's
+    bundle to node-shaped paths, row p from path p only.  Verdict:
+    consistent iff the sup lies within three standard errors of zero on
+    every window.
     """
     idx_pairs = [(time_grid.index_of(s), time_grid.index_of(t)) for s, t in pairs]
     for (i, j), (s, t) in zip(idx_pairs, pairs):
         if not i < j:
             raise UsageError(f"window ({s}, {t}) is not increasing")
 
-    def window_differences(bundle):
-        x = np.asarray(process_builder(bundle), dtype=float)
+    def window_differences(build, bundle):
+        # one builder's paths live only here: the next builder's are made
+        # after they are freed, so the pass holds one process at a time
+        x = np.asarray(build(bundle), dtype=float)
         if x.shape != bundle.b_paths.shape:
             raise UsageError("process builder must return node-shaped paths")
         return [x[:, j] - x[:, i] for i, j in idx_pairs]
 
-    stats = _simulate_reduce(family, time_grid, n_paths, seed,
-                             window_differences)
+    stats = _simulate_reduce(family, time_grid, n_paths, seed, lambda bundle: [
+        d for build in builders for d in window_differences(build, bundle)])
 
-    rows = []
-    consistent = True
-    for p, (s, t) in enumerate(pairs):
-        means = [ests[p].mean for ests in stats]
-        c_sup = int(np.argmax(means))
-        c_min = int(np.argmin(means))
-        sup, low = stats[c_sup][p], stats[c_min][p]
-        ok = abs(sup.mean) <= 3.0 * sup.stderr
-        consistent = consistent and ok
-        rows.append({
-            "s": float(s), "t": float(t),
-            "sup_mean": sup.mean, "sup_stderr": sup.stderr, "sup_control": c_sup,
-            "min_mean": low.mean, "min_stderr": low.stderr, "min_control": c_min,
-            "window_consistent": ok,
-        })
-    return MartingaleReport(tuple(rows), consistent, n_paths, seed)
+    reports = []
+    for b in range(len(builders)):
+        rows = []
+        for p, (s, t) in enumerate(pairs, start=b * len(pairs)):
+            means = [ests[p].mean for ests in stats]
+            c_sup, c_min = int(np.argmax(means)), int(np.argmin(means))
+            sup, low = stats[c_sup][p], stats[c_min][p]
+            rows.append({
+                "s": float(s), "t": float(t),
+                "sup_mean": sup.mean, "sup_stderr": sup.stderr, "sup_control": c_sup,
+                "min_mean": low.mean, "min_stderr": low.stderr, "min_control": c_min,
+                "window_consistent": abs(sup.mean) <= 3.0 * sup.stderr,
+            })
+        consistent = all(r["window_consistent"] for r in rows)
+        reports.append(MartingaleReport(tuple(rows), consistent, n_paths, seed))
+    return reports
+
+
+def martingale_test(process_builder, family, pairs, time_grid: TimeGrid,
+                    n_paths: int, seed: int) -> MartingaleReport:
+    """The one-builder :func:`martingale_table`: its one report."""
+    return martingale_table([process_builder], family, pairs, time_grid,
+                            n_paths, seed)[0]
 
 
 # ---------------------------------------------------------------------------
-# drift identification by bisection against the Monte Carlo sup
+# drift identification: bisection on the martingale table's <qv> row
 # ---------------------------------------------------------------------------
 
 def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
@@ -390,13 +399,14 @@ def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
     """Identify the drift rate c that centres ``integral(eta d qv) - c t``.
 
     ``eta = (breaks, values)`` is a deterministic step function whose
-    breaks are strictly increasing grid nodes.  On each of its intervals
-    the sup over the family of ``E[integral(eta d qv)]`` is estimated once,
-    and c solves ``sup - c * length = 0`` by bisection, to a bracket width
-    of 1e-4 or at most 200 halvings, on the bracket
-    ``[2 G_eps(a) (max tilt), 2 G(a) + spread/2]``, which straddles the
-    root whenever the family contains the bang-bang control for eta's
-    sign.  The exact rate is ``2 G(a)`` per interval.
+    breaks are strictly increasing grid nodes.  On each interval, the sup
+    over the family of ``E[integral(eta d qv)]`` is ``a`` (eta's value
+    there) times the sup (a >= 0) or the min (a < 0) of the qv row of one
+    :func:`martingale_table` pass, and c solves ``sup - c * length = 0``
+    by bisection, to a bracket width of 1e-4 or at most 200 halvings, on
+    the bracket ``[2 G_eps(a) (max tilt), 2 G(a) + spread/2]``, which
+    straddles the root whenever the family contains the bang-bang control
+    for eta's sign.  The exact rate is ``2 G(a)`` per interval.
     """
     breaks, values = eta
     breaks = [float(b) for b in breaks]
@@ -405,19 +415,16 @@ def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
         raise UsageError("eta must be (breaks, values) with one more break")
     if any(b <= a for a, b in zip(breaks, breaks[1:])):
         raise UsageError(f"eta breaks must be strictly increasing, got {breaks}")
-    nodes = [time_grid.index_of(b) for b in breaks]
-
-    def interval_gains(bundle):
-        qv = bundle.qv_paths
-        return [qv[:, hi] - qv[:, lo] for lo, hi in zip(nodes, nodes[1:])]
-
-    gains = _simulate_reduce(family, time_grid, n_paths, seed, interval_gains)
+    (gains,) = martingale_table([lambda b: b.qv_paths], family,
+                                list(zip(breaks, breaks[1:])), time_grid,
+                                n_paths, seed)
     eps_max = 0.5 * band.var_spread
 
     out = []
-    for i, a in enumerate(values):
+    for i, (a, row) in enumerate(zip(values, gains.rows)):
         length = breaks[i + 1] - breaks[i]
-        sup_gain = max(a * ests[i].mean for ests in gains)
+        # a * x is monotone in x, so it keeps the family's extreme
+        sup_gain = a * (row["sup_mean"] if a >= 0.0 else row["min_mean"])
         lo = 2.0 * g_eps_value(band, eps_max, a)
         hi = 2.0 * g_value(band, a) + 0.5 * band.var_spread
         if sup_gain - lo * length < -1e-12 or sup_gain - hi * length > 1e-12:

@@ -300,8 +300,8 @@ def mc_expectation(xi: CylinderFunctional, bundle: PathBundle) -> McEstimate:
 
     This estimates the linear expectation under the bundle's single
     control, which is a lower bound for the sublinear expectation, not the
-    sublinear expectation itself; ``sup_over_controls`` maximises it over
-    a family.
+    sublinear expectation itself; ``sup_over_controls_table`` estimates it
+    for every control of a family, whose largest row is the family's sup.
     The bundle's grid must contain every monitoring date of the
     functional; otherwise the evaluation would silently interpolate path
     values, which is refused.
@@ -309,23 +309,13 @@ def mc_expectation(xi: CylinderFunctional, bundle: PathBundle) -> McEstimate:
     return _estimate(_functional_on_paths(xi, bundle), bundle.seed)
 
 
-def sup_over_controls(xi: CylinderFunctional, family, time_grid: TimeGrid,
-                      n_paths: int, seed: int):
-    """Best lower-bound estimate of the sublinear expectation over a family.
-
-    All controls are issued the *same* normals (common random numbers; see
-    ``_simulate_reduce``), so enlarging the family can only raise the
-    estimate.  Returns the maximising control and its estimate (the first
-    one on ties); the full table is ``sup_over_controls_table``.
-    """
-    rows = sup_over_controls_table(xi, family, time_grid, n_paths, seed)
-    return max(rows, key=lambda row: row[1].mean)
-
-
 def sup_over_controls_table(xi: CylinderFunctional, family,
                             time_grid: TimeGrid, n_paths: int, seed: int):
-    """Per-control ``(control, estimate)`` rows on common random numbers;
-    ``xi`` sees one chunk's bundle at a time, so it must act path by path."""
+    """Per-control ``(control, estimate)`` rows on common random numbers
+    (see ``_simulate_reduce``), so enlarging the family can only raise the
+    largest row, the family's best lower bound for the sublinear
+    expectation; ``xi`` sees one chunk's bundle at a time, so it must act
+    path by path."""
     family = list(family)
     rows = _simulate_reduce(family, time_grid, n_paths, seed,
                             lambda b: (_functional_on_paths(xi, b),))

@@ -38,12 +38,11 @@ from gbrownian import (
     TimeGrid,
     equivalence_check,
     g_expectation,
-    gbsde_residual,
     identify_drift,
     k_process,
     marginal_match_table,
     martingale_decomposition,
-    martingale_test,
+    martingale_table,
     perturb_control,
     qn_integrand,
     qn_quadratic_variation,
@@ -54,9 +53,8 @@ from gbrownian import (
     solve_ppde,
     step2_limit_check,
     stochastic_integral,
-    sup_over_controls,
+    sup_over_controls_table,
 )
-from gbrownian.gheat import FramePoints
 
 BAND = GParams(1.0, 2.0)
 REF_SPACE = SpaceGrid(-6.0, 6.0, 401)
@@ -108,9 +106,12 @@ def martingale_family():
 
 
 @pytest.fixture(scope="module")
-def k_report(martingale_family):
-    return martingale_test(lambda b: k_process(1.0, b), martingale_family,
-                           WINDOWS, MC_GRID, N_PATHS, SEED)
+def martingale_reports(martingale_family):
+    """K(1) and X_t = -t on one family and seed, from one pass."""
+    return martingale_table(
+        [lambda b: k_process(1.0, b),
+         lambda b: np.broadcast_to(-b.time_grid.times(), b.b_paths.shape).copy()],
+        martingale_family, WINDOWS, MC_GRID, N_PATHS, SEED)
 
 
 def shrunk_band_base():
@@ -144,11 +145,11 @@ def test_criterion_02_pde_mc_sandwich():
     wide = solve_gheat(tent, BAND, REF_TIME, SpaceGrid(-12.0, 12.0, 801))
     lo, hi = edge_controls()
     family = [lo, hi, FeedbackControl(band=BAND, surface=wide)]
-    best, est = sup_over_controls(xi_tent(), family, MC_GRID, N_PATHS,
-                                  seed=SEED)
+    # on common random numbers the lo row is what lo alone would give
+    rows = sup_over_controls_table(xi_tent(), family, MC_GRID, N_PATHS, SEED)
+    best, est = max(rows, key=lambda row: row[1].mean)
     budget = GRID_BUDGET_C * (REF_TIME.dt + REF_SPACE.dx**2 + MC_GRID.dt)
-    _, lo_est = sup_over_controls(xi_tent(), [lo], MC_GRID, N_PATHS,
-                                  seed=SEED)
+    _, lo_est = rows[0]
     shortfall = pde - lo_est.mean
     report(2, "pde-mc sandwich (butterfly)", [
         (abs(est.mean - pde) <= 3.0 * est.stderr + budget,
@@ -159,7 +160,8 @@ def test_criterion_02_pde_mc_sandwich():
     ])
 
 
-def test_criterion_03_k_is_a_martingale(k_report):
+def test_criterion_03_k_is_a_martingale(martingale_reports):
+    k_report, _ = martingale_reports
     parts = [(k_report.consistent, "sup within +-3se on all windows")]
     for row in k_report.rows:
         want = -3.0 * (row["t"] - row["s"])
@@ -169,11 +171,8 @@ def test_criterion_03_k_is_a_martingale(k_report):
     report(3, "K(1) is a G-martingale", parts)
 
 
-def test_criterion_04_drift_refuted_k_retained(k_report, martingale_family):
-    drift_report = martingale_test(
-        lambda b: np.broadcast_to(-b.time_grid.times(),
-                                  b.b_paths.shape).copy(),
-        martingale_family, WINDOWS, MC_GRID, N_PATHS, SEED)
+def test_criterion_04_drift_refuted_k_retained(martingale_reports):
+    k_report, drift_report = martingale_reports
     refused = all(r["sup_mean"] < -3.0 * r["sup_stderr"]
                   for r in drift_report.rows)
     report(4, "drift refuted, K retained", [
@@ -335,16 +334,16 @@ def test_criterion_10_gbsde():
     linear = solve_ppde(GBSDEProblem(unit, lambda t_, y, z: -0.1 * y, flat,
                                      driver_lipschitz=0.1),
                         REF_TIME, REF_SPACE)
-    y0 = float(FramePoints(REF_SPACE, [[0.0]])(linear.y_values[0])[0])
+    y0 = linear.initial
 
     solution = solve_ppde(GBSDEProblem(xi, lambda t_, y, z: -0.1 * y, BAND,
                                        driver_lipschitz=0.1),
                           REF_TIME, REF_SPACE)
     bundle = simulate(ConstantControl(band=BAND, level=1.0),
                       TimeGrid(1.0, 635), N_PATHS_HEAVY, SEED)
-    residual = gbsde_residual(solution, bundle)
-    pathwise_budget = 8.0 * BAND.var_hi * math.sqrt(bundle.time_grid.dt)
     equivalence = equivalence_check(solution, bundle)
+    residual = equivalence.relation     # the one walk of the bundle
+    pathwise_budget = 8.0 * BAND.var_hi * math.sqrt(bundle.time_grid.dt)
     report(10, "g-bsde solve and equivalence", [
         (shift_gap <= 1e-9, f"f=c shift identity gap {shift_gap:.2e}"),
         (abs(y0 - math.exp(-0.1)) <= 1e-3,

@@ -321,6 +321,19 @@ class TestValueSurface:
         with pytest.raises(ExtrapolationError):
             square_surface.value(t, np.nan)
 
+    @pytest.mark.parametrize("t, row", [(0.0, 0), (0.5, 2), (1.0, -1)],
+                             ids=["first", "inner", "last"])
+    def test_value_on_a_node_reads_the_row(self, t, row):
+        # a row of -0.0 keeps its sign: blending it with weight 0 or 1
+        # against a neighbour would give +0.0
+        values = np.ones((5, 5))
+        values[row] = -0.0
+        surface = gheat.ValueSurface(BAND, TimeGrid(1.0, 4),
+                                     SpaceGrid(-1.0, 1.0, 5), values)
+        got = surface.value(t, 0.0)
+        want = gheat.FramePoints(surface.space_grid, [[0.0]])(values[row])[0]
+        assert got.hex() == want.hex() == (-0.0).hex()
+
     def test_refuses_to_extrapolate(self, square_surface):
         with pytest.raises(ExtrapolationError):
             square_surface.value(1.5, 0.0)

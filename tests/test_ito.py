@@ -29,6 +29,7 @@ from gbrownian import (
     identify_drift,
     k_process,
     martingale_decomposition,
+    martingale_table,
     martingale_test,
     qn_integrand,
     qn_quadratic_variation,
@@ -502,9 +503,13 @@ class TestMartingaleTest:
         assert r1.rows == r2.rows
 
     def test_builder_shape_is_checked(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="node-shaped"):
             martingale_test(lambda b: b.b_paths[:, :-1], self.family(),
                             self.PAIRS, GRID, 16, seed=1)
+        # in a table, a wrong builder after a right one is refused too
+        with pytest.raises(UsageError, match="node-shaped"):
+            martingale_table([lambda b: b.b_paths, lambda b: b.qv_paths[:, 1:]],
+                             self.family(), self.PAIRS, GRID, 16, seed=1)
 
     def test_windows_must_increase(self):
         with pytest.raises(UsageError):

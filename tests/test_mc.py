@@ -37,6 +37,7 @@ from gbrownian import (
     marginal_match_table,
     marginal_match_test,
     martingale_decomposition,
+    martingale_table,
     martingale_test,
     mc_expectation,
     perturb_control,
@@ -48,10 +49,9 @@ from gbrownian import (
     solve_gheat,
     solve_ppde,
     stochastic_integral,
-    sup_over_controls,
     sup_over_controls_table,
 )
-from gbrownian import gheat, mc
+from gbrownian import cli, gheat, ito, mc
 from gbrownian.errors import ExtrapolationError
 from gbrownian.mc import _DRAW_CHUNK, PathBundle, _qv_ledger, _run_euler
 
@@ -341,12 +341,17 @@ class TestMcExpectation:
             mc_expectation(xi, bundle)
 
 
+def family_sup(rows):
+    """The first row of largest mean: the family's sup and its control."""
+    return max(rows, key=lambda row: row[1].mean)
+
+
 class TestSupOverControls:
     def test_convex_payoff_prefers_the_top(self):
         family = [ConstantControl(band=BAND, level=1.0),
                   ConstantControl(band=BAND, level=2.0)]
-        best, est = sup_over_controls(xi_terminal_square(), family, GRID,
-                                      4000, seed=37)
+        best, est = family_sup(sup_over_controls_table(
+            xi_terminal_square(), family, GRID, 4000, seed=37))
         assert best.level == 2.0
         assert abs(est.mean - 4.0) <= 3.0 * est.stderr
 
@@ -356,29 +361,21 @@ class TestSupOverControls:
         large = small + [ConstantControl(band=BAND, level=1.5),
                          StepControl(band=BAND, breaks=(0.0, 0.5, 1.0),
                                      levels=(1.0, 2.0))]
-        _, est_small = sup_over_controls(xi, small, GRID, 2000, seed=41)
-        _, est_large = sup_over_controls(xi, large, GRID, 2000, seed=41)
+        _, est_small = family_sup(sup_over_controls_table(xi, small, GRID,
+                                                          2000, seed=41))
+        _, est_large = family_sup(sup_over_controls_table(xi, large, GRID,
+                                                          2000, seed=41))
         assert est_large.mean >= est_small.mean
 
     def test_empty_family(self):
-        with pytest.raises(UsageError, match="empty control family"):
-            sup_over_controls(xi_terminal_square(), [], GRID, 100, seed=1)
         with pytest.raises(UsageError, match="empty control family"):
             sup_over_controls_table(xi_terminal_square(), [], GRID, 100, seed=1)
 
     def test_scalar_payoff_counts_every_path(self):
         family = [ConstantControl(band=BAND, level=1.0)]
-        _, est = sup_over_controls(xi_constant(), family, GRID, 100, seed=1)
+        ((_, est),) = sup_over_controls_table(xi_constant(), family, GRID, 100,
+                                              seed=1)
         assert (est.mean, est.stderr, est.n_paths) == (1.0, 0.0, 100)
-
-    def test_table_matches_the_sup(self):
-        family = [ConstantControl(band=BAND, level=1.0),
-                  ConstantControl(band=BAND, level=2.0)]
-        rows = sup_over_controls_table(xi_terminal_square(), family, GRID,
-                                       1000, seed=43)
-        best, est = sup_over_controls(xi_terminal_square(), family, GRID,
-                                      1000, seed=43)
-        assert max(r[1].mean for r in rows) == est.mean
 
     def test_feedback_closes_the_gap_on_the_tent(self):
         # PDE value vs the Monte Carlo family sup: the bang-bang feedback
@@ -392,14 +389,15 @@ class TestSupOverControls:
         family = [ConstantControl(band=BAND, level=1.0),
                   ConstantControl(band=BAND, level=2.0),
                   FeedbackControl(band=BAND, surface=surface)]
-        best, est = sup_over_controls(xi, family, GRID, 4000, seed=47)
+        rows = sup_over_controls_table(xi, family, GRID, 4000, seed=47)
+        best, est = family_sup(rows)
         budget = 5.0 * (1.0 / 1600 + surf_grid.dx**2) \
             + 8.0 * math.sqrt(GRID.dt)  # weak error of the bang-bang walk
         assert isinstance(best, FeedbackControl)
         assert abs(est.mean - pde_value) <= 3.0 * est.stderr + budget
-        # the lower-edge family alone falls visibly short
-        _, low_est = sup_over_controls(
-            xi, [ConstantControl(band=BAND, level=1.0)], GRID, 4000, seed=47)
+        # the lower-edge control alone falls visibly short; on common
+        # random numbers its row is the table it would make alone
+        _, low_est = rows[0]
         assert pde_value - low_est.mean > 3.0 * low_est.stderr
 
 
@@ -533,23 +531,37 @@ class TestOnePassMatchesTheLoops:
         for (_, est), ref in zip(rows, refs):
             assert (est.mean, est.stderr, est.n_paths, est.seed) == (*ref, 23)
 
-    @pytest.mark.parametrize("builder", ["k", "drift", "path"])
-    def test_martingale_rows(self, builder):
-        # under the edge controls K(1) and -t have deterministic window
-        # gains; B itself makes every row depend on the normals
-        build = {
-            "k": lambda b: k_process(1.0, b),
-            "drift": lambda b: np.broadcast_to(-b.time_grid.times(),
-                                               b.b_paths.shape),
-            "path": lambda b: b.b_paths,
-        }[builder]
-        family = self.edges() + five_controls()
-        report = martingale_test(build, family, self.WINDOWS, self.GRID,
-                                 self.N_PATHS, 29)
+    # under the edge controls K(1) and -t have deterministic window gains;
+    # B itself makes every row depend on the normals
+    BUILDERS = {
+        "k": lambda b: k_process(1.0, b),
+        "drift": lambda b: np.broadcast_to(-b.time_grid.times(),
+                                           b.b_paths.shape),
+        "path": lambda b: b.b_paths,
+    }
+
+    def assert_martingale_rows(self, report, build, family):
         rows, consistent = oracles.martingale_rows_reference(
             simulate, build, family, self.WINDOWS, self.GRID, self.N_PATHS, 29)
         assert list(report.rows) == rows
         assert report.consistent == consistent
+        assert (report.n_paths, report.seed) == (self.N_PATHS, 29)
+
+    @pytest.mark.parametrize("builder", ["k", "drift", "path"])
+    def test_martingale_rows(self, builder):
+        build, family = self.BUILDERS[builder], self.edges() + five_controls()
+        report = martingale_test(build, family, self.WINDOWS, self.GRID,
+                                 self.N_PATHS, 29)
+        self.assert_martingale_rows(report, build, family)
+
+    def test_martingale_table(self):
+        # three builders in one pass: each report is its builder's loop
+        builds, family = list(self.BUILDERS.values()), self.edges() + five_controls()
+        reports = martingale_table(builds, family, self.WINDOWS, self.GRID,
+                                   self.N_PATHS, 29)
+        assert len(reports) == len(builds)
+        for report, build in zip(reports, builds):
+            self.assert_martingale_rows(report, build, family)
 
     def test_identify_drift_rows(self):
         eta = ((0.0, 0.5, 1.0), (1.0, -1.0))
@@ -633,6 +645,65 @@ class TestOnePassStreams:
         refs = oracles.sup_table_reference(simulate, xi, family, self.GRID, n,
                                            43, streams=self.STREAMS)
         assert [(e.mean, e.stderr, e.n_paths) for (e,) in rows] == refs
+
+
+class TestOnePassPerFamilyAndSeed:
+    """A caller that asks several things of one family and seed makes one
+    Monte Carlo pass, counted at both homes of ``_simulate_reduce``."""
+
+    GRID = TimeGrid(1.0, 64)
+    WINDOWS = [(0.0, 0.5), (0.5, 1.0), (0.0, 1.0)]
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = mc._simulate_reduce
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for module in (mc, ito):
+            monkeypatch.setattr(module, "_simulate_reduce", counting)
+        return calls
+
+    @pytest.mark.parametrize("name", ["verify-martingale", "identify-drift"])
+    def test_cli_runner(self, name, passes, tmp_path):
+        config = {"mc": {"n_paths": 300, "seed": 11, "n_steps": 64},
+                  "grids": {"n_steps": 400, "n_points": 121},
+                  "experiments": [{"name": name}]}
+        _, code, error = cli.run_suite(config, str(tmp_path))
+        assert (code, error) == (0, None)
+        assert len(passes) == 1
+
+    def test_identify_drift(self, passes):
+        identify_drift(((0.0, 0.5, 1.0), (1.0, -1.0)), BAND,
+                       TestOnePassMatchesTheLoops.edges(), self.GRID, 300, 5)
+        assert len(passes) == 1
+
+    def test_k_and_drift_in_one_table(self, passes):
+        # criteria 03 and 04's question pair: one pass, each report that of
+        # its own martingale test
+        builds = [lambda b: k_process(1.0, b),
+                  lambda b: np.broadcast_to(-b.time_grid.times(),
+                                            b.b_paths.shape)]
+        reports = martingale_table(builds, five_controls(), self.WINDOWS,
+                                   self.GRID, 300, 5)
+        assert len(passes) == 1
+        assert reports == [martingale_test(build, five_controls(), self.WINDOWS,
+                                           self.GRID, 300, 5)
+                           for build in builds]
+
+    def test_a_row_of_the_sup_table_is_its_control_alone(self, passes):
+        # criterion 02 reads the family's sup and the lower edge's row from
+        # one table: on common random numbers the row is the lone control's
+        family = five_controls()
+        rows = sup_over_controls_table(xi_terminal_square(), family, self.GRID,
+                                       300, 5)
+        assert len(passes) == 1
+        for control, est in rows:
+            assert sup_over_controls_table(xi_terminal_square(), [control],
+                                           self.GRID, 300, 5) == [(control, est)]
 
 
 def set_cpus(monkeypatch, n):
@@ -942,6 +1013,25 @@ class TestPassMemory:
         # a few interpreter objects may differ; a second buffer would add
         # 8 MB and a scratch block kept through the march 1 MB
         assert peak(2) <= peak(1) + 4096
+
+    def test_a_table_holds_one_process_at_a_time(self):
+        # each builder's node-shaped paths are freed before the next one is
+        # built, so a two-builder table peaks no higher than its larger
+        # builder alone (holding both would add one node-shaped array)
+        family = [ConstantControl(band=BAND, level=1.0)]
+        builds = [lambda b: b.b_paths.copy(), lambda b: k_process(1.0, b)]
+
+        def peak(bs):
+            tracemalloc.start()
+            try:
+                martingale_table(bs, family, [(0.0, 1.0)], GRID, 1000, seed=89)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        node_array = 8 * 1000 * (GRID.n_steps + 1)
+        alone = max(peak([b]) for b in builds)
+        assert peak(builds) <= alone + node_array // 4
 
     def test_feedback_off_the_surface_still_raises(self):
         narrow = solve_gheat(oracles.butterfly, BAND, TimeGrid(1.0, 1000),
