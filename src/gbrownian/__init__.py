@@ -35,13 +35,10 @@ from .errors import (
     UsageError,
 )
 from .gbsde import (
-    CylinderPathProcess,
     EquivalenceReport,
     GBSDEProblem,
     GBSDEResidualReport,
     GBSDESolution,
-    a_g,
-    cylinder_derivatives,
     equivalence_check,
     gbsde_residual,
     ppde_residual,
@@ -50,7 +47,6 @@ from .gbsde import (
 )
 from .gexp import (
     conditional_frames,
-    conditional_g_expectation,
     g_expectation,
 )
 from .gheat import (
@@ -99,7 +95,6 @@ __all__ = [
     "ConstantControl",
     "ControlProcess",
     "CylinderFunctional",
-    "CylinderPathProcess",
     "DataError",
     "DomainError",
     "EquivalenceReport",
@@ -123,13 +118,10 @@ __all__ = [
     "TimeGrid",
     "UsageError",
     "ValueSurface",
-    "a_g",
     "block_budget_gap",
     "cfl_dt_max",
     "check_cfl",
     "conditional_frames",
-    "conditional_g_expectation",
-    "cylinder_derivatives",
     "equivalence_check",
     "export_surface_csv",
     "feedback_field",

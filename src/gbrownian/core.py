@@ -196,7 +196,8 @@ class TimeGrid:
         relative)."""
         if not math.isfinite(t):
             raise UsageError(f"time {t!r} is not finite")
-        idx = int(round(t / self.dt))
+        # clamped first, so a huge t is off the grid, not an OverflowError
+        idx = round(min(max(t / self.dt, -1.0), self.n_steps + 1.0))
         if idx < 0 or idx > self.n_steps or abs(idx * self.dt - t) > 1e-9 * max(1.0, self.horizon):
             raise UsageError(f"time {t!r} is not a node of the grid (dt={self.dt!r})")
         return idx
@@ -411,7 +412,7 @@ class StepControl(ControlProcess):
         breaks = tuple(float(b) for b in self.breaks)
         if len(breaks) < 2 or breaks[0] != 0.0:
             raise ConfigurationError("breaks must start at 0 and contain the horizon")
-        if any(b <= a for a, b in zip(breaks, breaks[1:])):
+        if any(not b > a for a, b in zip(breaks, breaks[1:])):   # NaN too
             raise ConfigurationError(f"breaks must be strictly increasing: {breaks}")
         if len(self.levels) != len(breaks) - 1:
             raise ConfigurationError(

@@ -32,13 +32,6 @@ checked in both directions by :func:`equivalence_check`.
 Only Markovian data are in scope: a single-date terminal functional and a
 driver ``f(t, y, z)``.  General cylinder drivers raise
 :class:`CapabilityError`.
-
-Cylinder path processes (piecewise-smooth functionals of time, the
-observed path values, and the current position) and their finite-
-difference derivatives live here too; they give the pathwise differential
-operators meaning independently of any solver.  The derivatives are the
-solvers' own ``gheat.gradient`` and ``gheat.curvature``, applied to
-3-point stencils of the process.
 """
 
 from __future__ import annotations
@@ -53,113 +46,6 @@ from .errors import CapabilityError, ConfigurationError, UsageError
 from .gheat import FramePoints, curvature, gradient, sweep_rows
 from .mc import PathBundle
 from .ito import _node_rows, check_paths_inside, eval_on_paths
-
-
-# ---------------------------------------------------------------------------
-# cylinder path processes and pathwise derivatives
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CylinderPathProcess:
-    """Piecewise-smooth functional of (time, observed values, position).
-
-    ``times`` are the monitoring dates (last one is the horizon); piece k
-    covers ``[boundary_k, boundary_{k+1}]`` with ``boundary_0 = 0`` and is
-    a callable ``u_k(t, x_1, ..., x_k, x)`` — k observed values plus the
-    current position.  Pieces must agree where intervals meet after the
-    newly observed value is identified with the current position; this is
-    spot-checked on a seeded sample at construction.
-    """
-
-    times: tuple
-    pieces: tuple
-
-    def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        if len(times) == 0 or not all(0.0 < t < math.inf for t in times) or any(
-                b <= a for a, b in zip(times, times[1:])):
-            raise UsageError("times must be finite, strictly increasing and > 0")
-        if len(self.pieces) != len(times):
-            raise UsageError(
-                f"need one piece per interval: {len(times)} intervals, "
-                f"{len(self.pieces)} pieces"
-            )
-        object.__setattr__(self, "times", times)
-        self._stitch_check()
-
-    @property
-    def horizon(self) -> float:
-        return self.times[-1]
-
-    def _stitch_check(self) -> None:
-        rng = np.random.default_rng(48302)
-        for k in range(len(self.pieces) - 1):
-            tau = self.times[k]
-            pts = rng.uniform(-3.0, 3.0, size=(16, k + 1))
-            args = [pts[:, j] for j in range(k + 1)]
-            left = np.asarray(self.pieces[k](tau, *args), dtype=float)
-            right = np.asarray(self.pieces[k + 1](tau, *args, args[-1]), dtype=float)
-            if not np.allclose(left, right, rtol=1e-8, atol=1e-10):
-                raise UsageError(
-                    f"pieces {k} and {k + 1} disagree at their shared date "
-                    f"t={tau}; max gap {float(np.max(np.abs(left - right)))!r}"
-                )
-
-    def piece_index(self, t: float) -> int:
-        tol = 1e-12 * max(1.0, self.horizon)
-        if t < -tol or t > self.horizon + tol:
-            raise UsageError(f"t={t!r} outside [0, {self.horizon}]")
-        # t == boundary belongs to the opening interval (pre-observation
-        # frames), as the conditional values have it
-        k = sum(1 for ti in self.times[:-1] if ti <= t + tol)
-        return min(k, len(self.pieces) - 1)
-
-    def value(self, t: float, prefix) -> float:
-        k = self.piece_index(t)
-        prefix = [float(v) for v in prefix]
-        if len(prefix) != k + 1:
-            raise UsageError(
-                f"prefix needs {k + 1} entries at t={t} (observed + current), "
-                f"got {len(prefix)}"
-            )
-        return float(self.pieces[k](t, *prefix))
-
-
-def cylinder_derivatives(proc: CylinderPathProcess, t: float, prefix,
-                         step: float = 1e-4) -> tuple:
-    """Central-difference (D_t, D_x, D2_x) of a cylinder path process.
-
-    Derivatives act on the time slot and the current-position slot only;
-    the observed values are frozen.  Steps are relative:
-    ``h = step * max(1, |coordinate|)``.  The differences are
-    :func:`gheat.gradient` and :func:`gheat.curvature` at the centre of
-    3-point stencils in t and in x that share the centre value.  Near an
-    interval boundary the interval's own (smooth) formula is evaluated
-    slightly across — pieces are formulas on all of R, only their
-    probabilistic meaning is local.
-    """
-    k = proc.piece_index(t)
-    prefix = [float(v) for v in prefix]
-    if len(prefix) != k + 1:
-        raise UsageError(f"prefix needs {k + 1} entries at t={t}")
-    u = proc.pieces[k]
-    observed, x = prefix[:-1], prefix[-1]
-    ht = step * max(1.0, abs(t))
-    hx = step * max(1.0, abs(x))
-    centre = u(t, *observed, x)
-    in_t = np.array([u(t - ht, *observed, x), centre, u(t + ht, *observed, x)],
-                    dtype=float)
-    in_x = np.array([u(t, *observed, x - hx), centre, u(t, *observed, x + hx)],
-                    dtype=float)
-    return (float(gradient(in_t, ht)[1]), float(gradient(in_x, hx)[1]),
-            float(curvature(in_x, hx)[1]))
-
-
-def a_g(proc: CylinderPathProcess, t: float, prefix, band: GParams,
-        step: float = 1e-4) -> float:
-    """Generator action ``D_t u + G(D2_x u)`` at one point."""
-    d_t, _, d2_x = cylinder_derivatives(proc, t, prefix, step)
-    return d_t + g_value(band, d2_x)
 
 
 # ---------------------------------------------------------------------------

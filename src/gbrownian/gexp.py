@@ -14,11 +14,14 @@ marched by ``gheat.march_steps``, one cache-sized block of rows at a time,
 each block as one flat contiguous run of nodes, so the sweep's scratch is
 bounded by one block on top of ``u`` and the recorded frames.
 
-Conditional values are multilinearly interpolated in the observed values
-and the current position by ``gheat.FramePoints``, the grid interpolator
-that also serves ``ValueSurface.value`` and the along-path walks of
-``ito`` and ``gbsde``; points off the grid raise
-:class:`ExtrapolationError`.
+Conditional values have one home, the frames of
+:func:`conditional_frames`, photographed in one sweep at the requested
+times.  They are multilinearly interpolated in the observed values and
+the current position by ``gheat.FramePoints``, the grid interpolator that
+also serves ``ValueSurface.value`` and the along-path walk of ``ito``
+(which ``gbsde`` reads too); points off the grid raise
+:class:`ExtrapolationError`.  :func:`g_expectation` is the frame at
+``t = 0`` read at the origin.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
                     record_times) -> list:
     """March the nested backward solves, photographing requested times.
 
-    ``record_times`` must be sorted ascending within ``[0, horizon]``.
+    ``record_times`` must be finite and sorted ascending within
+    ``[0, horizon]``.
     Returns one array per requested time; the array for a time in the
     interval ``[t_k, t_{k+1})`` has ``k + 1`` axes (observed values first,
     current position last), all indexed by the space grid.  A requested
@@ -70,6 +74,9 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
     dx = space_grid.dx
     horizon = xi.horizon
     rec = [float(t) for t in record_times]
+    for t in rec:
+        if not math.isfinite(t):    # NaN would pass both checks below
+            raise UsageError(f"record time {t!r} is not finite")
     if any(b < a for a, b in zip(rec, rec[1:])):
         raise UsageError("record times must be sorted ascending")
     if rec and (rec[0] < -1e-12 or rec[-1] > horizon * (1.0 + 1e-12)):
@@ -118,45 +125,15 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
 def g_expectation(xi: CylinderFunctional, band: GParams,
                   time_grid: TimeGrid, space_grid: SpaceGrid) -> float:
     """Sublinear expectation of a cylinder functional at time zero: the
-    conditional value at ``t = 0`` with the path at the origin.
+    one-axis frame at ``t = 0`` read at the origin.
 
     ``time_grid`` fixes the marching resolution (its dt must satisfy the
     CFL bound for the space grid) and must span the functional's horizon.
     """
-    return conditional_g_expectation(xi, 0.0, (0.0,), band, time_grid,
-                                     space_grid)
-
-
-def conditional_g_expectation(xi: CylinderFunctional, t: float, prefix,
-                              band: GParams, time_grid: TimeGrid,
-                              space_grid: SpaceGrid) -> float:
-    """Conditional value at time ``t`` given the observed path prefix.
-
-    ``prefix`` lists the path values at the functional's dates ``<= t``
-    followed by the current position ``w(t)`` (so its length is always
-    ``#\\{t_i <= t\\} + 1``; when ``t`` equals a monitoring date the last
-    two entries coincide).  At ``t = 0`` that means ``prefix = (0.0,)``;
-    at ``t = horizon`` the payoff is evaluated directly on the prefix.
-    """
     _validate_functional(xi, band, space_grid)
     time_grid.require_horizon(xi.horizon, "functional")
-    t = float(t)
-    horizon = xi.horizon
-    tol = 1e-12 * max(1.0, horizon)
-    if t < -tol or t > horizon + tol:
-        raise UsageError(f"conditioning time {t!r} outside [0, {horizon}]")
-    n_observed = sum(1 for ti in xi.times if ti <= t + tol)
-    prefix = [float(v) for v in prefix]
-    if len(prefix) != n_observed + 1:
-        raise UsageError(
-            f"prefix must supply the {n_observed} observed values plus the "
-            f"current position ({n_observed + 1} entries), got {len(prefix)}"
-        )
-    if t >= horizon - tol:
-        return float(np.asarray(xi.payoff(*prefix[:-1]), dtype=float))
-    # FramePoints refuses a frame whose arity is not the prefix length
-    frame, = _backward_sweep(xi, band, space_grid, time_grid.dt, [t])
-    return float(FramePoints(space_grid, [[v] for v in prefix])(frame)[0])
+    frame, = _backward_sweep(xi, band, space_grid, time_grid.dt, [0.0])
+    return float(FramePoints(space_grid, [[0.0]])(frame)[0])
 
 
 def conditional_frames(xi: CylinderFunctional, band: GParams,

@@ -116,6 +116,9 @@ def step_values_on_grid(breaks, values, time_grid: TimeGrid) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if breaks.ndim != 1 or len(breaks) != len(values) + 1:
         raise UsageError("need len(breaks) == len(values) + 1")
+    if not (np.all(np.isfinite(breaks)) and np.all(breaks[1:] > breaks[:-1])):
+        raise UsageError(f"breaks must be finite and strictly increasing, "
+                         f"got {breaks.tolist()}")
     if abs(breaks[0]) > 1e-12:
         raise UsageError("step function must span [0, horizon]")
     time_grid.require_horizon(float(breaks[-1]), "step function")
@@ -349,6 +352,10 @@ def martingale_table(builders, family, pairs, time_grid: TimeGrid,
     consistent iff the sup lies within three standard errors of zero on
     every window.
     """
+    if len(builders) == 0:
+        raise UsageError("martingale table needs at least one process builder")
+    if len(pairs) == 0:     # a table of no windows would report "consistent"
+        raise UsageError("martingale table needs at least one window")
     idx_pairs = [(time_grid.index_of(s), time_grid.index_of(t)) for s, t in pairs]
     for (i, j), (s, t) in zip(idx_pairs, pairs):
         if not i < j:
@@ -413,6 +420,8 @@ def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
     values = [float(v) for v in values]
     if len(breaks) != len(values) + 1:
         raise UsageError("eta must be (breaks, values) with one more break")
+    if not values:
+        raise UsageError("eta must have at least one interval")
     if any(b <= a for a, b in zip(breaks, breaks[1:])):
         raise UsageError(f"eta breaks must be strictly increasing, got {breaks}")
     (gains,) = martingale_table([lambda b: b.qv_paths], family,

@@ -171,6 +171,12 @@ class TestGrids:
         with pytest.raises(UsageError, match=f"time {t!r} is not finite"):
             TimeGrid(1.0, 4).index_of(t)
 
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_time_grid_refuses_huge_times_as_off_grid(self, t):
+        # t / dt overflows to inf; the quotient is clamped before rounding
+        with pytest.raises(UsageError, match="is not a node of the grid"):
+            TimeGrid(1.0, 1600).index_of(t)
+
     def test_time_grid_validation(self):
         with pytest.raises(ConfigurationError):
             TimeGrid(0.0, 4)
@@ -298,6 +304,11 @@ class TestControls:
             StepControl(band=BAND, breaks=(0.0, 1.0), levels=(1.0, 2.0))
         with pytest.raises(DomainError):
             StepControl(band=BAND, breaks=(0.0, 1.0), levels=(3.0,))
+
+    def test_step_control_refuses_a_nan_break_when_built(self):
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            StepControl(band=BAND, breaks=(0.0, math.nan, 1.0),
+                        levels=(1.0, 2.0))
 
     def test_step_control_horizon_mismatch(self):
         c = StepControl(band=BAND, breaks=(0.0, 2.0), levels=(1.0,))

@@ -1,6 +1,6 @@
-"""Tests for the backward solvers: pointwise derivative operators on
-cylinder path processes, the explicit backward sweep with a driver, Picard
-cross-validation, and the pathwise backward-relation residual.
+"""Tests for the backward solvers: the explicit backward sweep with a
+driver, Picard cross-validation, and the pathwise backward-relation
+residual.
 
 The zero-driver sweep must agree *bitwise* with the forward band-heat
 solver (same kernel, reversed bookkeeping); that anchor test is what makes
@@ -18,15 +18,12 @@ from gbrownian import (
     ConfigurationError,
     ConstantControl,
     CylinderFunctional,
-    CylinderPathProcess,
     GBSDEProblem,
     GBSDESolution,
     GParams,
     SpaceGrid,
     TimeGrid,
     UsageError,
-    a_g,
-    cylinder_derivatives,
     equivalence_check,
     g_value,
     gbsde_residual,
@@ -53,77 +50,6 @@ def terminal_square():
 
 def zero_driver(t, y, z):
     return np.zeros_like(y)
-
-
-class TestCylinderPathProcess:
-    def two_piece(self):
-        return CylinderPathProcess(
-            times=(0.5, 1.0),
-            pieces=(lambda t, x: x * x + (1.0 - t),
-                    lambda t, x1, x: x * x + (1.0 - t)))
-
-    def test_value_and_piece_selection(self):
-        proc = self.two_piece()
-        assert proc.piece_index(0.2) == 0
-        assert proc.piece_index(0.5) == 1   # the seam observation is recorded
-        assert proc.piece_index(0.7) == 1
-        assert proc.value(0.25, (2.0,)) == pytest.approx(4.75)
-        assert proc.value(0.5, (1.0, 2.0)) == pytest.approx(4.5)
-        assert proc.value(0.75, (1.0, 2.0)) == pytest.approx(4.25)
-
-    def test_prefix_arity(self):
-        proc = self.two_piece()
-        with pytest.raises(UsageError):
-            proc.value(0.25, (1.0, 2.0))
-        with pytest.raises(UsageError):
-            proc.value(0.75, (2.0,))
-
-    def test_mismatched_pieces_are_rejected(self):
-        with pytest.raises(UsageError):
-            CylinderPathProcess(
-                times=(0.5, 1.0),
-                pieces=(lambda t, x: x,
-                        lambda t, x1, x: x + 1.0))  # jumps at the seam
-
-    @pytest.mark.parametrize("times", [(math.nan,), (0.5, math.inf)])
-    def test_non_finite_dates_are_rejected(self, times):
-        pieces = (lambda t, x: x, lambda t, x1, x: x)[:len(times)]
-        with pytest.raises(UsageError, match="finite"):
-            CylinderPathProcess(times=times, pieces=pieces)
-
-    def test_time_domain(self):
-        with pytest.raises(UsageError):
-            self.two_piece().piece_index(1.2)
-
-
-class TestDerivativeOperators:
-    def test_quadratic_derivatives_are_sharp(self):
-        proc = CylinderPathProcess(times=(1.0,),
-                                   pieces=(lambda t, x: x * x + 4.0 * (1.0 - t),))
-        d_t, d_x, d2_x = cylinder_derivatives(proc, 0.3, (1.2,))
-        assert d_t == pytest.approx(-4.0, abs=1e-6)
-        assert d_x == pytest.approx(2.4, abs=1e-6)
-        assert d2_x == pytest.approx(2.0, abs=1e-4)
-
-    @pytest.mark.parametrize("piece, expected", [
-        (lambda t, x: x * x + 4.0 * (1.0 - t), 0.0),    # compensated: harmonic
-        (lambda t, x: x * x, 4.0),                       # bare convex square
-        (lambda t, x: -x * x, -1.0),                     # bare concave square
-        (lambda t, x: x * x + 4.3 * (1.0 - t), -0.3),    # over-compensated
-    ])
-    def test_generator_action(self, piece, expected):
-        proc = CylinderPathProcess(times=(1.0,), pieces=(piece,))
-        assert a_g(proc, 0.25, (0.7,), BAND) == pytest.approx(expected, abs=1e-4)
-
-    def test_derivatives_freeze_observed_values(self):
-        proc = CylinderPathProcess(
-            times=(0.5, 1.0),
-            pieces=(lambda t, x: 3.0 * x * x,
-                    lambda t, x1, x: 3.0 * x1 * x1 + (x - x1) * 0.0 + 3.0 * (x * x - x1 * x1)))
-        d_t, d_x, d2_x = cylinder_derivatives(proc, 0.75, (2.0, 0.4))
-        assert d_t == pytest.approx(0.0, abs=1e-6)
-        assert d_x == pytest.approx(2.4, abs=1e-6)
-        assert d2_x == pytest.approx(6.0, abs=1e-3)
 
 
 class TestSolvePpde:

@@ -6,6 +6,7 @@ because increments are stationary and independent under the band: a payoff
 of B_T - B_s alone must price identically to the same payoff of B_{T-s}.
 """
 
+import math
 import re
 
 import numpy as np
@@ -19,7 +20,6 @@ from gbrownian import (
     TimeGrid,
     UsageError,
     conditional_frames,
-    conditional_g_expectation,
     g_expectation,
 )
 from gbrownian import gheat
@@ -92,11 +92,6 @@ class TestGExpectation:
         with pytest.raises(UsageError, match=r"horizon 1\.0 .*horizon 2\.0"):
             g_expectation(functional_b1_squared(), BAND, TimeGrid(2.0, 3200), SPACE)
 
-    def test_conditional_horizon_mismatch(self):
-        with pytest.raises(UsageError, match=r"horizon 1\.0 .*horizon 2\.0"):
-            conditional_g_expectation(functional_b1_squared(), 0.5, (0.0,), BAND,
-                                      TimeGrid(2.0, 3200), SPACE)
-
     def test_hopeless_grid_is_refused(self):
         with pytest.raises(UsageError):
             g_expectation(functional_b1_squared(), BAND, TIME, SpaceGrid(-0.5, 0.5, 41))
@@ -152,22 +147,30 @@ class TestGExpectation:
         assert towered == pytest.approx(direct, abs=TWO_AXIS_TOL)
 
 
+def conditional_value(xi, t, prefix):
+    """The value at time ``t`` given the observed values and the current
+    position: the frame photographed at ``t``, read at ``prefix``."""
+    frame, = conditional_frames(xi, BAND, SPACE, [t], TIME.dt)
+    return float(gheat.FramePoints(SPACE, [[v] for v in prefix])(frame)[0])
+
+
 class TestConditional:
     def test_at_time_zero_matches_unconditional(self):
         xi = functional_b1_squared()
-        got = conditional_g_expectation(xi, 0.0, (0.0,), BAND, TIME, SPACE)
-        assert got == pytest.approx(g_expectation(xi, BAND, TIME, SPACE), abs=1e-12)
+        got = conditional_value(xi, 0.0, (0.0,))
+        assert got.hex() == g_expectation(xi, BAND, TIME, SPACE).hex()
 
     def test_at_the_horizon_evaluates_the_payoff(self):
+        # the horizon's frame is the payoff on the mesh, unmarched
         xi = functional_b1_squared()
-        got = conditional_g_expectation(xi, 1.0, (1.7, 1.7), BAND, TIME, SPACE)
+        got = conditional_value(xi, 1.0, (1.7,))
         assert got == pytest.approx(1.7**2, abs=1e-12)
 
     @pytest.mark.parametrize("b", [0.0, 1.3, -2.0])
     def test_midlife_value_of_the_square(self, b):
         # remaining variance is var_hi * (T - t)
         xi = functional_b1_squared()
-        got = conditional_g_expectation(xi, 0.5, (b,), BAND, TIME, SPACE)
+        got = conditional_value(xi, 0.5, (b,))
         assert got == pytest.approx(b * b + 2.0, abs=ONE_AXIS_TOL)
 
     @pytest.mark.parametrize("a", [-0.7, 0.0, 0.7])
@@ -177,23 +180,26 @@ class TestConditional:
         xi = CylinderFunctional(times=(0.5, 1.0),
                                 payoff=lambda u, v: np.abs(v - u),
                                 lipschitz_bound=1.5, value_bound=10.0)
-        got = conditional_g_expectation(xi, 0.5, (a, a), BAND, TIME, SPACE)
+        got = conditional_value(xi, 0.5, (a, a))
         assert got == pytest.approx(1.1283791670955126, abs=TWO_AXIS_TOL)
 
     def test_prefix_arity_is_checked(self):
-        xi = functional_b1_squared()
-        with pytest.raises(UsageError):
-            conditional_g_expectation(xi, 0.5, (0.0, 0.0), BAND, TIME, SPACE)
+        # a frame of one axis refuses a point with two coordinates
+        with pytest.raises(UsageError, match="does not match 2 located axes"):
+            conditional_value(functional_b1_squared(), 0.5, (0.0, 0.0))
 
     def test_prefix_outside_grid(self):
-        xi = functional_b1_squared()
         with pytest.raises(ExtrapolationError):
-            conditional_g_expectation(xi, 0.5, (20.0,), BAND, TIME, SPACE)
+            conditional_value(functional_b1_squared(), 0.5, (20.0,))
 
     def test_conditioning_time_bounds(self):
-        xi = functional_b1_squared()
-        with pytest.raises(UsageError):
-            conditional_g_expectation(xi, 1.5, (0.0,), BAND, TIME, SPACE)
+        with pytest.raises(UsageError, match=r"must lie in \[0, 1\.0\]"):
+            conditional_value(functional_b1_squared(), 1.5, (0.0,))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_record_time_is_named(self, t):
+        with pytest.raises(UsageError, match=f"record time {t!r} is not finite"):
+            conditional_frames(functional_b1_squared(), BAND, SPACE, [t], TIME.dt)
 
 
 class TestFrameKernel:

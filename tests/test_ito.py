@@ -219,6 +219,16 @@ class TestKProcess:
             k_process(compact, bundle)
         assert len(sizes) == 3 and max(sizes) <= GRID.n_steps, sizes
 
+    @pytest.mark.parametrize("breaks, values", [
+        ((0.0, 0.75, 0.5, 1.0), (1.0, 2.0, 3.0)),
+        ((math.nan, 0.5, 1.0), (1.0, 2.0)),
+        ((0.0, 0.5, math.inf), (1.0, 2.0)),
+    ], ids=["unsorted", "nan-first", "inf-last"])
+    def test_step_breaks_must_be_finite_and_increasing(self, breaks, values):
+        # read unchecked, the unsorted step gives K_T = -6.0 on the lower edge
+        with pytest.raises(UsageError, match="finite and strictly increasing"):
+            k_process((breaks, values), lo_bundle(4))
+
     def test_half_curvature_gives_the_decomposition_ledger(self):
         # K = 0.5 c dqv - G(c) dt summed, as the decompositions book it;
         # halving and doubling are exact, so the two agree bit for bit
@@ -511,6 +521,14 @@ class TestMartingaleTest:
             martingale_table([lambda b: b.b_paths, lambda b: b.qv_paths[:, 1:]],
                              self.family(), self.PAIRS, GRID, 16, seed=1)
 
+    def test_an_empty_table_is_refused(self):
+        # no windows would be reported "consistent" having tested nothing
+        with pytest.raises(UsageError, match="at least one window"):
+            martingale_test(lambda b: b.b_paths, self.family(), [], GRID, 16,
+                            seed=1)
+        with pytest.raises(UsageError, match="at least one process builder"):
+            martingale_table([], self.family(), self.PAIRS, GRID, 16, seed=1)
+
     def test_windows_must_increase(self):
         with pytest.raises(UsageError):
             martingale_test(lambda b: b.b_paths, self.family(),
@@ -556,6 +574,11 @@ class TestIdentifyDrift:
     def test_breaks_must_increase(self, breaks, values):
         with pytest.raises(UsageError, match=r"strictly increasing.*0\.5"):
             identify_drift((breaks, values), BAND, self.family(), GRID, 64,
+                           seed=151)
+
+    def test_eta_without_an_interval_is_refused(self):
+        with pytest.raises(UsageError, match="eta must have at least one interval"):
+            identify_drift(((0.0,), ()), BAND, self.family(), GRID, 64,
                            seed=151)
 
     def test_missing_bang_bang_control_is_reported(self):
