@@ -88,16 +88,24 @@ def _g_inplace(band: GParams, a: np.ndarray, scratch: np.ndarray,
                half: float = 0.5) -> np.ndarray:
     """Overwrite ``a`` with G(a); ``scratch`` is a buffer of a's shape.
 
-    Rounded as ``(var_lo * min(a, 0) + var_hi * max(a, 0)) * half``, which
-    is bitwise ``half * (var_hi * a^+ - var_lo * a^-)`` because negation is
-    exact, signed zeros included.  ``half = 0.5 * dt`` gives the explicit
-    step's ``dt * G(a)`` in the same pass.
+    Rounded as ``(max(var_lo * a, var_hi * a) + 0.0) * half``: ``2 G(a)``
+    is the larger band-edge product, the bang-bang maximiser of
+    ``a * sigma^2``.  This is bitwise
+    ``(var_lo * min(a, 0) + var_hi * max(a, 0)) * half``, that is
+    ``half * (var_hi * a^+ - var_lo * a^-)``, for every input: rounding is
+    monotone and ``var_lo <= var_hi``, so the max is ``var_hi * a`` for
+    ``a > 0`` and ``var_lo * a`` for ``a < 0``, the products the split-sign
+    sum keeps, and ``+ 0.0`` turns every zero result into ``+0.0``, as the
+    sum's ``0.0 + x`` does.  The one difference is that ``var_hi * a`` is
+    now formed for a negative ``a`` too, so a huge negative ``a`` can
+    overflow there and numpy warns; the max discards that product and the
+    bits do not change.  ``half = 0.5 * dt`` gives the explicit step's
+    ``dt * G(a)`` in the same pass.
     """
-    np.maximum(a, 0.0, out=scratch)
-    scratch *= band.var_hi
-    np.minimum(a, 0.0, out=a)
+    np.multiply(a, band.var_hi, out=scratch)
     a *= band.var_lo
-    a += scratch
+    np.maximum(a, scratch, out=a)
+    a += 0.0
     a *= half
     return a
 

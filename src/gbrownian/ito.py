@@ -119,6 +119,7 @@ def step_values_on_grid(breaks, values, time_grid: TimeGrid) -> np.ndarray:
     if not (np.all(np.isfinite(breaks)) and np.all(breaks[1:] > breaks[:-1])):
         raise UsageError(f"breaks must be finite and strictly increasing, "
                          f"got {breaks.tolist()}")
+    _require_finite(values, "step values")
     if abs(breaks[0]) > 1e-12:
         raise UsageError("step function must span [0, horizon]")
     time_grid.require_horizon(float(breaks[-1]), "step function")
@@ -128,14 +129,26 @@ def step_values_on_grid(breaks, values, time_grid: TimeGrid) -> np.ndarray:
     return values[idx]
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """Refuse a NaN or infinite value, naming the first one and its index."""
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        index = np.unravel_index(np.argmax(bad), values.shape)
+        where = f" at index {tuple(map(int, index))}" if index else ""
+        raise UsageError(f"{what} must be finite, got "
+                         f"{float(values[index])!r}{where}")
+
+
 def _integrand_on_grid(integrand, bundle: PathBundle) -> np.ndarray:
     """The accepted integrand forms as a scalar, one value per step or one
-    row per path: arrays that broadcast against the steps, kept compact."""
+    row per path: arrays that broadcast against the steps, kept compact.
+    A non-finite value is refused."""
     n = bundle.time_grid.n_steps
     if isinstance(integrand, tuple) and len(integrand) == 2:
         return step_values_on_grid(*integrand, bundle.time_grid)
     arr = np.asarray(integrand, dtype=float)
     if arr.ndim == 0 or arr.shape == (n,) or arr.shape == (bundle.n_paths, n):
+        _require_finite(arr, "integrand")
         return arr
     raise UsageError("integrand must be scalar, (breaks, values), (n_steps,), "
                      "or (n_paths, n_steps)")
@@ -422,6 +435,7 @@ def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
         raise UsageError("eta must be (breaks, values) with one more break")
     if not values:
         raise UsageError("eta must have at least one interval")
+    _require_finite(np.array(values), "eta values")
     if any(b <= a for a, b in zip(breaks, breaks[1:])):
         raise UsageError(f"eta breaks must be strictly increasing, got {breaks}")
     (gains,) = martingale_table([lambda b: b.qv_paths], family,

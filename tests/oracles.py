@@ -105,6 +105,24 @@ def band_heat_origin_value(payoff, var_lo, var_hi, horizon, x_max=8.0,
     return float(u[mid])
 
 
+def g_step_reference(band, a, half):
+    """``2 * half * G(a)`` in a new array, by the package's split-sign body
+    as it stood before the band-edge max: ``max(a, 0) * var_hi`` added to
+    ``min(a, 0) * var_lo``, then scaled.  ``band`` needs only ``var_lo``
+    and ``var_hi``; the package's G must match it bitwise, signed zeros
+    included, on any band and any ``half``.
+    """
+    a = np.array(a, dtype=float)
+    scratch = np.empty(a.shape)
+    np.maximum(a, 0.0, out=scratch)
+    scratch *= band.var_hi
+    np.minimum(a, 0.0, out=a)
+    a *= band.var_lo
+    a += scratch
+    a *= half
+    return a
+
+
 def march_steps_reference(u, band, dt, n, dx):
     """Whole-array band-stencil march, one step at a time, in place.
 

@@ -29,6 +29,7 @@ from gbrownian import (
     g_value,
     sign_vol,
 )
+from gbrownian.core import _g_inplace
 
 import oracles
 
@@ -71,6 +72,29 @@ class TestEnvelope:
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert [v.hex() for v in scalars] == [float(v).hex() for v in want[:8]]
         assert np.array_equal(a, before)    # the input is not scratch
+
+    @pytest.mark.parametrize("band", [
+        GParams(1.0, 2.0), GParams(0.5, 2.0), GParams(1.5, 1.5), GParams(0.6, 3.0),
+    ], ids=["1-2", "0.5-2", "1.5-1.5", "0.6-3"])
+    def test_bitwise_the_step_reference(self, band):
+        # G as the larger band-edge product against the split-sign body it
+        # replaced: special values, negative subnormals whose var_lo product
+        # underflows to -0.0, then random magnitudes of both signs
+        rng = np.random.default_rng(23)
+        tiny = -5e-324 * np.arange(1, 9)
+        a = np.concatenate([
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+             np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, 1.0, -1.0],
+            tiny,
+            rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-324, 308, 4000)])
+        for half in (0.5, 0.5 * TimeGrid(1.0, 1600).dt, 0.5e-300):
+            got = a.copy()
+            with np.errstate(over="ignore"):
+                want = oracles.g_step_reference(band, a, half)
+                assert _g_inplace(band, got, np.empty(a.shape), half) is got
+            same = got.view(np.uint64) == want.view(np.uint64)
+            assert np.all(same | (np.isnan(got) & np.isnan(want))), (
+                band, half, a[~same][:5], got[~same][:5], want[~same][:5])
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(11)

@@ -229,6 +229,19 @@ class TestKProcess:
         with pytest.raises(UsageError, match="finite and strictly increasing"):
             k_process((breaks, values), lo_bundle(4))
 
+    @pytest.mark.parametrize("integrand, named", [
+        (math.nan, "got nan$"),
+        (np.r_[np.ones(GRID.n_steps - 1), math.inf], r"got inf at index \(511,\)"),
+        (np.where(np.eye(4, GRID.n_steps, 3) > 0, -math.inf, 1.0),
+         r"got -inf at index \(0, 3\)"),
+        (((0.0, 0.5, 1.0), (1.0, math.nan)), r"got nan at index \(1,\)"),
+    ], ids=["scalar", "per-step", "per-path", "step"])
+    def test_non_finite_integrand_is_named(self, integrand, named):
+        # read unchecked, every path's K is NaN from the first such step on
+        with pytest.raises(UsageError, match="(integrand|step values) must be "
+                                             "finite, " + named):
+            k_process(integrand, lo_bundle(4))
+
     def test_half_curvature_gives_the_decomposition_ledger(self):
         # K = 0.5 c dqv - G(c) dt summed, as the decompositions book it;
         # halving and doubling are exact, so the two agree bit for bit
@@ -579,6 +592,18 @@ class TestIdentifyDrift:
     def test_eta_without_an_interval_is_refused(self):
         with pytest.raises(UsageError, match="eta must have at least one interval"):
             identify_drift(((0.0,), ()), BAND, self.family(), GRID, 64,
+                           seed=151)
+
+    @pytest.mark.parametrize("values, named", [
+        ((math.nan,), r"got nan at index \(0,\)"),
+        ((1.0, -math.inf), r"got -inf at index \(1,\)"),
+    ], ids=["nan", "inf"])
+    def test_non_finite_eta_value_is_named(self, values, named):
+        # read unchecked, NaN passes the bracket check and the bisection
+        # loop's test, so c = nan after 0 iterations
+        breaks = np.linspace(0.0, 1.0, len(values) + 1)
+        with pytest.raises(UsageError, match="eta values must be finite, " + named):
+            identify_drift((breaks, values), BAND, self.family(), GRID, 64,
                            seed=151)
 
     def test_missing_bang_bang_control_is_reported(self):
