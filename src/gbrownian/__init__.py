@@ -23,7 +23,6 @@ from .core import (
     TimeGrid,
     g_eps_value,
     g_value,
-    sign_vol,
 )
 from .errors import (
     CapabilityError,
@@ -144,7 +143,6 @@ __all__ = [
     "qn_quadratic_variation",
     "qv_band_violation",
     "realized_qv",
-    "sign_vol",
     "simulate",
     "solve_gheat",
     "solve_ppde",

@@ -6,11 +6,11 @@ Everything downstream is parameterised by a volatility band
 
     G(a) = 0.5 * (sigma_hi^2 * max(a, 0) - sigma_lo^2 * max(-a, 0)),
 
-its tilted variant ``G_eps(a) = G(a) - (eps/2) * |a|``, and the bang-bang
-volatility selector ``sign_vol``.  Grids are uniform; cylinder functionals
-are payoffs of the path levels at their own monitoring dates, with
-declared regularity bounds that construction spot-checks; controls are the
-adapted volatility processes the Monte Carlo layer can simulate.
+and its tilted variant ``G_eps(a) = G(a) - (eps/2) * |a|``.  Grids are
+uniform; cylinder functionals are payoffs of the path levels at their own
+monitoring dates, with declared regularity bounds that construction
+spot-checks; controls are the adapted volatility processes the Monte Carlo
+layer can simulate.
 """
 
 from __future__ import annotations
@@ -135,17 +135,6 @@ def g_eps_value(band: GParams, eps: float, a):
         )
     arr, scalar = _as_float_array(a)
     out = g_value(band, arr) - 0.5 * eps * np.abs(arr)
-    return float(out) if scalar else out
-
-
-def sign_vol(band: GParams, a):
-    """Bang-bang volatility selector: sigma_hi where ``a >= 0``, else sigma_lo.
-
-    This is the closed-form maximiser of ``a * sigma^2`` over the band, so
-    ``a * sign_vol(band, a)**2 == 2 * g_value(band, a)`` pointwise.
-    """
-    arr, scalar = _as_float_array(a)
-    out = np.where(arr >= 0.0, band.sigma_hi, band.sigma_lo)
     return float(out) if scalar else out
 
 
@@ -528,9 +517,11 @@ class SelfDependentControl(ControlProcess):
 class FeedbackControl(ControlProcess):
     """Bang-bang control read off a solved value surface.
 
-    At simulation time t and position x the driver picks ``sign_vol`` of
-    the curvature at (T - t, x) on the nearest node of the surface, which
-    runs forward over [0, T].  Paths that leave its space grid raise
+    At simulation time t and position x the driver picks sigma_hi where
+    ``feedback_field``'s mask says the curvature at (T - t, x) is
+    ``>= 0``, else sigma_lo (the maximiser of ``curvature * sigma^2``), on
+    the nearest node of the surface, which runs forward over [0, T].
+    Paths that leave its space grid raise
     :class:`ExtrapolationError` — widen the grid rather than extrapolating.
     """
 
@@ -566,7 +557,7 @@ class FeedbackControl(ControlProcess):
                     f"path reached {worst!r}, outside the feedback surface grid "
                     f"[{sg.x_min}, {sg.x_max}]; enlarge the surface domain"
                 )
-            return np.where(mask[row, cols], hi, lo)    # sign_vol's floats
+            return np.where(mask[row, cols], hi, lo)
 
         return driver
 

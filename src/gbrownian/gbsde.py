@@ -6,8 +6,9 @@ The scheme solves the terminal-value problem
 
 by explicit backward marching on a space grid: ``gheat.sweep_rows``, the
 forward solver's loop, runs over the reversed rows, so each row is one
-``march_steps`` step of the later row, then ``+ dt * f`` on that row
-(G itself comes from ``core``).  The guards are the
+``march_steps`` step of the later row, then ``+ dt * f`` on that row.
+The driver meets a grid row in ``_driver_row`` only, and the residual is
+``gheat.pde_residual`` of the reversed rows less f.  The guards are the
 CFL bound ``dt <= dx^2 / var_hi`` and the driver step bound
 ``dt * L * (1 + 1/dx) <= 0.5``, L the declared Lipschitz constant.  They
 do not make the scheme monotone: ``f = -y`` on the CFL-maximal grid
@@ -41,9 +42,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_value
+from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid
 from .errors import CapabilityError, ConfigurationError, UsageError
-from .gheat import FramePoints, curvature, gradient, sweep_rows
+from .gheat import (FramePoints, ValueSurface, gradient, pde_residual,
+                    sweep_rows)
 from .mc import PathBundle
 from .ito import _node_rows, check_paths_inside, eval_on_paths
 
@@ -134,12 +136,20 @@ class GBSDESolution:
         return self.y_values[::stride]
 
 
+def _driver_row(problem: GBSDEProblem, time_grid: TimeGrid,
+                space_grid: SpaceGrid):
+    """``k, v -> f(t_k, v, D_x v)``: the driver on grid row k, values v;
+    the only place the driver meets a grid row."""
+    times, dx = time_grid.times(), space_grid.dx
+    return lambda k, v: problem.driver(times[k], v, gradient(v, dx))
+
+
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
-                    space_grid: SpaceGrid, driver_row) -> np.ndarray:
+                    space_grid: SpaceGrid, source) -> np.ndarray:
     """Explicit backward sweep: :func:`gheat.sweep_rows` over the reversed
     rows, so row i is one ``march_steps`` step of row i+1, then
-    ``+ dt * driver_row(i + 1, row i+1)``; ``driver_row(k, v)`` is the
-    driver on row k (values v), live or a frozen Picard iterate, and
+    ``+ dt * source(i + 1, row i+1)``, one driver row: live, on the row
+    just swept, or frozen, on row i+1 of the previous Picard iterate;
     ``None`` sweeps the zero driver with no source at all.
 
     ``march_steps`` holds the boundary nodes, so they carry the
@@ -155,29 +165,15 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     values[n] = np.asarray(problem.terminal.payoff(space_grid.points()),
                            dtype=float)
     sweep_rows(values[::-1], problem.band, dt, space_grid,
-               None if driver_row is None
-               else lambda i, v: driver_row(n - i, v))
+               None if source is None else lambda i, v: source(n - i, v))
     return values
-
-
-def _driver_field(problem: GBSDEProblem, time_grid: TimeGrid,
-                  space_grid: SpaceGrid, y: np.ndarray) -> np.ndarray:
-    """``f(t_i, y_i, z_i)`` row by row over a solved surface y, with
-    ``z = D_x y`` a temporary of the surface's size."""
-    z = gradient(y, space_grid.dx)
-    field = np.empty_like(y)
-    for i, t in enumerate(time_grid.times()):
-        field[i] = problem.driver(t, y[i], z[i])
-    return field
 
 
 def solve_ppde(problem: GBSDEProblem, time_grid: TimeGrid,
                space_grid: SpaceGrid) -> GBSDESolution:
     """Solve the backward equation by direct explicit marching."""
-    times, dx = time_grid.times(), space_grid.dx
-    values = _march_backward(
-        problem, time_grid, space_grid,
-        lambda k, v: problem.driver(times[k], v, gradient(v, dx)))
+    values = _march_backward(problem, time_grid, space_grid,
+                             _driver_row(problem, time_grid, space_grid))
     return GBSDESolution(problem, time_grid, space_grid, values)
 
 
@@ -190,14 +186,15 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
     ``(solution, iterations, final_delta)``.
     Cross-validates the direct scheme: both converge to the same explicit
     fixed point, so the sup-gap after convergence is a genuine consistency
-    signal.
+    signal.  The frozen driver is read row by row off the previous iterate.
     """
+    driver_row = _driver_row(problem, time_grid, space_grid)
     values = _march_backward(problem, time_grid, space_grid, None)
     for iterations in range(1, 11):
-        source = _driver_field(problem, time_grid, space_grid, values)
         new_values = _march_backward(problem, time_grid, space_grid,
-                                     lambda k, v: source[k])
-        delta = float(np.max(np.abs(new_values - values)))
+                                     lambda k, v: driver_row(k, values[k]))
+        np.subtract(new_values, values, out=values)
+        delta = float(np.max(np.abs(values, out=values)))
         values = new_values
         if delta <= 1e-10:
             break
@@ -309,21 +306,23 @@ class EquivalenceReport:
 def ppde_residual(solution: GBSDESolution) -> float:
     """Interior residual of the discrete equation the sweep advanced.
 
-    Row i pairs ``(y[i+1] - y[i]) / dt`` with G of the curvature of row
-    i+1, the row the backward sweep read, and the driver field on that
-    row: ``((y[i+1] - y[i]) / dt + G(D2_x y[i+1])) + f[i+1]`` at the
-    interior nodes.  The value is rounding noise for genuine solutions and
-    O(1) for surfaces that do not solve the equation.
+    The reversed rows ``y[::-1]`` are a forward surface in the time to go
+    solving ``u_tau = G(u_xx) + f``, so this is
+    ``max |pde_residual(y[::-1]) - f|``, f the driver on the rows the sweep
+    read, n down to 1.  Each entry is the backward form
+    ``((y[i+1] - y[i]) / dt + G(D2_x y[i+1])) + f[i+1]`` with every
+    operation on negated operands, so exactly negated: the value is bitwise
+    that formula's.  Rounding noise for genuine solutions, O(1) for
+    surfaces that do not solve the equation.
     """
-    y, sg = solution.y_values, solution.space_grid
-    f = _driver_field(solution.problem, solution.time_grid, sg, y)
-    g = g_value(solution.problem.band, curvature(y[1:], sg.dx))
-    resid = np.diff(y, axis=0)
-    resid /= solution.time_grid.dt
-    resid += g
-    resid = resid[:, 1:-1]
-    resid += f[1:, 1:-1]
-    return float(np.max(np.abs(resid)))
+    y, tg, sg = solution.y_values, solution.time_grid, solution.space_grid
+    driver_row = _driver_row(solution.problem, tg, sg)
+    resid = pde_residual(ValueSurface(solution.problem.band, tg, sg, y[::-1]))
+    f = np.empty(y.shape[1:])
+    for k, row in zip(range(tg.n_steps, 0, -1), resid):
+        f[...] = driver_row(k, y[k])    # a float row, even for a scalar driver
+        row -= f[1:-1]
+    return float(np.max(np.abs(resid, out=resid)))
 
 
 def equivalence_check(solution: GBSDESolution,

@@ -8,8 +8,9 @@ nonlinear equation; the CFL bound is enforced, never silently repaired.
 
 A surface solved forward from initial data satisfies
 ``u(t, x) ~ E[payoff(x + B_t)]`` under the band's sublinear expectation.
-Every :class:`ValueSurface` runs forward from its data row; the backward
-equations of ``gbsde`` keep their own rows and residual.
+Every :class:`ValueSurface` runs forward from its data row; read in
+reverse, ``gbsde``'s backward rows are one too, and :func:`pde_residual`
+checks both.
 
 :class:`_FlatMarch`, the only explicit step, takes G from ``core``'s one
 kernel and marches a contiguous run of whole rows as one flat array: the
@@ -56,7 +57,7 @@ def check_cfl(band: GParams, dt: float, space_grid: SpaceGrid) -> None:
 
 # Rows worked on together: about 256 KB of ``u``, so a block of the march
 # and its two scratch buffers stay in a core's L2 cache for a whole
-# interval.  ``feedback_field`` takes its curvature in blocks of this size.
+# interval.  ``pde_residual`` and ``feedback_field`` use blocks of this size.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -308,16 +309,13 @@ class ValueSurface:
             )
 
     def value(self, t: float, x: float) -> float:
-        """Bilinear interpolation in (t, x): the time-blended row (the row
-        itself on a node, t = T included), then :class:`FramePoints` in x.
-        Refuses to extrapolate."""
+        """The row of the time node t (t = T included), read at x by
+        :class:`FramePoints`.  Refuses to extrapolate (ExtrapolationError)
+        or to blend rows at a time between nodes (UsageError)."""
         tg = self.time_grid
         if not (-1e-12 <= t <= tg.horizon * (1.0 + 1e-12)):
             raise ExtrapolationError(f"t={t!r} outside [0, {tg.horizon}]")
-        ti = min(int(t / tg.dt), tg.n_steps - 1)
-        wt = t / tg.dt - ti
-        row = (self.values[ti] if wt == 0.0 else self.values[ti + 1] if wt == 1.0
-               else (1.0 - wt) * self.values[ti] + wt * self.values[ti + 1])
+        row = self.values[tg.index_of(t)]
         return float(FramePoints(self.space_grid, [[x]])(row)[0])
 
 
@@ -364,18 +362,26 @@ def pde_residual(surface: ValueSurface) -> np.ndarray:
     row i pairs ``(u[i+1] - u[i]) / dt`` with the curvature of row i, the
     row the scheme read.  For surfaces produced by the marching kernel the
     interior residual is zero to rounding by construction, so this is a
-    self-consistency check, not an accuracy estimate.
+    self-consistency check, not an accuracy estimate.  The result is filled
+    in row blocks of about ``_BLOCK_BYTES``, bitwise the whole-surface
+    formula whatever the block, from any view of the values (a reversed
+    one too).
     """
-    g = g_value(surface.band, curvature(surface.values, surface.space_grid.dx))
-    resid = np.diff(surface.values, axis=0)
-    resid /= surface.time_grid.dt
-    resid -= g[:-1]
-    return resid[:, 1:-1]
+    u, dx = surface.values, surface.space_grid.dx
+    out = np.empty((len(u) - 1, u.shape[-1] - 2))
+    step = max(1, _BLOCK_BYTES // (8 * u.shape[-1]))
+    for r0 in range(0, len(out), step):
+        rows, block = u[r0:r0 + step + 1], out[r0:r0 + step]
+        np.subtract(rows[1:, 1:-1], rows[:-1, 1:-1], out=block)
+        block /= surface.time_grid.dt
+        block -= g_value(surface.band, curvature(rows[:-1], dx)[:, 1:-1])
+    return out
 
 
 def feedback_field(surface: ValueSurface) -> np.ndarray:
     """Bang-bang field as a mask, true where ``curvature >= 0``: mapped by
-    ``np.where(mask, sigma_hi, sigma_lo)`` it is ``sign_vol(curvature)``.
+    ``np.where(mask, sigma_hi, sigma_lo)`` it is the band edge that
+    maximises ``curvature * sigma^2``, ties going to ``sigma_hi``.
 
     Edge columns copy their interior neighbour since curvature is not
     defined there.  The mask is filled in row blocks of about

@@ -166,6 +166,60 @@ def march_backward_reference(terminal, driver, band, times, dt, dx):
     return values
 
 
+def picard_reference(terminal, driver, band, times, dt, dx):
+    """Picard iteration on the driver with a whole-surface frozen field.
+
+    From the zero-driver sweep, each iterate is the backward sweep whose
+    row i is one :func:`march_steps_reference` step of row i+1 plus
+    ``dt * field[i+1]``, where ``field[k] = driver(times[k], y[k], z[k])``
+    on the previous iterate y, with ``z`` its centred gradient (one-sided
+    at the edges) taken over the whole surface at once.  Stops after 10
+    iterates or once one moves the surface by at most 1e-10; returns
+    ``(values, iterations, final_delta)``.
+    """
+    def sweep(field):
+        values = np.empty((len(times), len(terminal)))
+        values[-1] = terminal
+        for i in range(len(times) - 2, -1, -1):
+            values[i] = values[i + 1]
+            march_steps_reference(values[i], band, dt, 1, dx)
+            if field is not None:
+                values[i] += dt * field[i + 1]
+        return values
+
+    values = sweep(None)
+    for iterations in range(1, 11):
+        z = np.empty_like(values)
+        z[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2.0 * dx)
+        z[:, 0] = (values[:, 1] - values[:, 0]) / dx
+        z[:, -1] = (values[:, -1] - values[:, -2]) / dx
+        field = np.empty_like(values)
+        for k, t in enumerate(times):
+            field[k] = driver(t, values[k], z[k])
+        new_values = sweep(field)
+        delta = float(np.max(np.abs(new_values - values)))
+        values = new_values
+        if delta <= 1e-10:
+            break
+    return values, iterations, delta
+
+
+def pde_residual_reference(values, band, dt, dx):
+    """Interior residual ``(u[i+1] - u[i]) / dt - G(curvature of u[i])``
+    of a forward surface, as one whole-surface formula: the curvature
+    ``(u[j+1] - 2 u[j] + u[j-1]) / dx^2`` and its G
+    (:func:`g_step_reference`) over every row at once, then the time
+    difference.  Returns the ``(rows - 1, points - 2)`` interior.
+    """
+    curv = (values[:, 2:] - 2.0 * values[:, 1:-1] + values[:, :-2]) / (dx * dx)
+    g = g_step_reference(band, curv, 0.5)
+    resid = np.diff(values, axis=0)
+    resid /= dt
+    resid = resid[:, 1:-1]
+    resid -= g[:-1]
+    return resid
+
+
 def gradient_reference(u, dx):
     """First difference along the last axis of ``u``, one node at a time.
 

@@ -27,7 +27,6 @@ from gbrownian import (
     UsageError,
     g_eps_value,
     g_value,
-    sign_vol,
 )
 from gbrownian.core import _g_inplace
 
@@ -135,26 +134,6 @@ class TestEnvelope:
     def test_tilt_beyond_half_spread_is_rejected(self):
         with pytest.raises(DomainError):
             g_eps_value(BAND, 2.0, 1.0)
-
-
-class TestSignVol:
-    """Curvature-driven bang-bang volatility selection."""
-
-    @pytest.mark.parametrize("a, expected", [
-        (0.3, 2.0),
-        (0.0, 2.0),   # ties go to the upper edge
-        (-1.0, 1.0),
-        (1e-14, 2.0),
-    ])
-    def test_selection(self, a, expected):
-        assert sign_vol(BAND, a) == expected
-
-    def test_attains_the_envelope(self):
-        # G(a) = (1/2) * sign_vol(a)^2 * a whenever a has a single sign.
-        rng = np.random.default_rng(23)
-        for a in rng.uniform(-3, 3, size=200):
-            s = sign_vol(BAND, a)
-            assert g_value(BAND, a) == pytest.approx(0.5 * s * s * a, abs=1e-12)
 
 
 class TestGParams:

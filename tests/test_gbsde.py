@@ -149,6 +149,25 @@ class TestPicard:
         direct = solve_ppde(problem, TIME, SPACE)
         assert np.array_equal(solution.y_values, direct.y_values)
 
+    @pytest.mark.parametrize("driver, lipschitz", [
+        pytest.param(lambda t, y, z: 0.7, 0.0, id="scalar"),
+        pytest.param(lambda t, y, z: 0.05 * z - 0.1 * y, 0.1,
+                     id="z-dependent"),
+        pytest.param(lambda t, y, z: -0.1 * y, 0.1, id="discount"),
+    ])
+    def test_iterates_are_the_whole_surface_field_sweep_bitwise(self, driver,
+                                                                lipschitz):
+        # the frozen driver read row by row off the previous iterate, and
+        # the move taken in its place, against a whole-surface field
+        problem = GBSDEProblem(terminal_square(), driver, BAND,
+                               driver_lipschitz=lipschitz)
+        solution, iterations, delta = solve_ppde_picard(problem, TIME, SPACE)
+        want, want_iterations, want_delta = oracles.picard_reference(
+            SPACE.points() ** 2, driver, BAND, TIME.times(), TIME.dt, SPACE.dx)
+        assert np.array_equal(solution.y_values.view(np.uint64),
+                              want.view(np.uint64))
+        assert (iterations, delta.hex()) == (want_iterations, want_delta.hex())
+
     def test_affine_driver_agrees_with_direct(self):
         problem = GBSDEProblem(terminal_square(),
                                lambda t, y, z: 0.1 + 0.2 * y + 0.1 * z,
@@ -339,6 +358,24 @@ class TestPathsAndResiduals:
         want = np.max(np.abs(((y[1:] - y[:-1]) / TIME.dt + g[1:])[:, 1:-1]
                              + f[1:, 1:-1]))
         assert ppde_residual(solution).hex() == float(want).hex()
+
+    def test_ppde_residual_peak_is_one_surface_and_a_block(self,
+                                                             monkeypatch):
+        # the forward residual of the reversed rows, less the driver row by
+        # row: the result, one block of pde_residual's scratch and a row
+        problem = GBSDEProblem(terminal_square(), lambda t, y, z: -0.1 * y,
+                               BAND, driver_lipschitz=0.1)
+        solution = solve_ppde(problem, TIME, SPACE)
+        block = 8 * SPACE.n_points * 50
+        monkeypatch.setattr(gheat, "_BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            ppde_residual(solution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        surface = solution.y_values.nbytes
+        assert peak <= surface + 5 * block, (peak, surface)
 
     def test_budgets_are_fixed(self):
         solution = self.solved()

@@ -26,7 +26,6 @@ from gbrownian import (
     export_surface_csv,
     feedback_field,
     pde_residual,
-    sign_vol,
     solve_gheat,
 )
 from gbrownian import gheat
@@ -302,34 +301,10 @@ class TestValueSurface:
         assert square_surface.value(0.5, 0.0) == pytest.approx(
             square_surface.values[i, j], abs=1e-14)
 
-    def test_value_interpolates_bilinearly(self, square_surface):
-        tg, sg = TIME, SPACE
-        t = 0.5 + 0.4 * tg.dt
-        x = 0.25 + 0.5 * sg.dx
-        i, j = tg.index_of(0.5), int(round((0.25 - sg.x_min) / sg.dx))
-        v = square_surface.values
-        row = 0.6 * v[i] + 0.4 * v[i + 1]
-        want = 0.5 * row[j] + 0.5 * row[j + 1]
-        assert square_surface.value(t, x) == pytest.approx(want, abs=1e-13)
-
-    def test_value_is_np_interp_of_the_blended_row(self, square_surface):
-        pts = SPACE.points()
-        t = 0.5 + 0.4 * TIME.dt
-        ti = int(t / TIME.dt)
-        wt = t / TIME.dt - ti
-        v = square_surface.values
-        row = (1.0 - wt) * v[ti] + wt * v[ti + 1]
-        for x in (0.25 + 0.37 * SPACE.dx, pts[57], SPACE.x_min, SPACE.x_max):
-            want = float(np.interp(x, pts, row))
-            assert square_surface.value(t, x).hex() == want.hex()
-        with pytest.raises(ExtrapolationError):
-            square_surface.value(t, np.nan)
-
     @pytest.mark.parametrize("t, row", [(0.0, 0), (0.5, 2), (1.0, -1)],
                              ids=["first", "inner", "last"])
     def test_value_on_a_node_reads_the_row(self, t, row):
-        # a row of -0.0 keeps its sign: blending it with weight 0 or 1
-        # against a neighbour would give +0.0
+        # a row of -0.0 keeps its sign: the row is read, not blended
         values = np.ones((5, 5))
         values[row] = -0.0
         surface = gheat.ValueSurface(BAND, TimeGrid(1.0, 4),
@@ -343,6 +318,16 @@ class TestValueSurface:
             square_surface.value(1.5, 0.0)
         with pytest.raises(ExtrapolationError):
             square_surface.value(0.5, 6.5)
+        for t, x in ((np.nan, 0.0), (0.5, np.nan)):
+            with pytest.raises(ExtrapolationError):
+                square_surface.value(t, x)
+
+    def test_refuses_a_time_between_nodes(self, square_surface):
+        with pytest.raises(UsageError, match="not a node"):
+            square_surface.value(0.5 + 0.4 * TIME.dt, 0.0)
+        # within the grid's 1e-9 tolerance the node's row is read
+        on_node = square_surface.value(0.5, 0.0)
+        assert square_surface.value(0.5 + 1e-12, 0.0) == on_node
 
 
 def _fields(surface):
@@ -377,6 +362,41 @@ class TestDerivativeFields:
         assert np.max(np.abs(resid)) <= 10.0 * (TIME.dt + SPACE.dx**2)
 
 
+class TestPdeResidual:
+    """The row-blocked residual against the whole-surface formula."""
+
+    @pytest.mark.parametrize("rows", [None, 1, 7])
+    @pytest.mark.parametrize("reverse", [False, True],
+                             ids=["forward", "reversed"])
+    def test_row_blocks_change_no_bits(self, butterfly_surface, rows, reverse,
+                                       monkeypatch):
+        # the reversed view is how the backward residual reads its rows
+        if rows is not None:
+            monkeypatch.setattr(gheat, "_BLOCK_BYTES",
+                                8 * SPACE.n_points * rows)
+        values = butterfly_surface.values[::-1] if reverse \
+            else butterfly_surface.values
+        surface = gheat.ValueSurface(BAND, TIME, SPACE, values)
+        got = pde_residual(surface)
+        want = oracles.pde_residual_reference(values, BAND, TIME.dt, SPACE.dx)
+        assert got.shape == (TIME.n_steps, SPACE.n_points - 2)
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_peak_is_the_result_plus_one_blocks_scratch(
+            self, butterfly_surface, monkeypatch):
+        block = 8 * SPACE.n_points * 50     # 32 blocks of the 1601-row surface
+        monkeypatch.setattr(gheat, "_BLOCK_BYTES", block)
+        tracemalloc.start()
+        try:
+            resid = pde_residual(butterfly_surface)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block's curvature, its G and the stencil's temporaries; the
+        # whole-surface formula peaked at the result plus two surfaces
+        assert peak <= resid.nbytes + 5 * block, (peak, resid.nbytes)
+
+
 class TestFeedbackField:
     def test_convex_payoff_runs_at_the_top(self, square_surface):
         np.testing.assert_array_equal(feedback_field(square_surface), True)
@@ -401,9 +421,10 @@ class TestFeedbackField:
         c = gheat.curvature(butterfly_surface.values, SPACE.dx)
         mask = feedback_field(butterfly_surface)
         assert mask.dtype == bool and np.array_equal(mask, c >= 0.0)
-        # mapped as the feedback driver maps it: sign_vol's floats, bitwise
+        # mapped as the feedback driver maps it: the bang-bang rule's
+        # floats, ties at the upper edge, bitwise
         levels = np.where(mask, BAND.sigma_hi, BAND.sigma_lo)
-        whole = sign_vol(BAND, c)
+        whole = np.where(c >= 0.0, BAND.sigma_hi, BAND.sigma_lo)
         assert levels.dtype == whole.dtype and np.array_equal(levels, whole)
 
     def test_peak_is_the_field_plus_one_blocks_scratch(
