@@ -262,7 +262,8 @@ def _run_solve_gheat(env: _Env, exp: dict, label: str, out_dir: str,
                      f"{where}.time_stride")
     export_surface_csv(surface, os.path.join(out_dir, f"{label}.csv"),
                        time_stride=stride)
-    scale = max(1.0, float(np.max(np.abs(surface.values))))
+    scale = max(1.0, float(np.max(surface.values)),
+                -float(np.min(surface.values)))
     resid = float(np.max(np.abs(pde_residual(surface))))
     return [
         _row(label, "value-at-origin", surface.value(env.horizon, 0.0)),
@@ -542,7 +543,9 @@ def _run_gbsde(env: _Env, exp: dict, label: str, out_dir: str,
     solution = gbsde_mod.solve_ppde(problem, env.time_grid, env.space_grid)
     picard, iters, delta = gbsde_mod.solve_ppde_picard(
         problem, env.time_grid, env.space_grid)
-    picard_gap = float(np.max(np.abs(picard.y_values - solution.y_values)))
+    gap = np.subtract(picard.y_values, solution.y_values)
+    picard_gap = float(np.max(np.abs(gap, out=gap)))
+    del gap
 
     bundle_steps = _as_int(exp.get("bundle_steps",
                                    _divisor_near(env.time_grid.n_steps, 64)),
@@ -558,7 +561,8 @@ def _run_gbsde(env: _Env, exp: dict, label: str, out_dir: str,
                for j in range(env.space_grid.n_points)]
     _write_csv(os.path.join(out_dir, f"{label}.csv"), ["x", "y0", "z0"],
                profile)
-    scale = max(1.0, float(np.max(np.abs(solution.y_values))))
+    scale = max(1.0, float(np.max(solution.y_values)),
+                -float(np.min(solution.y_values)))
     return [
         _row(label, "y-at-origin", solution.initial),
         _check(label, "picard-agreement", picard_gap, 1e-7 * scale),

@@ -337,7 +337,8 @@ def equivalence_check(solution: GBSDESolution,
     ``8 var_hi sqrt(dt * T)`` on the bundle grid for the relation, whose
     realized-vs-ledger quadratic variation noise shrinks like sqrt(dt).
     """
-    scale = max(1.0, float(np.max(np.abs(solution.y_values))))
+    y = solution.y_values
+    scale = max(1.0, float(np.max(y)), -float(np.min(y)))   # no |y| temporary
     tg = bundle.time_grid
     return EquivalenceReport(
         ppde_residual(solution), gbsde_residual(solution, bundle), 1e-9 * scale,

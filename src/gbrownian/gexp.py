@@ -8,11 +8,21 @@ space grid and carried as leading array axes.  At each date the terminal
 condition for the earlier interval is obtained by setting the newly
 observed value equal to the current position (a diagonal slice).
 
-Cost and memory scale like ``n_steps * n_points ** n``; the number of
-monitoring dates is therefore capped (see ``N_MAX``).  Each interval is
-marched by ``gheat.march_steps``, one cache-sized block of rows at a time,
-each block as one flat contiguous run of nodes, so the sweep's scratch is
-bounded by one block on top of ``u`` and the recorded frames.
+Each interval marches each *distinct* row of the mesh once (a row being
+the current position's axis at fixed observed values): at the start of
+the interval the rows are grouped by their bytes, and a payoff that
+reads the observed values through a statistic (a running max, a mean)
+has far fewer distinct rows than rows -- 702 of 14641 for the 3-date
+``|mean|`` at 121 points, 121 for the 3-date max.  A row's march does
+not depend on its neighbours, so every frame is bitwise the full-mesh
+sweep's.  A mesh whose rows are all distinct is marched in place.  Cost
+scales like ``n_steps * distinct rows * n_points``; memory still scales
+like ``n_points ** n`` (the payoff mesh and every frame are full), so the
+number of monitoring dates stays capped (see ``N_MAX``).  Each interval
+is marched by ``gheat.march_steps``, one cache-sized block of rows at a
+time, each block as one flat contiguous run of nodes, so the sweep's
+scratch is bounded by one block on top of the rows and the recorded
+frames.
 
 Conditional values have one home, the frames of
 :func:`conditional_frames`, photographed in one sweep at the requested
@@ -32,7 +42,7 @@ import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid
 from .errors import CapabilityError, UsageError
-from .gheat import FramePoints, check_cfl, march_steps
+from .gheat import _BLOCK_BYTES, FramePoints, check_cfl, march_steps
 
 # Declared capability: meshes with more than this many monitoring dates are
 # refused up front rather than thrashing memory (n_points**n values live at
@@ -56,6 +66,38 @@ def _validate_functional(xi: CylinderFunctional, band: GParams,
         )
 
 
+def _distinct_rows(u: np.ndarray):
+    """The distinct rows of ``u`` along its last axis, told apart by their
+    bytes, as ``(rows, inverse)`` with ``u.reshape(-1, m)`` equal to
+    ``rows[inverse]``; ``(u, None)`` when every row is distinct.
+
+    Bytes, not float values: ``-0.0`` and ``+0.0`` stay apart, as do rows
+    one ulp apart, so a row marched for its group is bitwise the march of
+    each member.  Each row is one ``void`` key; ``argsort`` orders the
+    keys without moving them, and neighbours in that order are compared a
+    block at a time, so the scratch is the order, the group labels and one
+    block of keys, never a copy of ``u``.
+    """
+    m = u.shape[-1]
+    keys = u.reshape(-1).view(np.dtype((np.void, m * u.itemsize)))
+    if len(keys) < 2:
+        return u, None
+    order = np.argsort(keys)
+    first = np.empty(len(keys), dtype=bool)   # first of its group in order
+    first[0] = True
+    step = max(1, _BLOCK_BYTES // (m * u.itemsize))
+    for start in range(1, len(keys), step):
+        block = keys[order[start - 1:start + step]]
+        first[start:start + len(block) - 1] = block[1:] != block[:-1]
+    group = np.cumsum(first, dtype=order.dtype)
+    if group[-1] == len(keys):
+        return u, None
+    group -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = group
+    return u.reshape(-1, m)[order[first]], inverse
+
+
 def _backward_sweep(xi: CylinderFunctional, band: GParams,
                     space_grid: SpaceGrid, dt_max: float,
                     record_times) -> list:
@@ -68,6 +110,12 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
     current position last), all indexed by the space grid.  A requested
     time equal to ``t_k`` is photographed *before* the diagonal stitch, so
     its frame still carries the k-th observed value as its own axis.
+
+    Each interval marches the distinct rows of ``u`` (:func:`_distinct_rows`)
+    and a frame inside it is gathered back to the full mesh through the
+    inverse index; the stitch gathers the diagonal ``u[..., i, i]`` from
+    the distinct rows directly.  A mesh of all-distinct rows is marched in
+    place and photographed by copy, with no gather.
     """
     check_cfl(band, dt_max, space_grid)
     x = space_grid.points()
@@ -87,7 +135,7 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
     mesh = np.meshgrid(*([x] * n), indexing="ij", sparse=True)
     u = np.asarray(xi.payoff(*mesh), dtype=float)
     u = np.broadcast_to(u, (space_grid.n_points,) * n).copy()
-    if not np.all(np.isfinite(u)):
+    if not (math.isfinite(np.min(u)) and math.isfinite(np.max(u))):   # NaN too
         raise UsageError("payoff produced non-finite values on the mesh")
 
     frames: list = [None] * len(rec)
@@ -101,24 +149,31 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
 
     for k in range(n - 1, -1, -1):
         lower = boundaries[k]
+        shape = u.shape
+        # march each distinct row once; u itself when all are distinct
+        rows, inverse = _distinct_rows(u)
+        del u                   # a grouped mesh is freed here
         while True:
             # next stop inside this interval: a record time or the boundary
             target = rec[next_rec] if next_rec >= 0 and rec[next_rec] > lower + tol else lower
             duration = current_t - target
             if duration > tol:
                 steps = max(1, int(math.ceil(duration / dt_max - 1e-12)))
-                march_steps(u, band, duration / steps, steps, dx)
+                march_steps(rows, band, duration / steps, steps, dx)
             current_t = target
-            if next_rec >= 0 and abs(rec[next_rec] - current_t) <= tol:
-                while next_rec >= 0 and abs(rec[next_rec] - current_t) <= tol:
-                    frames[next_rec] = u.copy()
-                    next_rec -= 1
+            while next_rec >= 0 and abs(rec[next_rec] - current_t) <= tol:
+                frames[next_rec] = (rows.copy() if inverse is None
+                                    else rows[inverse].reshape(shape))
+                next_rec -= 1
             if current_t <= lower + tol:
                 break
         if k > 0:
             # observed value at t_k becomes the current position: take the
             # diagonal of the last two axes as the earlier interval's data
-            u = np.ascontiguousarray(np.einsum("...ii->...i", u))
+            if inverse is None:
+                u = np.ascontiguousarray(np.einsum("...ii->...i", rows))
+            else:
+                u = rows[inverse.reshape(shape[:-1]), np.arange(shape[-1])]
     return frames
 
 

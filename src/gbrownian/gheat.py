@@ -57,7 +57,8 @@ def check_cfl(band: GParams, dt: float, space_grid: SpaceGrid) -> None:
 
 # Rows worked on together: about 256 KB of ``u``, so a block of the march
 # and its two scratch buffers stay in a core's L2 cache for a whole
-# interval.  ``pde_residual`` and ``feedback_field`` use blocks of this size.
+# interval.  ``pde_residual``, ``feedback_field`` and ``gexp``'s row grouping
+# use blocks of this size.
 _BLOCK_BYTES = 256 * 1024
 
 

@@ -139,6 +139,43 @@ def march_steps_reference(u, band, dt, n, dx):
     return u
 
 
+def nested_sweep_reference(payoff, times, band, x, dx, dt_max, record_times):
+    """The nested backward sweep as first written, on the full mesh.
+
+    Every observed value is its own axis over the grid ``x``; each stretch
+    between stops (the dates and the ``record_times``, sorted ascending)
+    is marched whole by :func:`march_steps_reference` in
+    ``ceil(duration / dt_max)`` equal steps, and at each date the diagonal
+    of the last two axes (``einsum``) becomes the earlier interval's data.
+    A record time equal to a date is photographed before that date's
+    stitch.  Returns one full-mesh copy per record time; the package's
+    sweep must match every one bitwise.
+    """
+    horizon = times[-1]
+    tol = 1e-12 * max(1.0, horizon)
+    mesh = np.meshgrid(*([x] * len(times)), indexing="ij", sparse=True)
+    u = np.array(np.broadcast_to(payoff(*mesh), (len(x),) * len(times)),
+                 dtype=float)
+    frames = [None] * len(record_times)
+    j, t = len(record_times) - 1, horizon
+    for k in range(len(times) - 1, -1, -1):
+        lower = times[k - 1] if k > 0 else 0.0
+        while True:
+            while j >= 0 and abs(record_times[j] - t) <= tol:
+                frames[j] = u.copy()
+                j -= 1
+            if t <= lower + tol:
+                break
+            stop = record_times[j] if j >= 0 and record_times[j] > lower + tol \
+                else lower
+            steps = max(1, math.ceil((t - stop) / dt_max - 1e-12))
+            march_steps_reference(u, band, (t - stop) / steps, steps, dx)
+            t = stop
+        if k > 0:
+            u = np.einsum("...ii->...i", u).copy()
+    return frames
+
+
 def march_backward_reference(terminal, driver, band, times, dt, dx):
     """Explicit backward sweep of ``D_t u + G(D2_x u) + f = 0``, as first written.
 

@@ -10,12 +10,16 @@ import filecmp
 import json
 import math
 import os
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gbrownian import (CylinderFunctional, GBSDEProblem, GParams, SpaceGrid,
                         TimeGrid, pde_residual, solve_gheat, solve_ppde)
+from gbrownian import cli
+from gbrownian import gbsde as gbsde_mod
 from gbrownian.gheat import gradient
 from gbrownian.cli import OUT_DIR_ENV, main
 
@@ -314,6 +318,69 @@ class TestOutputs:
         lines = (out / "00-solve-gheat.csv").read_text().splitlines()
         assert lines[0] == "t,x,u,du_dx,d2u_dx2"
         assert len(lines) == 1 + 5 * 121  # times 0, .25, .5, .75, 1
+
+
+class TestBudgetScales:
+    """The checks' budget scale ``max(1, max |v|)`` is read from a surface's
+    max and min: the whole-array formula's bits, with no surface-sized
+    temporary.  The solvers are stubbed by ready surfaces whose largest
+    magnitude is a minimum, so the runner's own scratch is what is traced."""
+
+    WHERE = "experiments[0]"
+    TIME = TimeGrid(1.0, 2000)
+    SPACE = SpaceGrid(-6.0, 6.0, 121)
+
+    def run(self, runner, exp, tmp_path):
+        env = cli._Env(base_config(), exp, self.WHERE, None)
+        tracemalloc.start()
+        try:
+            rows = runner(env, exp, "00", str(tmp_path), self.WHERE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return {r["metric"]: r for r in rows}, peak
+
+    @staticmethod
+    def budget(rel, values):
+        return (rel * max(1.0, float(np.max(np.abs(values))))).hex()
+
+    def test_solve_gheat(self, monkeypatch, tmp_path):
+        surface = solve_gheat(lambda x: -x * x, GParams(1.0, 2.0), self.TIME,
+                              self.SPACE)
+        monkeypatch.setattr(cli, "solve_gheat", lambda *a: surface)
+        monkeypatch.setattr(cli, "export_surface_csv", lambda *a, **k: None)
+        monkeypatch.setattr(cli, "pde_residual", lambda s: np.zeros(1))
+        rows, peak = self.run(cli._run_solve_gheat,
+                              {"name": "solve-gheat", "payoff": "x2"}, tmp_path)
+        tol = float(rows["interior-equation-residual"]["tolerance"])
+        assert tol.hex() == self.budget(1e-9, surface.values)
+        assert peak <= surface.values.nbytes // 16, peak
+
+    def test_gbsde(self, monkeypatch, tmp_path):
+        xi = CylinderFunctional((1.0,), lambda x: -x * x, 10.0, 64.0)
+        problem = GBSDEProblem(xi, lambda t, y, z: -0.1 * y,
+                               GParams(1.0, 2.0), 0.1)
+        solution = solve_ppde(problem, self.TIME, self.SPACE)
+        y = solution.y_values
+        picard = gbsde_mod.GBSDESolution(problem, self.TIME, self.SPACE,
+                                         y * (1.0 + 1e-12))
+        relation = SimpleNamespace(k_initial=0.0, k_monotone=True)
+        equiv = SimpleNamespace(pde_residual=0.0, pde_tol=1.0,
+                                bsde_residual=0.0, bsde_tol=1.0,
+                                relation=relation)
+        monkeypatch.setattr(gbsde_mod, "solve_ppde", lambda *a: solution)
+        monkeypatch.setattr(gbsde_mod, "solve_ppde_picard",
+                            lambda *a: (picard, 2, 0.0))
+        monkeypatch.setattr(cli, "simulate", lambda *a: None)
+        monkeypatch.setattr(gbsde_mod, "equivalence_check", lambda s, b: equiv)
+        rows, peak = self.run(cli._run_gbsde, {"name": "gbsde", "payoff": "x2"},
+                              tmp_path)
+        gap = rows["picard-agreement"]
+        assert float(gap["value"]).hex() == \
+            float(np.max(np.abs(picard.y_values - y))).hex()
+        assert float(gap["tolerance"]).hex() == self.budget(1e-7, y)
+        # the Picard gap takes one difference array, reduced in place
+        assert peak <= y.nbytes + y.nbytes // 16, (peak, y.nbytes)
 
 
 class TestSeedAndOutPrecedence:

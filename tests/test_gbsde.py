@@ -33,7 +33,7 @@ from gbrownian import (
     solve_ppde,
     solve_ppde_picard,
 )
-from gbrownian import gheat, ito
+from gbrownian import gbsde, gheat, ito
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -385,6 +385,30 @@ class TestPathsAndResiduals:
         assert report.pde_tol == 1e-9 * max(
             1.0, float(np.max(np.abs(solution.y_values))))
         assert report.bsde_tol == 8.0 * BAND.var_hi * math.sqrt(tg.dt * tg.horizon)
+
+    def test_budget_scale_takes_no_surface_temporary(self, monkeypatch):
+        # max(1, max |Y|) read from Y's max and min: the whole-array
+        # formula's bits, with no |Y|-sized scratch (the two residuals,
+        # which hold their own, are stubbed out)
+        xi = CylinderFunctional(times=(1.0,), payoff=lambda x: -x * x,
+                                lipschitz_bound=10.0, value_bound=64.0)
+        problem = GBSDEProblem(xi, lambda t, y, z: -0.1 * y, BAND,
+                               driver_lipschitz=0.1)
+        solution = solve_ppde(problem, TIME, SPACE)
+        bundle = self.lo_bundle(n_paths=64)
+        monkeypatch.setattr(gbsde, "ppde_residual", lambda s: 0.0)
+        monkeypatch.setattr(gbsde, "gbsde_residual", lambda s, b: None)
+        tracemalloc.start()
+        try:
+            report = equivalence_check(solution, bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        y = solution.y_values
+        want = 1e-9 * max(1.0, float(np.max(np.abs(y))))
+        assert -float(np.min(y)) > max(1.0, float(np.max(y)))
+        assert report.pde_tol.hex() == want.hex()
+        assert peak <= y.nbytes // 16, (peak, y.nbytes)
 
     def test_tampered_surface_fails_direction_one(self):
         # a positively-scaled surface would still solve the (homogeneous)

@@ -8,6 +8,7 @@ of B_T - B_s alone must price identically to the same payoff of B_{T-s}.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from gbrownian import (
     conditional_frames,
     g_expectation,
 )
-from gbrownian import gheat
+from gbrownian import gexp, gheat
 from gbrownian.errors import ExtrapolationError
 
 import oracles
@@ -80,6 +81,15 @@ class TestGExpectation:
         sg = SpaceGrid(-7.0, 7.0, 141)
         tg = TimeGrid(1.0, 405)
         assert g_expectation(xi, BAND, tg, sg) == pytest.approx(0.0, abs=0.02)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payoff_on_the_mesh_is_refused(self, bad):
+        # finite on the spot-check box, not at the grid's last nodes
+        xi = CylinderFunctional(times=(0.5, 1.0),
+                                payoff=lambda a, b: np.where(b > 11.9, bad, a),
+                                lipschitz_bound=1.0, value_bound=25.0)
+        with pytest.raises(UsageError, match="non-finite values on the mesh"):
+            g_expectation(xi, BAND, TIME, SPACE)
 
     def test_four_dates_exceed_capability(self):
         xi = CylinderFunctional(times=(0.25, 0.5, 0.75, 1.0),
@@ -310,3 +320,134 @@ class TestFrameKernel:
         at = gheat.FramePoints(space_grid, coords)
         with pytest.raises(UsageError):
             at(np.zeros((space_grid.n_points, space_grid.n_points + 1)))
+
+
+def _signed_zero(a, b):
+    # rows a < 0 and a >= 0 are equal as floats but differ in the sign
+    # of their zeros
+    return np.where(b > 0.0, b, np.copysign(0.0, a))
+
+
+def _one_ulp(a, b):
+    # rows a < 0 carry one more ulp at the first node than rows a >= 0
+    return np.where((a < 0.0) & (b == -6.0), np.nextafter(6.0, 7.0), np.abs(b))
+
+
+class TestOneMarchPerDistinctRow:
+    """The nested sweep marches each distinct row of its mesh once; every
+    frame stays bitwise the full-mesh sweep of
+    ``oracles.nested_sweep_reference``, rows told apart by their bytes."""
+
+    THIRDS = (1 / 3, 2 / 3, 1.0)
+    HALVES = (0.5, 1.0)
+    CASES = {
+        "mean3": (THIRDS, lambda a, b, c: np.abs((a + b + c) / 3.0)),
+        "max3": (THIRDS, lambda a, b, c: np.maximum(np.maximum(a, b), c)),
+        "max2": (HALVES, np.maximum),
+        "increment-abs": (HALVES, lambda a, b: np.abs(b - a)),
+        "signed-zero": (HALVES, _signed_zero),
+        "one-ulp": (HALVES, _one_ulp),
+    }
+    SPACE = SpaceGrid(-6.0, 6.0, 41)
+    DT = TimeGrid(1.0, 50).dt
+    _want: dict = {}
+
+    @staticmethod
+    def record_times(times):
+        """0, the horizon, every date and a time inside every interval."""
+        lower = (0.0,) + times[:-1]
+        return sorted({0.0, *times, *((a + b) / 2 for a, b in zip(lower, times))})
+
+    @classmethod
+    def want(cls, name):
+        if name not in cls._want:
+            times, payoff = cls.CASES[name]
+            cls._want[name] = oracles.nested_sweep_reference(
+                payoff, times, BAND, cls.SPACE.points(), cls.SPACE.dx, cls.DT,
+                cls.record_times(times))
+        return cls._want[name]
+
+    @pytest.mark.parametrize("one_row_blocks", [False, True],
+                             ids=["default-blocks", "one-row-blocks"])
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_every_frame_is_the_full_mesh_sweep_bitwise(self, monkeypatch,
+                                                        name, one_row_blocks):
+        if one_row_blocks:
+            monkeypatch.setattr(gheat, "_BLOCK_BYTES", 1)
+            monkeypatch.setattr(gexp, "_BLOCK_BYTES", 1)
+        times, payoff = self.CASES[name]
+        xi = CylinderFunctional(times, payoff, lipschitz_bound=1.0,
+                                value_bound=28.0)
+        got = conditional_frames(xi, BAND, self.SPACE,
+                                 self.record_times(times), self.DT)
+        want = self.want(name)
+        assert [g.shape for g in got] == [w.shape for w in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+
+    @pytest.mark.parametrize("name, marched", [
+        ("mean3", [(702, 14641), None, None]),
+        ("max3", [(121, 14641), None, None]),
+        ("max2", [None, None]),
+        ("increment-abs", [None, None]),
+        ("signed-zero", [(2, 121), None]),
+        ("one-ulp", [(2, 121), None]),
+    ])
+    def test_rows_marched_per_interval(self, monkeypatch, name, marched):
+        # (distinct rows, mesh rows) per interval from the last; None where
+        # every row is distinct and the mesh is marched in place
+        seen = []
+
+        def spy(u):
+            rows, inverse = distinct(u)
+            seen.append(None if inverse is None else (len(rows), len(inverse)))
+            return rows, inverse
+
+        distinct = gexp._distinct_rows
+        monkeypatch.setattr(gexp, "_distinct_rows", spy)
+        times, payoff = self.CASES[name]
+        xi = CylinderFunctional(times, payoff, lipschitz_bound=1.0,
+                                value_bound=28.0)
+        g_expectation(xi, BAND, TimeGrid(1.0, 400), SpaceGrid(-6.0, 6.0, 121))
+        assert seen == marched
+
+    @classmethod
+    def traced_peak(cls, name, space_grid):
+        """Peak traced memory of one ``g_expectation`` whose payoff values on
+        the mesh were made before tracing, so the peak is the sweep's own."""
+        times, payoff = cls.CASES[name]
+        n, x = len(times), space_grid.points()
+        values = np.broadcast_to(
+            payoff(*np.meshgrid(*([x] * n), indexing="ij", sparse=True)),
+            (len(x),) * n).copy()
+        xi = CylinderFunctional(
+            times, lambda *v: values if v[0].ndim == n else payoff(*v),
+            lipschitz_bound=1.0, value_bound=28.0)
+        tracemalloc.start()
+        try:
+            g_expectation(xi, BAND, TimeGrid(1.0, 400), space_grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_an_all_distinct_mesh_is_marched_in_place(self):
+        # the mesh and the march's two scratch blocks, as before rows were
+        # grouped: no copy of the rows and no gather
+        space = SpaceGrid(-6.0, 6.0, 121)
+        mesh = 8 * 121 ** 2
+        block = min(121, gheat._BLOCK_BYTES // (8 * 121)) * 8 * 121
+        peak = self.traced_peak("max2", space)
+        assert peak <= mesh + 2 * block + 16 * 1024, (peak, mesh)
+
+    def test_a_grouped_mesh_holds_no_second_mesh(self):
+        # the mesh, its 702 distinct rows, the inverse index and the key
+        # transient: the sort order, the group labels, the first-of-group
+        # flags and one block of keys
+        space = SpaceGrid(-6.0, 6.0, 121)
+        n_rows, row = 121 ** 2, 8 * 121
+        mesh = n_rows * row
+        index = 8 * n_rows
+        transient = 2 * index + n_rows + gheat._BLOCK_BYTES
+        peak = self.traced_peak("mean3", space)
+        assert peak <= mesh + 702 * row + index + transient + 16 * 1024, \
+            (peak, mesh)
