@@ -24,8 +24,8 @@ only; Z is ``gheat.gradient`` of the rows a reader needs, taken where it
 is read.  The triple comes node by node from the walk that also
 decomposes conditional values along paths (``ito._node_rows``), so both
 read K off one ledger and interpolate with ``gheat.FramePoints``;
-:func:`gbsde_residual` reduces it as it goes and never holds the
-triple.  The pair
+:func:`gbsde_residual` reduces it in one walk, as it goes, and never
+holds the triple.  The pair
 (surface solves the equation) <-> (triple satisfies the backward relation
 ``Y_t = xi + integral_t^T f - integral_t^T Z dB - (K_T - K_t)``) is
 checked in both directions by :func:`equivalence_check`.
@@ -47,7 +47,7 @@ from .errors import CapabilityError, ConfigurationError, UsageError
 from .gheat import (FramePoints, ValueSurface, gradient, pde_residual,
                     sweep_rows)
 from .mc import PathBundle
-from .ito import _node_rows, check_paths_inside, eval_on_paths
+from .ito import _admit_bundle, _node_rows, eval_on_paths
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +120,11 @@ class GBSDESolution:
                              self.space_grid)
 
     def _frames_for(self, bundle: PathBundle) -> np.ndarray:
-        """The rows of Y at the bundle's nodes, once the bundle is checked:
-        the problem's band, paths inside the space grid, and a grid that
-        divides the solution grid."""
-        if bundle.band != self.problem.band:
-            raise UsageError("bundle band differs from the problem band")
-        check_paths_inside(bundle, self.space_grid)
-        bundle.time_grid.require_horizon(self.time_grid.horizon, "solution")
+        """The rows of Y at the bundle's nodes, once the bundle is admitted
+        (:func:`ito._admit_bundle`) on a grid that divides the solution
+        grid."""
+        _admit_bundle(bundle, self.problem.band, self.time_grid.horizon,
+                      self.space_grid, ("problem", "solution"))
         stride, rest = divmod(self.time_grid.n_steps, bundle.time_grid.n_steps)
         if rest or stride < 1:
             raise UsageError(
@@ -223,54 +221,49 @@ def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidual
     """Pathwise residual of ``Y_t = xi + int_t^T f - int_t^T Z dB - (K_T - K_t)``.
 
     Integrals are left-endpoint sums on the bundle grid, carried node by
-    node in ``cumsum``'s order as the running sums F of ``f dt`` and S of
-    ``Z dB``.  The along-path walk (``ito._node_rows``) runs twice on two
-    nodes' rows: pass 1 takes the totals, xi and the K and terminal
-    checks, pass 2 each node's ``Y - ((((F_T - F) + xi) - (S_T - S)) -
-    (K_T - K))``.  That is the whole-array formula's rounding order, so the
-    report is bitwise the same, and the scratch is a few rows of one value
-    per path, whatever the bundle's length.
+    node as the running sums F of ``f dt`` and S of ``Z dB``.  Node j's gap
+    is ``A_j - C``, with ``A_j = ((Y_j + F_j) - S_j) - K_j`` known at node j
+    and ``C = ((F_T + xi) - S_T) - K_T`` one constant per path.  ``A - C``
+    rounds monotonically in A, so the one along-path walk
+    (``ito._node_rows``) keeps each path's largest and smallest A only,
+    and ``max(A_max - C, C - A_min)`` is bitwise the largest ``|A_j - C|``.  The scratch is a few rows of one
+    value per path, whatever the bundle's length.
     """
     frames, n_paths = solution._frames_for(bundle), bundle.n_paths
     driver, tg, bt = solution.problem.driver, bundle.time_grid, bundle.b_paths.T
     times, ring = tg.times(), np.empty((3, 2, n_paths))
-
-    def walk():
-        """Each node's Y and K, and F and S up to it."""
-        f_sum = z_sum = 0.0     # running_sum's column 0
-        f_dt, z_db = np.empty(n_paths), np.empty(n_paths)
-        for j, (y, z, k) in enumerate(_node_rows(
-                frames, bundle, (), solution.space_grid, ring)):
-            yield y, k, f_sum, z_sum
-            if j < tg.n_steps:
-                f_dt[...] = driver(times[j], y, z)     # a float row, even
-                f_dt *= tg.dt                          # for a scalar driver
-                np.subtract(bt[j + 1], bt[j], out=z_db)
-                z_db *= z
-                # cumsum's order: the sums at node 1 are step 0 itself
-                f_sum = f_dt.copy() if j == 0 else np.add(f_sum, f_dt, out=f_sum)
-                z_sum = z_db.copy() if j == 0 else np.add(z_sum, z_db, out=z_sum)
-
+    f_sum, z_sum, step, a = (np.zeros(n_paths) for _ in range(4))
+    a_max, a_min = np.full(n_paths, -np.inf), np.full(n_paths, np.inf)
     k_monotone = True
-    for j, (y, k, f_total, z_total) in enumerate(walk()):
+    for j, (y, z, k) in enumerate(_node_rows(frames, bundle, (),
+                                             solution.space_grid, ring)):
         if j == 0:
             k_initial = np.max(np.abs(k))
         else:
             k_monotone &= bool(np.all(np.subtract(k, k_last) <= 1e-15))
         k_last = k
+        np.add(y, f_sum, out=a)
+        a -= z_sum
+        a -= k
+        np.maximum(a_max, a, out=a_max)     # NaN stays NaN
+        np.minimum(a_min, a, out=a_min)
+        if j < tg.n_steps:
+            step[...] = driver(times[j], y, z)     # a float row, even
+            step *= tg.dt                          # for a scalar driver
+            f_sum += step
+            np.subtract(bt[j + 1], bt[j], out=step)
+            step *= z
+            z_sum += step
     xi = np.asarray(solution.problem.terminal.payoff(bt[-1]), dtype=float)
     terminal_gap = np.max(np.abs(y - xi))
-    k_total = k.copy()      # pass 2 rewrites the ring
-    worst, gap = np.zeros(n_paths), np.empty(n_paths)
-    for y, k, f_sum, z_sum in walk():
-        np.subtract(f_total, f_sum, out=gap)
-        gap += xi
-        gap -= np.subtract(z_total, z_sum)
-        gap -= np.subtract(k_total, k)
-        np.subtract(y, gap, out=gap)
-        np.maximum(worst, np.abs(gap, out=gap), out=worst)
-    return GBSDEResidualReport(float(np.max(worst)), float(k_initial),
-                               k_monotone, float(terminal_gap))
+    c = np.add(f_sum, xi)
+    c -= z_sum
+    c -= k
+    a_max -= c
+    np.subtract(c, a_min, out=a_min)
+    worst = np.max(np.maximum(a_max, a_min, out=a_max))
+    return GBSDEResidualReport(float(worst), float(k_initial), k_monotone,
+                               float(terminal_gap))
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,9 @@ def _validate_functional(xi: CylinderFunctional, band: GParams,
 def _distinct_rows(u: np.ndarray):
     """The distinct rows of ``u`` along its last axis, told apart by their
     bytes, as ``(rows, inverse)`` with ``u.reshape(-1, m)`` equal to
-    ``rows[inverse]``; ``(u, None)`` when every row is distinct.
+    ``rows[inverse]``.  When every row is distinct, ``rows`` is that view
+    of ``u`` itself and ``inverse`` is ``arange``: the mesh is marched in
+    place.
 
     Bytes, not float values: ``-0.0`` and ``+0.0`` stay apart, as do rows
     one ulp apart, so a row marched for its group is bitwise the march of
@@ -79,9 +81,8 @@ def _distinct_rows(u: np.ndarray):
     block of keys, never a copy of ``u``.
     """
     m = u.shape[-1]
+    rows = u.reshape(-1, m)
     keys = u.reshape(-1).view(np.dtype((np.void, m * u.itemsize)))
-    if len(keys) < 2:
-        return u, None
     order = np.argsort(keys)
     first = np.empty(len(keys), dtype=bool)   # first of its group in order
     first[0] = True
@@ -91,11 +92,11 @@ def _distinct_rows(u: np.ndarray):
         first[start:start + len(block) - 1] = block[1:] != block[:-1]
     group = np.cumsum(first, dtype=order.dtype)
     if group[-1] == len(keys):
-        return u, None
+        return rows, np.arange(len(keys))
     group -= 1
     inverse = np.empty_like(order)
     inverse[order] = group
-    return u.reshape(-1, m)[order[first]], inverse
+    return rows[order[first]], inverse
 
 
 def _backward_sweep(xi: CylinderFunctional, band: GParams,
@@ -111,11 +112,10 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
     time equal to ``t_k`` is photographed *before* the diagonal stitch, so
     its frame still carries the k-th observed value as its own axis.
 
-    Each interval marches the distinct rows of ``u`` (:func:`_distinct_rows`)
-    and a frame inside it is gathered back to the full mesh through the
-    inverse index; the stitch gathers the diagonal ``u[..., i, i]`` from
-    the distinct rows directly.  A mesh of all-distinct rows is marched in
-    place and photographed by copy, with no gather.
+    Each interval marches the distinct rows of ``u`` (:func:`_distinct_rows`,
+    ``u`` itself when every row is distinct) and a frame inside it is
+    gathered back to the full mesh through the inverse index; the stitch
+    gathers the diagonal ``u[..., i, i]`` from the distinct rows directly.
     """
     check_cfl(band, dt_max, space_grid)
     x = space_grid.points()
@@ -150,9 +150,10 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
     for k in range(n - 1, -1, -1):
         lower = boundaries[k]
         shape = u.shape
-        # march each distinct row once; u itself when all are distinct
+        # march each distinct row once; a view of u when all are distinct
         rows, inverse = _distinct_rows(u)
         del u                   # a grouped mesh is freed here
+        index = inverse.reshape(shape[:-1])     # each row's distinct row
         while True:
             # next stop inside this interval: a record time or the boundary
             target = rec[next_rec] if next_rec >= 0 and rec[next_rec] > lower + tol else lower
@@ -162,18 +163,14 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
                 march_steps(rows, band, duration / steps, steps, dx)
             current_t = target
             while next_rec >= 0 and abs(rec[next_rec] - current_t) <= tol:
-                frames[next_rec] = (rows.copy() if inverse is None
-                                    else rows[inverse].reshape(shape))
+                frames[next_rec] = rows.take(index, axis=0)
                 next_rec -= 1
             if current_t <= lower + tol:
                 break
         if k > 0:
             # observed value at t_k becomes the current position: take the
             # diagonal of the last two axes as the earlier interval's data
-            if inverse is None:
-                u = np.ascontiguousarray(np.einsum("...ii->...i", rows))
-            else:
-                u = rows[inverse.reshape(shape[:-1]), np.arange(shape[-1])]
+            u = rows[index, np.arange(shape[-1])]
     return frames
 
 

@@ -226,8 +226,14 @@ class ItoDecomposition:
         return worst
 
 
-def check_paths_inside(bundle: PathBundle, space_grid: SpaceGrid) -> None:
-    """Refuse a bundle whose paths leave the space grid (no extrapolation)."""
+def _admit_bundle(bundle: PathBundle, band: GParams, horizon: float,
+                  space_grid: SpaceGrid, owners: tuple) -> None:
+    """Refuse a bundle of another band or horizon, or whose paths leave
+    the space grid (no extrapolation); ``owners`` names the band's and the
+    horizon's owners in the errors."""
+    if bundle.band != band:
+        raise UsageError(f"bundle band differs from the {owners[0]} band")
+    bundle.time_grid.require_horizon(horizon, owners[1])
     lo, hi = float(bundle.b_paths.min()), float(bundle.b_paths.max())
     if lo < space_grid.x_min or hi > space_grid.x_max:
         raise ExtrapolationError(
@@ -311,12 +317,10 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
     nodes, which must include the functional's monitoring dates.  Paths
     must stay inside the space grid — no extrapolation.
     """
-    if bundle.band != band:
-        raise UsageError("bundle band differs from the requested band")
-    bundle.time_grid.require_horizon(xi.horizon, "functional")
+    _admit_bundle(bundle, band, xi.horizon, space_grid,
+                  ("requested", "functional"))
     # raises if the bundle grid misses a monitoring date
     cyl_idx = [bundle.time_grid.index_of(t) for t in xi.times]
-    check_paths_inside(bundle, space_grid)
 
     frames = conditional_frames(xi, band, space_grid,
                                 bundle.time_grid.times(), time_grid.dt)

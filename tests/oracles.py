@@ -257,6 +257,34 @@ def pde_residual_reference(values, band, dt, dx):
     return resid
 
 
+def backward_sums_reference(y, z, b, driver, times, dt):
+    """The left-endpoint running sums F of ``f dt`` and S of ``Z dB`` on
+    path-major ``(n_paths, n_nodes)`` arrays, each ``np.cumsum`` after a
+    zero column."""
+    n_paths, n_nodes = y.shape
+    f = np.stack([np.broadcast_to(driver(times[j], y[:, j], z[:, j]),
+                                  (n_paths,)) for j in range(n_nodes - 1)],
+                 axis=1)
+    zero = np.zeros((n_paths, 1))
+    return (np.concatenate([zero, np.cumsum(f * dt, axis=1)], axis=1),
+            np.concatenate([zero, np.cumsum(z[:, :-1] * np.diff(b, axis=1),
+                                            axis=1)], axis=1))
+
+
+def gbsde_residual_reference(y, z, k, b, xi, driver, times, dt):
+    """Largest gap of the backward relation
+    ``Y_t = xi + int_t^T f dt - int_t^T Z dB - (K_T - K_t)`` over paths
+    and nodes, as one whole-array formula: with F and S from
+    :func:`backward_sums_reference`, each node's
+    ``A = ((Y + F) - S) - K`` less the path's terminal
+    ``C = ((F_T + xi) - S_T) - K_T``.
+    """
+    cum_f, zint = backward_sums_reference(y, z, b, driver, times, dt)
+    a = ((y + cum_f) - zint) - k
+    c = ((cum_f[:, -1] + xi) - zint[:, -1]) - k[:, -1]
+    return float(np.max(np.abs(a - c[:, None])))
+
+
 def gradient_reference(u, dx):
     """First difference along the last axis of ``u``, one node at a time.
 

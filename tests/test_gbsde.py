@@ -7,6 +7,7 @@ solver (same kernel, reversed bookkeeping); that anchor test is what makes
 the remaining tolerances meaningful.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -258,28 +259,32 @@ class TestPathsAndResiduals:
         solution = solve_ppde(problem, TIME, SPACE)
         bundle = self.lo_bundle(n_steps=100, n_paths=n_paths)
         report = gbsde_residual(solution, bundle)
-        # the backward relation written out with fresh arrays
         y, z, k = solution.paths_view(bundle)
         b, times, dt = bundle.b_paths, bundle.time_grid.times(), bundle.time_grid.dt
         xi = b[:, -1] * b[:, -1]
-        f = np.stack([np.broadcast_to(driver(times[j], y[:, j], z[:, j]),
-                                      (bundle.n_paths,))
-                      for j in range(bundle.time_grid.n_steps)], axis=1)
-        zero = np.zeros((bundle.n_paths, 1))
-        cum_f = np.concatenate([zero, np.cumsum(f * dt, axis=1)], axis=1)
-        zint = np.concatenate([zero, np.cumsum(z[:, :-1] * np.diff(b, axis=1),
-                                               axis=1)], axis=1)
+        assert report.max_residual.hex() == oracles.gbsde_residual_reference(
+            y, z, k, b, xi, driver, times, dt).hex()
+        # the backward relation grouped as written, with fresh arrays.  The
+        # two groupings round 7 times each, each rounding off by at most
+        # eps/2 of its partial sum; the 14 partial sums hold each term at
+        # most 9 times, and a node's terms and the terminal's are each at
+        # most M, the largest |Y| + |F| + |S| + |K| + |xi| of a node: the
+        # two part by at most 9 (eps/2) 2M to first order
+        cum_f, zint = oracles.backward_sums_reference(y, z, b, driver, times, dt)
         resid = y - (xi[:, None] + (cum_f[:, -1:] - cum_f)
                      - (zint[:, -1:] - zint) - (k[:, -1:] - k))
-        assert report.max_residual.hex() == float(np.max(np.abs(resid))).hex()
+        scale = np.max(np.abs(y) + np.abs(cum_f) + np.abs(zint) + np.abs(k)
+                       + np.abs(xi)[:, None])
+        bound = 9.0 * np.finfo(float).eps * scale
+        assert abs(report.max_residual - np.max(np.abs(resid))) <= bound
         assert report.terminal_gap.hex() == float(np.max(np.abs(y[:, -1] - xi))).hex()
         assert report.k_initial.hex() == float(np.max(np.abs(k[:, 0]))).hex()
         assert report.k_monotone == bool(np.all(np.diff(k, axis=-1) <= 1e-15))
         assert report.k_initial == 0.0 and report.k_monotone
 
     def test_residual_scratch_is_a_few_rows_per_path(self):
-        # the walk runs twice on two nodes' rows: the peak is a few rows of
-        # one value per path, whatever the bundle's length
+        # one walk on two nodes' rows: the peak is a few rows of one value
+        # per path, whatever the bundle's length
         solution = self.solved()
         n_paths = 2000
 
@@ -297,7 +302,7 @@ class TestPathsAndResiduals:
         assert long <= 32 * 8 * n_paths, long / (8 * n_paths)
 
     @pytest.mark.parametrize("n_paths", [7, 3000])
-    def test_residual_walks_each_frame_twice(self, monkeypatch, n_paths):
+    def test_residual_walks_each_frame_once(self, monkeypatch, n_paths):
         built = []
 
         class Counting(ito.FramePoints):
@@ -308,7 +313,26 @@ class TestPathsAndResiduals:
         monkeypatch.setattr(ito, "FramePoints", Counting)
         gbsde_residual(self.solved(), self.lo_bundle(n_steps=100,
                                                      n_paths=n_paths))
-        assert built == [n_paths] * (2 * 101)
+        assert built == [n_paths] * 101
+
+    def test_a_nan_driver_value_fails_the_relation(self):
+        # the surface solves the clean driver; along the paths the driver
+        # gives NaN on path 3 only, and no reduction may drop it
+        def driver(t, y, z):
+            f = -0.1 * y
+            f[3] = np.nan
+            return f
+
+        clean = GBSDEProblem(terminal_square(), lambda t, y, z: -0.1 * y,
+                             BAND, driver_lipschitz=0.1)
+        solution = GBSDESolution(dataclasses.replace(clean, driver=driver),
+                                 TIME, SPACE,
+                                 solve_ppde(clean, TIME, SPACE).y_values)
+        bundle = self.lo_bundle(n_steps=100, n_paths=7)
+        assert math.isnan(gbsde_residual(solution, bundle).max_residual)
+        report = equivalence_check(solution, bundle)
+        assert math.isnan(report.bsde_residual)
+        assert not report.bsde_ok and not report.passed
 
     def test_paths_view_holds_its_outputs_and_fixed_scratch(self):
         # the peak above the three outputs is the walk's scratch, a few

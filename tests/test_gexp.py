@@ -386,21 +386,23 @@ class TestOneMarchPerDistinctRow:
             assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
 
     @pytest.mark.parametrize("name, marched", [
-        ("mean3", [(702, 14641), None, None]),
-        ("max3", [(121, 14641), None, None]),
-        ("max2", [None, None]),
-        ("increment-abs", [None, None]),
-        ("signed-zero", [(2, 121), None]),
-        ("one-ulp", [(2, 121), None]),
+        ("mean3", [(702, 14641), (121, 121), (1, 1)]),
+        ("max3", [(121, 14641), (121, 121), (1, 1)]),
+        ("max2", [(121, 121), (1, 1)]),
+        ("increment-abs", [(121, 121), (1, 1)]),
+        ("signed-zero", [(2, 121), (1, 1)]),
+        ("one-ulp", [(2, 121), (1, 1)]),
     ])
     def test_rows_marched_per_interval(self, monkeypatch, name, marched):
-        # (distinct rows, mesh rows) per interval from the last; None where
-        # every row is distinct and the mesh is marched in place
+        # (distinct rows, mesh rows) per interval from the last; equal
+        # where every row is distinct and the mesh is marched in place
         seen = []
 
         def spy(u):
             rows, inverse = distinct(u)
-            seen.append(None if inverse is None else (len(rows), len(inverse)))
+            seen.append((len(rows), len(inverse)))
+            # all distinct: the mesh itself is marched
+            assert len(rows) < len(inverse) or np.shares_memory(rows, u)
             return rows, inverse
 
         distinct = gexp._distinct_rows
