@@ -5,11 +5,13 @@ The scheme solves the terminal-value problem
     D_t u + G(D2_x u) + f(t, u, D_x u) = 0,   u(T, .) = payoff,
 
 by explicit backward marching on a space grid: ``gheat.sweep_rows``, the
-forward solver's loop, runs over the reversed rows, so each row is one
+forward solver's row loop, runs in reversed time, so each row is one
 ``march_steps`` step of the later row, then ``+ dt * f`` on that row.
-The driver meets a grid row in ``_driver_row`` only, and the residual is
-``gheat.pde_residual`` of the reversed rows less f.  The guards are the
-CFL bound ``dt <= dx^2 / var_hi`` and the driver step bound
+Picard's iterates are lanes of that one sweep, each forced by the driver
+frozen on the lane before.  The driver meets grid rows in
+``_driver_row`` only, and the residual is ``gheat.pde_residual`` of the
+reversed rows less f.  The guards are the CFL bound
+``dt <= dx^2 / var_hi`` and the driver step bound
 ``dt * L * (1 + 1/dx) <= 0.5``, L the declared Lipschitz constant.  They
 do not make the scheme monotone: ``f = -y`` on the CFL-maximal grid
 passes both with centre weight about -1e-4.  From the solved surface the
@@ -58,10 +60,14 @@ from .ito import _admit_bundle, _node_rows, eval_on_paths
 class GBSDEProblem:
     """Terminal functional + driver + band.
 
-    ``driver(t, y, z)`` must be vectorised in (y, z); ``driver_lipschitz``
-    is the caller's Lipschitz bound in (y, z), a number >= 0 (NaN is
-    refused at construction).  It is used only in the step
-    bound ``dt * driver_lipschitz * (1 + 1/dx) <= 0.5``, which is not a
+    ``driver(t, y, z)`` takes a scalar t and must be elementwise in
+    (y, z), arrays of one shape, whatever that shape: its callers pass a
+    grid row (the direct solve and :func:`ppde_residual`), the
+    ``(lanes, m)`` stack of Picard iterates and a row of one value per
+    path (:func:`gbsde_residual`).  A scalar result broadcasts.
+    ``driver_lipschitz`` is the caller's Lipschitz bound in (y, z), a
+    number >= 0 (NaN is refused at construction).  It is used only in the
+    step bound ``dt * driver_lipschitz * (1 + 1/dx) <= 0.5``, which is not a
     monotonicity condition (see the module docstring).  The terminal
     functional must monitor a single date (Markovian scope); richer
     terminals raise :class:`CapabilityError`.
@@ -143,12 +149,17 @@ def _driver_row(problem: GBSDEProblem, time_grid: TimeGrid,
 
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
-                    space_grid: SpaceGrid, source) -> np.ndarray:
-    """Explicit backward sweep: :func:`gheat.sweep_rows` over the reversed
-    rows, so row i is one ``march_steps`` step of row i+1, then
-    ``+ dt * source(i + 1, row i+1)``, one driver row: live, on the row
-    just swept, or frozen, on row i+1 of the previous Picard iterate;
-    ``None`` sweeps the zero driver with no source at all.
+                    space_grid: SpaceGrid, lanes: int = 1,
+                    watch=None) -> np.ndarray:
+    """Explicit backward sweep of ``lanes`` copies of the terminal row:
+    :func:`gheat.sweep_rows` in reversed time, so row k of each lane is
+    one ``march_steps`` step of its row k+1, then ``+ dt * f``, f one
+    driver row (:func:`_driver_row`) at row k+1.  One lane is the direct
+    solve, its driver live on the lane itself.  More lanes are the
+    zero-driver start and Picard iterates ``1 .. lanes-1``: lane 0 gets no
+    source at all, and lane l's driver is frozen on lane l-1.  Returns the
+    last lane's surface; ``watch``, if given, sees the whole
+    ``(lanes, m)`` stack at every row, n down to 0.
 
     ``march_steps`` holds the boundary nodes, so they carry the
     zero-curvature reduced equation ``v' = -f(t, v, one-sided D_x v)``:
@@ -159,19 +170,22 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     time_grid.require_horizon(problem.horizon, "terminal")
     dt, n = time_grid.dt, time_grid.n_steps
     _check_driver_stability(problem, dt, space_grid.dx)
+    driver_row = _driver_row(problem, time_grid, space_grid)
+    stacks = sweep_rows(problem.terminal.payoff(space_grid.points()),
+                        problem.band, dt, space_grid, n, lanes,
+                        lambda i, v: driver_row(n - i, v), min(lanes - 1, 1))
     values = np.empty((n + 1, space_grid.n_points))
-    values[n] = np.asarray(problem.terminal.payoff(space_grid.points()),
-                           dtype=float)
-    sweep_rows(values[::-1], problem.band, dt, space_grid,
-               None if source is None else lambda i, v: source(n - i, v))
+    for row, stack in zip(values[::-1], stacks):
+        row[...] = stack[-1]
+        if watch is not None:
+            watch(stack)
     return values
 
 
 def solve_ppde(problem: GBSDEProblem, time_grid: TimeGrid,
                space_grid: SpaceGrid) -> GBSDESolution:
     """Solve the backward equation by direct explicit marching."""
-    values = _march_backward(problem, time_grid, space_grid,
-                             _driver_row(problem, time_grid, space_grid))
+    values = _march_backward(problem, time_grid, space_grid)
     return GBSDESolution(problem, time_grid, space_grid, values)
 
 
@@ -184,20 +198,37 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
     ``(solution, iterations, final_delta)``.
     Cross-validates the direct scheme: both converge to the same explicit
     fixed point, so the sup-gap after convergence is a genuine consistency
-    signal.  The frozen driver is read row by row off the previous iterate.
+    signal.
+
+    Iterate it's row k reads only its own row k+1 and iterate it-1's, so
+    the start and iterates 1..10 are marched together, one time step at a
+    time, as the 11 lanes of one backward sweep (:func:`_march_backward`),
+    each bitwise the iterate swept on its own.  Each iterate's move
+    ``max |Y_it - Y_it-1|`` is a node-wise running maximum over the rows,
+    reduced once at the end: a max is exact and keeps NaN.  The first pass
+    keeps the last lane's surface only; when the moves stop the iteration
+    at s < 10, a second pass marches ``s + 1`` lanes and keeps lane s.  So
+    Picard holds one surface and a few lane rows.  The cost is an early
+    stop's: it still pays for the whole 11-lane pass, so the zero driver
+    (s = 1) takes over twice as long as its two one-lane sweeps would.
     """
-    driver_row = _driver_row(problem, time_grid, space_grid)
-    values = _march_backward(problem, time_grid, space_grid, None)
-    for iterations in range(1, 11):
-        new_values = _march_backward(problem, time_grid, space_grid,
-                                     lambda k, v: driver_row(k, values[k]))
-        np.subtract(new_values, values, out=values)
-        delta = float(np.max(np.abs(values, out=values)))
-        values = new_values
-        if delta <= 1e-10:
-            break
+    reach = np.zeros((10, space_grid.n_points))   # node-wise running max
+    gap = np.empty_like(reach)
+
+    def watch(lanes):
+        np.subtract(lanes[1:], lanes[:-1], out=gap)
+        np.maximum(reach, np.abs(gap, out=gap), out=reach)
+
+    values = _march_backward(problem, time_grid, space_grid, 11, watch)
+    moves = np.max(reach, axis=1)   # moves[it - 1] = max |Y_it - Y_it-1|
+    settled = np.flatnonzero(moves <= 1e-10)
+    iterations = int(settled[0]) + 1 if settled.size else 10
+    if iterations < 10:
+        del values          # freed before the second pass makes its own
+        values = _march_backward(problem, time_grid, space_grid,
+                                 iterations + 1)
     return (GBSDESolution(problem, time_grid, space_grid, values),
-            iterations, delta)
+            iterations, float(moves[iterations - 1]))
 
 
 # ---------------------------------------------------------------------------

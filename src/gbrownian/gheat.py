@@ -17,9 +17,10 @@ kernel and marches a contiguous run of whole rows as one flat array: the
 lanes where the stencil straddles two rows get an increment of ``-0.0``,
 which leaves every edge node's bits as they were.  :func:`march_steps`,
 the block loop, feeds it cache-sized blocks of rows (``gexp``'s nested
-sweeps); :func:`sweep_rows`, the row loop, feeds it one row per time step
-and fills forward surfaces and, over reversed rows, ``gbsde``'s backward
-solutions.  Each allocates the step's scratch once per call.
+sweeps); :func:`sweep_rows`, the row loop, feeds it a stack of lanes, one
+row each, per time step: one lane fills forward surfaces and, in reversed
+time, ``gbsde``'s direct solutions; eleven are ``gbsde``'s Picard
+iterates.  Each allocates the step's scratch once per call.
 :class:`FramePoints`, the only grid interpolator, serves
 :meth:`ValueSurface.value`, ``gexp`` and the along-path walks of ``ito``
 and ``gbsde``.
@@ -145,24 +146,42 @@ def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> n
     return u
 
 
-def sweep_rows(values: np.ndarray, band: GParams, dt: float,
-               space_grid: SpaceGrid, source=None) -> None:
-    """Fill ``values`` in place from its data row ``values[0]``: row i is
-    one explicit step of row i - 1, plus ``dt * source(i - 1, row i - 1)``
-    when a source is given.  A reversed view (``a[::-1]``) fills a
-    backward surface without a flipped copy.  Checks the CFL bound and
-    that the data row is finite.  Rows are marched by the kernel of
-    :func:`march_steps`, whose scratch is allocated once per sweep."""
+def sweep_rows(data: np.ndarray, band: GParams, dt: float,
+               space_grid: SpaceGrid, n: int, lanes: int = 1, source=None,
+               lag: int = 0):
+    """The row loop: march ``lanes`` copies of the data row ``n`` explicit
+    steps together, yielding the ``(lanes, m)`` stack ``n + 1`` times:
+    the i-th stack yielded, from 0, holds row i of every lane.  The next
+    step overwrites it, so a caller copies the rows it keeps.
+
+    The stack is one flat run of :class:`_FlatMarch`, whose scratch is
+    allocated once per sweep, so each lane is bitwise the one-row march
+    of its own rows.  With a source, step i reads
+    ``f = source(i, stack[:lanes - lag])`` before it and adds ``dt * f``
+    to ``stack[lag:]`` after it: lane l is forced by the source read on
+    lane ``l - lag``, and the first ``lag`` lanes get no source at all.
+    A source that reads one lane gets it as a row.  Checks the CFL bound
+    and that the data row is finite."""
     check_cfl(band, dt, space_grid)
-    if not np.all(np.isfinite(values[0])):
+    if not np.all(np.isfinite(data)):
         raise UsageError("payoff produced non-finite values on the grid")
-    march = _FlatMarch(band, dt, space_grid.dx, values.shape[-1], 1,
-                       values.dtype)
-    for i in range(1, len(values)):
-        values[i] = values[i - 1]
-        march(values[i], 1)
+    stack = np.empty((lanes, space_grid.n_points))
+    stack[...] = data
+    march = _FlatMarch(band, dt, space_grid.dx, space_grid.n_points, lanes,
+                       stack.dtype)
+    flat, read, fed = stack.reshape(-1), stack[:lanes - lag], stack[lag:]
+    # one lane goes to the source as a row: indexing a one-row stack
+    # costs the source (its gradient) about 2 us more per step
+    if len(read) == 1:
+        read, fed = read[0], fed[0]
+    yield stack
+    for i in range(n):
         if source is not None:
-            values[i] += dt * source(i - 1, values[i - 1])
+            f = source(i, read)
+        march(flat, 1)
+        if source is not None:
+            fed += dt * f
+        yield stack
 
 
 def _check_inside(pts: np.ndarray, x: np.ndarray, axis: int) -> None:
@@ -333,8 +352,9 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
     if data.shape != x.shape:
         raise UsageError(f"payoff samples shape {data.shape} != grid shape {x.shape}")
     values = np.empty((time_grid.n_steps + 1, space_grid.n_points))
-    values[0] = data
-    sweep_rows(values, band, time_grid.dt, space_grid)
+    for row, lanes in zip(values, sweep_rows(data, band, time_grid.dt,
+                                             space_grid, time_grid.n_steps)):
+        row[...] = lanes[0]
     return ValueSurface(band, time_grid, space_grid, values)
 
 

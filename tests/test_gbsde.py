@@ -155,11 +155,24 @@ class TestPicard:
         pytest.param(lambda t, y, z: 0.05 * z - 0.1 * y, 0.1,
                      id="z-dependent"),
         pytest.param(lambda t, y, z: -0.1 * y, 0.1, id="discount"),
+        # stops at the first iterate: the second pass marches two lanes
+        pytest.param(zero_driver, 0.0, id="zero"),
+        pytest.param(lambda t, y, z: 0.1 * t * y + 0.5 * t, 0.1,
+                     id="t-dependent"),
+        # (2 T)^10 / 10! of |Y| still moves after 10 iterations: no
+        # second pass
+        pytest.param(lambda t, y, z: -2.0 * y, 2.0, id="still-moving"),
+        # NaN on the right edge node of the terminal row spreads, so every
+        # move is NaN and the iteration runs to 10
+        pytest.param(lambda t, y, z: np.where((y == 64.0) & (z > 0.0),
+                                              np.nan, -0.1 * y),
+                     0.1, id="nan-node"),
     ])
     def test_iterates_are_the_whole_surface_field_sweep_bitwise(self, driver,
                                                                 lipschitz):
-        # the frozen driver read row by row off the previous iterate, and
-        # the move taken in its place, against a whole-surface field
+        # the iterates marched as lanes of one sweep, each frozen driver
+        # read on the lane before, and the move taken in its place,
+        # against whole-surface fields swept one iterate at a time
         problem = GBSDEProblem(terminal_square(), driver, BAND,
                                driver_lipschitz=lipschitz)
         solution, iterations, delta = solve_ppde_picard(problem, TIME, SPACE)
@@ -168,6 +181,21 @@ class TestPicard:
         assert np.array_equal(solution.y_values.view(np.uint64),
                               want.view(np.uint64))
         assert (iterations, delta.hex()) == (want_iterations, want_delta.hex())
+
+    def test_peak_is_one_surface_and_a_few_lane_rows(self):
+        # the 11 lanes march one row each, and only the kept lane's
+        # surface is stored: no second surface for the previous iterate
+        problem = GBSDEProblem(terminal_square(), lambda t, y, z: -0.1 * y,
+                               BAND, driver_lipschitz=0.1)
+        tracemalloc.start()
+        try:
+            solution, iterations, _ = solve_ppde_picard(problem, TIME, SPACE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert iterations < 10      # the second pass ran too
+        surface, lanes = solution.y_values.nbytes, 11 * 8 * SPACE.n_points
+        assert peak <= surface + 12 * lanes, (peak - surface) / lanes
 
     def test_affine_driver_agrees_with_direct(self):
         problem = GBSDEProblem(terminal_square(),
