@@ -4,11 +4,11 @@ The scheme solves the terminal-value problem
 
     D_t u + G(D2_x u) + f(t, u, D_x u) = 0,   u(T, .) = payoff,
 
-by explicit backward marching on a space grid: ``gheat.sweep_rows``, the
-forward solver's row loop, runs in reversed time, so each row is one
-``march_steps`` step of the later row, then ``+ dt * f`` on that row.
-Picard's iterates are lanes of that one sweep, each forced by the driver
-frozen on the lane before.  The driver meets grid rows in
+by explicit backward marching on a space grid: ``gheat.march_steps``, the
+one march loop, runs in reversed time with a hook, so each row is one
+step of the later row, then ``+ dt * f`` on that row.  Picard's iterates
+are lanes of that one march, each forced by the driver frozen on the
+lane before.  The driver meets grid rows in
 ``_driver_row`` only, and the residual is ``gheat.pde_residual`` of the
 reversed rows less f.  The guards are the CFL bound
 ``dt <= dx^2 / var_hi`` and the driver step bound
@@ -46,8 +46,8 @@ import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid
 from .errors import CapabilityError, ConfigurationError, UsageError
-from .gheat import (FramePoints, ValueSurface, gradient, pde_residual,
-                    sweep_rows)
+from .gheat import (FramePoints, ValueSurface, _check_data_row, gradient,
+                    march_steps, pde_residual)
 from .mc import PathBundle
 from .ito import _admit_bundle, _node_rows, eval_on_paths
 
@@ -152,14 +152,17 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
                     space_grid: SpaceGrid, lanes: int = 1,
                     watch=None) -> np.ndarray:
     """Explicit backward sweep of ``lanes`` copies of the terminal row:
-    :func:`gheat.sweep_rows` in reversed time, so row k of each lane is
-    one ``march_steps`` step of its row k+1, then ``+ dt * f``, f one
-    driver row (:func:`_driver_row`) at row k+1.  One lane is the direct
-    solve, its driver live on the lane itself.  More lanes are the
-    zero-driver start and Picard iterates ``1 .. lanes-1``: lane 0 gets no
-    source at all, and lane l's driver is frozen on lane l-1.  Returns the
-    last lane's surface; ``watch``, if given, sees the whole
-    ``(lanes, m)`` stack at every row, n down to 0.
+    :func:`gheat.march_steps` in reversed time, so row k of each lane is
+    one step of its row k+1, then ``+ dt * f``, f one driver row
+    (:func:`_driver_row`) at row k+1, read before the step.  The march's
+    hook adds the forcing, keeps the last lane's row and reads the next
+    f.  One lane is the direct solve, its driver live on the lane itself.
+    More lanes are the zero-driver start and Picard iterates
+    ``1 .. lanes-1``: lane 0 gets no forcing at all, and lane l's driver
+    is frozen on lane l-1.  Returns the last lane's surface; ``watch``, if
+    given, sees the whole ``(lanes, m)`` stack at every row, n down to 0.
+    Checks the horizon, the driver step bound, the CFL bound and that the
+    terminal row is finite, in that order.
 
     ``march_steps`` holds the boundary nodes, so they carry the
     zero-curvature reduced equation ``v' = -f(t, v, one-sided D_x v)``:
@@ -170,15 +173,31 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     time_grid.require_horizon(problem.horizon, "terminal")
     dt, n = time_grid.dt, time_grid.n_steps
     _check_driver_stability(problem, dt, space_grid.dx)
+    data = problem.terminal.payoff(space_grid.points())
+    _check_data_row(data, problem.band, dt, space_grid)
+    stack = np.empty((lanes, space_grid.n_points))
+    stack[...] = data
+    lag = min(lanes - 1, 1)
+    read, fed = stack[:lanes - lag], stack[lag:]
+    # one lane goes to the driver as a row: indexing a one-row stack
+    # costs the driver (its gradient) about 2 us more per step
+    if len(read) == 1:
+        read, fed = read[0], fed[0]
     driver_row = _driver_row(problem, time_grid, space_grid)
-    stacks = sweep_rows(problem.terminal.payoff(space_grid.points()),
-                        problem.band, dt, space_grid, n, lanes,
-                        lambda i, v: driver_row(n - i, v), min(lanes - 1, 1))
     values = np.empty((n + 1, space_grid.n_points))
-    for row, stack in zip(values[::-1], stacks):
-        row[...] = stack[-1]
+    f = None
+
+    def step(i, rows):
+        nonlocal f
+        if i > 0:
+            np.add(fed, dt * f, out=fed)
+        values[n - i] = rows[-1]
         if watch is not None:
-            watch(stack)
+            watch(rows)
+        if i < n:
+            f = driver_row(n - i, read)
+
+    march_steps(stack, problem.band, dt, n, space_grid.dx, step)
     return values
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid
 from .errors import CapabilityError, UsageError
-from .gheat import _BLOCK_BYTES, FramePoints, check_cfl, march_steps
+from .gheat import FramePoints, _block_rows, check_cfl, march_steps
 
 # Declared capability: meshes with more than this many monitoring dates are
 # refused up front rather than thrashing memory (n_points**n values live at
@@ -86,7 +86,7 @@ def _distinct_rows(u: np.ndarray):
     order = np.argsort(keys)
     first = np.empty(len(keys), dtype=bool)   # first of its group in order
     first[0] = True
-    step = max(1, _BLOCK_BYTES // (m * u.itemsize))
+    step = _block_rows(u)
     for start in range(1, len(keys), step):
         block = keys[order[start - 1:start + step]]
         first[start:start + len(block) - 1] = block[1:] != block[:-1]

@@ -12,15 +12,13 @@ Every :class:`ValueSurface` runs forward from its data row; read in
 reverse, ``gbsde``'s backward rows are one too, and :func:`pde_residual`
 checks both.
 
-:class:`_FlatMarch`, the only explicit step, takes G from ``core``'s one
-kernel and marches a contiguous run of whole rows as one flat array: the
-lanes where the stencil straddles two rows get an increment of ``-0.0``,
-which leaves every edge node's bits as they were.  :func:`march_steps`,
-the block loop, feeds it cache-sized blocks of rows (``gexp``'s nested
-sweeps); :func:`sweep_rows`, the row loop, feeds it a stack of lanes, one
-row each, per time step: one lane fills forward surfaces and, in reversed
-time, ``gbsde``'s direct solutions; eleven are ``gbsde``'s Picard
-iterates.  Each allocates the step's scratch once per call.
+:func:`march_steps`, the one march loop, takes G from ``core``'s one
+kernel and marches a contiguous run of whole rows as one flat array.
+Without a hook it marches cache-sized blocks of rows, each through every
+step (``gexp``'s nested sweeps); with one, all rows march as one run,
+step by step, and the hook sees them after every step: it copies out the
+forward surface's rows, and in reversed time it forces ``gbsde``'s
+direct solution and the lanes of its Picard iterates.
 :class:`FramePoints`, the only grid interpolator, serves
 :meth:`ValueSurface.value`, ``gexp`` and the along-path walks of ``ito``
 and ``gbsde``.
@@ -63,55 +61,24 @@ def check_cfl(band: GParams, dt: float, space_grid: SpaceGrid) -> None:
 _BLOCK_BYTES = 256 * 1024
 
 
-class _FlatMarch:
-    """The explicit step on contiguous runs of whole rows of width ``m``,
-    with scratch for runs of up to ``rows`` rows allocated once.
-
-    A run of ``r`` rows is marched as one flat array: the stencil reads
-    ``flat[:-2]``, ``flat[1:-1]`` and ``flat[2:]``, so every lane of the
-    middle view is an interior node except the ``2 (r - 1)`` seam lanes,
-    the last node of one row and the first of the next.  Their increment
-    is overwritten with ``-0.0`` before it is added, and ``x + (-0.0)`` is
-    ``x`` for every x, signed zeros included, so the edge nodes keep their
-    bits.  The seam lanes still compute a value, from the edge nodes of
-    neighbouring rows, that is thrown away and reaches no result; but it
-    can overflow, and numpy then warns, once ``4 * |u| * var_hi / dx**2``
-    nears the largest float (about 1.8e308), that is for |u| above about
-    ``4e307 * dx**2 / var_hi``.
-    """
-
-    def __init__(self, band: GParams, dt: float, dx: float, m: int,
-                 rows: int, dtype) -> None:
-        self.band, self.m = band, m
-        self.inv_dx2 = 1.0 / (dx * dx)
-        self.half_dt = 0.5 * dt
-        self.curv = np.empty(rows * m, dtype=dtype)
-        self.gain = np.empty_like(self.curv)
-
-    def __call__(self, flat: np.ndarray, n: int) -> None:
-        """Apply ``n`` steps in place to ``flat``: a contiguous run of
-        one or more whole rows."""
-        size = len(flat) - 2
-        c, g = self.curv[:size], self.gain[:size]
-        # per row but the last, the last two lanes of c; a lone row has none
-        seam = None
-        if len(flat) > self.m:
-            seam = self.curv[:len(flat)].reshape(-1, self.m)[:-1, -2:]
-        left, mid, right = flat[:-2], flat[1:-1], flat[2:]
-        band, inv_dx2, half_dt = self.band, self.inv_dx2, self.half_dt
-        for _ in range(n):
-            # ((right - 2*mid) + left) * inv_dx2: the whole-array rounding order
-            np.multiply(mid, 2.0, out=c)
-            np.subtract(right, c, out=c)
-            np.add(c, left, out=c)
-            np.multiply(c, inv_dx2, out=c)
-            _g_inplace(band, c, g, half_dt)      # c = dt * G(c)
-            if seam is not None:
-                seam.fill(-0.0)
-            np.add(mid, c, out=mid)
+def _block_rows(u: np.ndarray) -> int:
+    """Rows of ``u`` (along its last axis) in one block of about
+    ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (u.shape[-1] * u.itemsize))
 
 
-def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> np.ndarray:
+def _check_data_row(data, band: GParams, dt: float,
+                    space_grid: SpaceGrid) -> None:
+    """The guard of a march from one data row: the CFL bound, then
+    finite data."""
+    check_cfl(band, dt, space_grid)
+    # min and max take no temporary, and a NaN makes both NaN
+    if not (math.isfinite(np.min(data)) and math.isfinite(np.max(data))):
+        raise UsageError("payoff produced non-finite values on the grid")
+
+
+def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float,
+                hook=None) -> np.ndarray:
     """Apply ``n`` explicit steps in place along the last axis of ``u``.
 
     Boundary nodes (first/last column) are left untouched.  Works for any
@@ -119,19 +86,32 @@ def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> n
     this kernel.  Caller is responsible for the CFL check.
 
     The stencil acts along the last axis only, so every row evolves on its
-    own.  ``u`` must be C-contiguous; its leading axes are viewed as rows,
-    split into fixed blocks of about ``_BLOCK_BYTES``, and each block is
-    marched in place through all ``n`` steps before the next, as one flat
-    run of ``rows * m`` nodes (see :class:`_FlatMarch`), with ``O(block)``
-    scratch allocated once per call.  The result is bitwise equal to
-    updating the whole array step by step,
-    ``u[..., 1:-1] += dt * G(second difference)``, whatever the block
-    size: each interior node gets the same operations in the same order,
-    and each seam lane adds ``-0.0`` to an edge node.  Any other ``u``
-    raises :class:`UsageError`.
+    own.  ``u`` must be C-contiguous (any other ``u`` raises
+    :class:`UsageError`); its leading axes are viewed as ``(rows, m)``.
+    Without a hook, the rows are split into fixed blocks of about
+    ``_BLOCK_BYTES`` and each block is marched through all ``n`` steps
+    before the next.  With a hook, all rows march as one run, one step at
+    a time, and ``hook(i, rows)`` sees the ``(rows, m)`` view after step
+    i, for i = 0 (no step yet) to n; it may write the rows (``+ dt * f``)
+    or copy them out before the next step.  Scratch for one run is
+    allocated once per call.
+
+    A run of r rows is marched as one flat array: the stencil reads
+    ``flat[:-2]``, ``flat[1:-1]`` and ``flat[2:]``, so every lane of the
+    middle view is an interior node except the ``2 (r - 1)`` seam lanes,
+    the last node of one row and the first of the next.  Their increment
+    is overwritten with ``-0.0`` before it is added, and ``x + (-0.0)`` is
+    ``x`` for every x, signed zeros included, so the edge nodes keep their
+    bits.  The result is therefore bitwise equal to updating the whole
+    array step by step, ``u[..., 1:-1] += dt * G(second difference)``,
+    whatever the run.  The seam lanes still compute a value, from the edge
+    nodes of neighbouring rows, that is thrown away and reaches no result;
+    but it can overflow, and numpy then warns, once
+    ``4 * |u| * var_hi / dx**2`` nears the largest float (about 1.8e308),
+    that is for |u| above about ``4e307 * dx**2 / var_hi``.
     """
     m = u.shape[-1]
-    if n <= 0 or m < 3 or u.size == 0:
+    if u.size == 0 or hook is None and (n <= 0 or m < 3):
         return u
     if not u.flags.c_contiguous:
         raise UsageError(
@@ -139,49 +119,30 @@ def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float) -> n
             f"is not C-contiguous; pass a contiguous array"
         )
     rows = u.reshape(-1, m)
-    block = max(1, _BLOCK_BYTES // (m * u.itemsize))
-    march = _FlatMarch(band, dt, dx, m, min(block, len(rows)), u.dtype)
+    block = len(rows) if hook is not None else min(_block_rows(u), len(rows))
+    curv = np.empty(block * m, dtype=u.dtype)
+    gain = np.empty_like(curv)
+    inv_dx2, half_dt = 1.0 / (dx * dx), 0.5 * dt
+    if hook is not None:
+        hook(0, rows)
     for start in range(0, len(rows), block):
-        march(rows[start:start + block].reshape(-1), n)
+        flat = rows[start:start + block].reshape(-1)
+        c, g = curv[:len(flat) - 2], gain[:len(flat) - 2]
+        # per row but the last, the last two lanes of c; a lone row has none
+        seam = curv[:len(flat)].reshape(-1, m)[:-1, -2:]
+        left, mid, right = flat[:-2], flat[1:-1], flat[2:]
+        for i in range(1, n + 1):
+            # ((right - 2*mid) + left) * inv_dx2: the whole-array rounding order
+            np.multiply(mid, 2.0, out=c)
+            np.subtract(right, c, out=c)
+            np.add(c, left, out=c)
+            np.multiply(c, inv_dx2, out=c)
+            _g_inplace(band, c, g, half_dt)      # c = dt * G(c)
+            seam.fill(-0.0)
+            np.add(mid, c, out=mid)
+            if hook is not None:
+                hook(i, rows)
     return u
-
-
-def sweep_rows(data: np.ndarray, band: GParams, dt: float,
-               space_grid: SpaceGrid, n: int, lanes: int = 1, source=None,
-               lag: int = 0):
-    """The row loop: march ``lanes`` copies of the data row ``n`` explicit
-    steps together, yielding the ``(lanes, m)`` stack ``n + 1`` times:
-    the i-th stack yielded, from 0, holds row i of every lane.  The next
-    step overwrites it, so a caller copies the rows it keeps.
-
-    The stack is one flat run of :class:`_FlatMarch`, whose scratch is
-    allocated once per sweep, so each lane is bitwise the one-row march
-    of its own rows.  With a source, step i reads
-    ``f = source(i, stack[:lanes - lag])`` before it and adds ``dt * f``
-    to ``stack[lag:]`` after it: lane l is forced by the source read on
-    lane ``l - lag``, and the first ``lag`` lanes get no source at all.
-    A source that reads one lane gets it as a row.  Checks the CFL bound
-    and that the data row is finite."""
-    check_cfl(band, dt, space_grid)
-    if not np.all(np.isfinite(data)):
-        raise UsageError("payoff produced non-finite values on the grid")
-    stack = np.empty((lanes, space_grid.n_points))
-    stack[...] = data
-    march = _FlatMarch(band, dt, space_grid.dx, space_grid.n_points, lanes,
-                       stack.dtype)
-    flat, read, fed = stack.reshape(-1), stack[:lanes - lag], stack[lag:]
-    # one lane goes to the source as a row: indexing a one-row stack
-    # costs the source (its gradient) about 2 us more per step
-    if len(read) == 1:
-        read, fed = read[0], fed[0]
-    yield stack
-    for i in range(n):
-        if source is not None:
-            f = source(i, read)
-        march(flat, 1)
-        if source is not None:
-            fed += dt * f
-        yield stack
 
 
 def _check_inside(pts: np.ndarray, x: np.ndarray, axis: int) -> None:
@@ -351,19 +312,32 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
     data = np.asarray(payoff(x) if callable(payoff) else payoff, dtype=float)
     if data.shape != x.shape:
         raise UsageError(f"payoff samples shape {data.shape} != grid shape {x.shape}")
+    _check_data_row(data, band, time_grid.dt, space_grid)
     values = np.empty((time_grid.n_steps + 1, space_grid.n_points))
-    for row, lanes in zip(values, sweep_rows(data, band, time_grid.dt,
-                                             space_grid, time_grid.n_steps)):
-        row[...] = lanes[0]
+
+    def keep(i, rows):
+        values[i] = rows[0]
+
+    march_steps(data.copy(), band, time_grid.dt, time_grid.n_steps,
+                space_grid.dx, keep)
     return ValueSurface(band, time_grid, space_grid, values)
 
 
 def gradient(u: np.ndarray, dx: float) -> np.ndarray:
-    """First difference along the last axis: centred, one-sided at the edges."""
-    du = np.empty_like(u)
-    du[..., 1:-1] = (u[..., 2:] - u[..., :-2]) / (2.0 * dx)
-    du[..., 0] = (u[..., 1] - u[..., 0]) / dx
-    du[..., -1] = (u[..., -1] - u[..., -2]) / dx
+    """First difference along the last axis (at least three nodes):
+    centred, one-sided at the edges.  The centred difference runs over the
+    flattened ``u`` (a copy only if ``u`` is not C-contiguous), as in
+    :func:`march_steps`, and each row's edge pair then overwrites the seam
+    lanes, which can only overflow, and warn, for |u| above about
+    ``1e308 * dx``."""
+    m = u.shape[-1]
+    du = np.empty_like(u, order="C")
+    flat, mid = u.reshape(-1), du.reshape(-1)[1:-1]
+    np.subtract(flat[2:], flat[:-2], out=mid)
+    np.divide(mid, 2.0 * dx, out=mid)
+    edges = du[..., ::m - 1]                # columns 0 and m - 1
+    np.subtract(u[..., 1::m - 2], u[..., :m - 1:m - 2], out=edges)
+    np.divide(edges, dx, out=edges)
     return du
 
 
@@ -390,7 +364,7 @@ def pde_residual(surface: ValueSurface) -> np.ndarray:
     """
     u, dx = surface.values, surface.space_grid.dx
     out = np.empty((len(u) - 1, u.shape[-1] - 2))
-    step = max(1, _BLOCK_BYTES // (8 * u.shape[-1]))
+    step = _block_rows(u)
     for r0 in range(0, len(out), step):
         rows, block = u[r0:r0 + step + 1], out[r0:r0 + step]
         np.subtract(rows[1:, 1:-1], rows[:-1, 1:-1], out=block)
@@ -410,7 +384,7 @@ def feedback_field(surface: ValueSurface) -> np.ndarray:
     """
     u, dx = surface.values, surface.space_grid.dx
     out = np.empty(u.shape, dtype=bool)
-    step = max(1, _BLOCK_BYTES // (8 * u.shape[-1]))
+    step = _block_rows(u)
     for r0 in range(0, len(u), step):
         out[r0:r0 + step] = curvature(u[r0:r0 + step], dx) >= 0.0
     return out

@@ -141,6 +141,26 @@ class TestSolvePpde:
         assert gap <= 1e-12 * float(np.max(np.abs(want)))
 
 
+PICARD_DRIVERS = [
+    pytest.param(lambda t, y, z: 0.7, 0.0, id="scalar"),
+    pytest.param(lambda t, y, z: 0.05 * z - 0.1 * y, 0.1,
+                 id="z-dependent"),
+    pytest.param(lambda t, y, z: -0.1 * y, 0.1, id="discount"),
+    # stops at the first iterate: the second pass marches two lanes
+    pytest.param(zero_driver, 0.0, id="zero"),
+    pytest.param(lambda t, y, z: 0.1 * t * y + 0.5 * t, 0.1,
+                 id="t-dependent"),
+    # (2 T)^10 / 10! of |Y| still moves after 10 iterations: no
+    # second pass
+    pytest.param(lambda t, y, z: -2.0 * y, 2.0, id="still-moving"),
+    # NaN on the right edge node of the terminal row spreads, so every
+    # move is NaN and the iteration runs to 10
+    pytest.param(lambda t, y, z: np.where((y == 64.0) & (z > 0.0),
+                                          np.nan, -0.1 * y),
+                 0.1, id="nan-node"),
+]
+
+
 class TestPicard:
     def test_zero_driver_converges_immediately(self):
         problem = GBSDEProblem(terminal_square(), zero_driver, BAND)
@@ -150,29 +170,21 @@ class TestPicard:
         direct = solve_ppde(problem, TIME, SPACE)
         assert np.array_equal(solution.y_values, direct.y_values)
 
-    @pytest.mark.parametrize("driver, lipschitz", [
-        pytest.param(lambda t, y, z: 0.7, 0.0, id="scalar"),
-        pytest.param(lambda t, y, z: 0.05 * z - 0.1 * y, 0.1,
-                     id="z-dependent"),
-        pytest.param(lambda t, y, z: -0.1 * y, 0.1, id="discount"),
-        # stops at the first iterate: the second pass marches two lanes
-        pytest.param(zero_driver, 0.0, id="zero"),
-        pytest.param(lambda t, y, z: 0.1 * t * y + 0.5 * t, 0.1,
-                     id="t-dependent"),
-        # (2 T)^10 / 10! of |Y| still moves after 10 iterations: no
-        # second pass
-        pytest.param(lambda t, y, z: -2.0 * y, 2.0, id="still-moving"),
-        # NaN on the right edge node of the terminal row spreads, so every
-        # move is NaN and the iteration runs to 10
-        pytest.param(lambda t, y, z: np.where((y == 64.0) & (z > 0.0),
-                                              np.nan, -0.1 * y),
-                     0.1, id="nan-node"),
+    # each driver on the default blocks (under its own id) and on one-row
+    # blocks
+    @pytest.mark.parametrize("driver, lipschitz, one_row_blocks", [
+        pytest.param(*p.values, one_row, id=p.id + suffix)
+        for one_row, suffix in ((False, ""), (True, "-one-row-blocks"))
+        for p in PICARD_DRIVERS
     ])
-    def test_iterates_are_the_whole_surface_field_sweep_bitwise(self, driver,
-                                                                lipschitz):
+    def test_iterates_are_the_whole_surface_field_sweep_bitwise(
+            self, driver, lipschitz, one_row_blocks, monkeypatch):
         # the iterates marched as lanes of one sweep, each frozen driver
         # read on the lane before, and the move taken in its place,
-        # against whole-surface fields swept one iterate at a time
+        # against whole-surface fields swept one iterate at a time; the
+        # lanes march as one run, whatever the block size
+        if one_row_blocks:
+            monkeypatch.setattr(gheat, "_BLOCK_BYTES", 1)
         problem = GBSDEProblem(terminal_square(), driver, BAND,
                                driver_lipschitz=lipschitz)
         solution, iterations, delta = solve_ppde_picard(problem, TIME, SPACE)

@@ -373,8 +373,8 @@ class TestOneMarchPerDistinctRow:
     def test_every_frame_is_the_full_mesh_sweep_bitwise(self, monkeypatch,
                                                         name, one_row_blocks):
         if one_row_blocks:
+            # gheat sizes the blocks of both the march and the grouping
             monkeypatch.setattr(gheat, "_BLOCK_BYTES", 1)
-            monkeypatch.setattr(gexp, "_BLOCK_BYTES", 1)
         times, payoff = self.CASES[name]
         xi = CylinderFunctional(times, payoff, lipschitz_bound=1.0,
                                 value_bound=28.0)

@@ -177,6 +177,14 @@ class TestSolveGheat:
         with pytest.raises(UsageError):
             solve_gheat(bad, BAND, TIME, SPACE)
 
+    def test_every_row_is_the_reference_march(self, butterfly_surface):
+        # row i is the data row after i steps of the whole-array reference
+        row = oracles.butterfly(SPACE.points())
+        for i, got in enumerate(butterfly_surface.values):
+            if i > 0:
+                oracles.march_steps_reference(row, BAND, TIME.dt, 1, SPACE.dx)
+            assert np.array_equal(got.view(np.uint64), row.view(np.uint64)), i
+
 
 
 def _kinked_rows(leading, kink, width=SPACE.n_points):
@@ -269,6 +277,32 @@ class TestMarchSteps:
         monkeypatch.setattr(gheat, "_BLOCK_BYTES", 1)  # one row per block
         u = gheat.march_steps(u0.copy(), BAND, self.DT, 57, self.DX)
         assert np.array_equal(_bits(u), _bits(expect))
+
+    @pytest.mark.parametrize("leading, width, recast_kink, recast_rows", ROW_SETS)
+    def test_hook_sees_every_step_of_the_reference(self, leading, width,
+                                                   recast_kink, recast_rows,
+                                                   monkeypatch):
+        # with a hook all rows march as one run, whatever the block size;
+        # the hook forces every other row, and its write carries into the
+        # next step
+        u0 = _row_set(leading, width, recast_kink, recast_rows, KINKS["abs_mean"])
+        monkeypatch.setattr(gheat, "_BLOCK_BYTES", 1)  # one row per block
+        n, seen = 9, []
+
+        def hook(i, rows):
+            seen.append((i, rows.copy()))
+            rows[::2] += self.DT * i
+
+        u = u0.copy()
+        assert gheat.march_steps(u, BAND, self.DT, n, self.DX, hook) is u
+        assert [i for i, _ in seen] == list(range(n + 1))
+        expect = u0.reshape(-1, width).copy()
+        for i, rows in seen:
+            if i > 0:
+                oracles.march_steps_reference(expect, BAND, self.DT, 1, self.DX)
+            assert np.array_equal(_bits(rows), _bits(expect)), i
+            expect[::2] += self.DT * i
+        assert np.array_equal(_bits(u.reshape(-1, width)), _bits(expect))
 
     def test_refuses_views_that_need_a_copy(self):
         # strided rows of a 2-D array, and leading axes that cannot be
