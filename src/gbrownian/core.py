@@ -199,6 +199,17 @@ class TimeGrid:
             raise UsageError(f"time {t!r} is not a node of the grid (dt={self.dt!r})")
         return idx
 
+    def step_intervals(self, breaks, what: str) -> np.ndarray:
+        """Interval index of each step under increasing ``breaks``, nodes
+        from 0 to the horizon (by :meth:`index_of`, so up to 1e-9
+        relative): step k takes the interval of the largest start <= k."""
+        self.require_horizon(breaks[-1], what)
+        starts = [self.index_of(b) for b in breaks[:-1]]
+        if starts[0] != 0:
+            raise UsageError(f"{what} must span [0, horizon], got {breaks!r}")
+        return np.searchsorted(starts, np.arange(self.n_steps),
+                               side="right") - 1
+
 
 @dataclass(frozen=True)
 class SpaceGrid:
@@ -392,11 +403,12 @@ class ConstantControl(ControlProcess):
 class StepControl(ControlProcess):
     """Piecewise-constant-in-time control.
 
-    ``breaks`` partitions ``[0, horizon]`` (must start at 0); ``levels[i]``
-    applies on ``[breaks[i], breaks[i+1])`` and is either a number or a
-    callable receiving the path level at the interval's left endpoint (an
-    array over paths) — enough to express measurable interval rules while
-    staying adapted by construction.
+    ``breaks`` partitions ``[0, horizon]`` at nodes of the simulation grid
+    (:meth:`TimeGrid.step_intervals`); ``levels[i]`` applies on
+    ``[breaks[i], breaks[i+1])`` and is either a number or a callable
+    receiving the path level at the interval's left endpoint (an array over
+    paths) — enough to express measurable interval rules while staying
+    adapted by construction.
     """
 
     band: GParams = None
@@ -423,11 +435,7 @@ class StepControl(ControlProcess):
         object.__setattr__(self, "levels", tuple(self.levels))
 
     def make_driver(self, time_grid: TimeGrid, n_paths: int) -> Callable:
-        time_grid.require_horizon(self.breaks[-1], "control")
-        start_idx = [time_grid.index_of(b) for b in self.breaks[:-1]]
-        # interval index for every step
-        interval_of_step = np.searchsorted(start_idx, np.arange(time_grid.n_steps),
-                                           side="right") - 1
+        interval_of_step = time_grid.step_intervals(self.breaks, "control")
         state = {"interval": -1, "levels": None}
 
         def driver(k, b_hist):
@@ -520,8 +528,8 @@ class FeedbackControl(ControlProcess):
     At simulation time t and position x the driver picks sigma_hi where
     ``feedback_field``'s mask says the curvature at (T - t, x) is
     ``>= 0``, else sigma_lo (the maximiser of ``curvature * sigma^2``), on
-    the nearest node of the surface, which runs forward over [0, T].
-    Paths that leave its space grid raise
+    the nearest node of the surface, which runs forward from 0 to at least
+    the simulation's horizon T.  Paths that leave its space grid raise
     :class:`ExtrapolationError` — widen the grid rather than extrapolating.
     """
 
@@ -547,7 +555,7 @@ class FeedbackControl(ControlProcess):
         n_rows = surf.time_grid.n_steps
 
         def driver(k, b_hist):
-            tau = surf.time_grid.horizon - k * time_grid.dt
+            tau = time_grid.horizon - k * time_grid.dt
             row = min(max(int(round(tau / sdt)), 0), n_rows)
             x = b_hist[:, -1]
             cols = np.rint((x - sg.x_min) / sg.dx).astype(np.int64)

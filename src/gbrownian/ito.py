@@ -111,22 +111,27 @@ def qn_integrand(b_paths: np.ndarray, level: int) -> np.ndarray:
 
 
 def step_values_on_grid(breaks, values, time_grid: TimeGrid) -> np.ndarray:
-    """Sample a step function (left-closed intervals) at the step left nodes."""
+    """A step function (left-closed intervals) as one value per grid step:
+    a step's breaks are grid nodes, read by :meth:`TimeGrid.step_intervals`."""
+    breaks, values = _step_pair(breaks, values, "step")
+    return np.array(values)[time_grid.step_intervals(breaks, "step function")]
+
+
+def _step_pair(breaks, values, what: str) -> tuple:
+    """The one reader of a step function ``(breaks, values)`` (``what`` in
+    the errors), as two lists of floats: one more break than values, at
+    least one value, finite values and finite, strictly increasing breaks."""
     breaks = np.asarray(breaks, dtype=float)
     values = np.asarray(values, dtype=float)
-    if breaks.ndim != 1 or len(breaks) != len(values) + 1:
-        raise UsageError("need len(breaks) == len(values) + 1")
+    if breaks.ndim != 1 or values.shape != (len(breaks) - 1,):
+        raise UsageError(f"{what} must be (breaks, values) with one more break")
+    if not len(values):
+        raise UsageError(f"{what} must have at least one interval")
+    _require_finite(values, f"{what} values")
     if not (np.all(np.isfinite(breaks)) and np.all(breaks[1:] > breaks[:-1])):
-        raise UsageError(f"breaks must be finite and strictly increasing, "
-                         f"got {breaks.tolist()}")
-    _require_finite(values, "step values")
-    if abs(breaks[0]) > 1e-12:
-        raise UsageError("step function must span [0, horizon]")
-    time_grid.require_horizon(float(breaks[-1]), "step function")
-    t_left = time_grid.times()[:-1]
-    idx = np.clip(np.searchsorted(breaks, t_left, side="right") - 1,
-                  0, len(values) - 1)
-    return values[idx]
+        raise UsageError(f"{what} breaks must be finite and strictly "
+                         f"increasing, got {breaks.tolist()}")
+    return breaks.tolist(), values.tolist()
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -140,9 +145,7 @@ def _require_finite(values: np.ndarray, what: str) -> None:
 
 
 def _integrand_on_grid(integrand, bundle: PathBundle) -> np.ndarray:
-    """The accepted integrand forms as a scalar, one value per step or one
-    row per path: arrays that broadcast against the steps, kept compact.
-    A non-finite value is refused."""
+    """The finite ``varsigma`` of :func:`k_process` as a compact array."""
     n = bundle.time_grid.n_steps
     if isinstance(integrand, tuple) and len(integrand) == 2:
         return step_values_on_grid(*integrand, bundle.time_grid)
@@ -155,7 +158,9 @@ def _integrand_on_grid(integrand, bundle: PathBundle) -> np.ndarray:
 
 
 def k_process(varsigma, bundle: PathBundle) -> np.ndarray:
-    """Pathwise ``K_t = integral(varsigma d qv) - integral(2 G(varsigma) dt)``.
+    """Pathwise ``K_t = integral(varsigma d qv) - integral(2 G(varsigma) dt)``
+    for a scalar, per-step, per-path or step ``varsigma``; a step's breaks
+    are grid nodes (:func:`step_values_on_grid`).
 
     Non-increasing on every path because ``a h^2 <= 2 G(a)`` for all band
     levels h, with equality exactly at the bang-bang level — the defining
@@ -432,16 +437,7 @@ def identify_drift(eta, band: GParams, family, time_grid: TimeGrid,
     straddles the root whenever the family contains the bang-bang control
     for eta's sign.  The exact rate is ``2 G(a)`` per interval.
     """
-    breaks, values = eta
-    breaks = [float(b) for b in breaks]
-    values = [float(v) for v in values]
-    if len(breaks) != len(values) + 1:
-        raise UsageError("eta must be (breaks, values) with one more break")
-    if not values:
-        raise UsageError("eta must have at least one interval")
-    _require_finite(np.array(values), "eta values")
-    if any(b <= a for a, b in zip(breaks, breaks[1:])):
-        raise UsageError(f"eta breaks must be strictly increasing, got {breaks}")
+    breaks, values = _step_pair(*eta, "eta")
     (gains,) = martingale_table([lambda b: b.qv_paths], family,
                                 list(zip(breaks, breaks[1:])), time_grid,
                                 n_paths, seed)
@@ -498,12 +494,12 @@ def step2_limit_check(zeta, alpha: float, ks) -> list:
     bare signed pieces and the exact proportionality between the two gap
     functionals (trailing-gap = (1 - alpha) * signed-gap).
     """
-    zbreaks, zvalues = zeta
     if not (0.0 < float(alpha) < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    fb = [Fraction(float(b)) for b in zbreaks]
-    fv = [Fraction(float(v)) for v in zvalues]
-    if len(fb) != len(fv) + 1 or fb[0] != 0 or fb[-1] != 1:
+    zbreaks, zvalues = _step_pair(*zeta, "zeta")
+    fb = [Fraction(b) for b in zbreaks]
+    fv = [Fraction(v) for v in zvalues]
+    if fb[0] != 0 or fb[-1] != 1:
         raise UsageError("zeta must be (breaks, values) spanning [0, 1]")
     fa = Fraction(float(alpha))
     total = _step_integral_exact(fb, fv, Fraction(0), Fraction(1))

@@ -151,6 +151,15 @@ class TestConfigRejection:
         self.rejects(tmp_path, capsys, cfg, "experiments[0]",
                      "strictly increasing", "0.5, 0.5")
 
+    def test_theorem35_zeta_breaks_must_increase(self, tmp_path, capsys):
+        # read unchecked, the step-2 table of an unsorted zeta passes
+        cfg = base_config(experiments=[{
+            "name": "verify-theorem35",
+            "zeta": {"breaks": [0.0, 0.75, 0.25, 1.0],
+                     "values": [1.0, 2.0, 3.0]}}])
+        self.rejects(tmp_path, capsys, cfg, "experiments[0]",
+                     "zeta breaks must be finite and strictly increasing")
+
     def test_wrong_number_of_dates(self, tmp_path, capsys):
         cfg = base_config(experiments=[
             {"name": "gexp", "payoff": "max2", "dates": [1.0]}])

@@ -163,12 +163,30 @@ class TestKProcess:
 
     def test_sign_matched_bang_bang_is_flat_zero(self):
         # where the integrand is positive run at the top, negative at the
-        # bottom: the compensator is attained and K never moves
-        control = StepControl(band=BAND, breaks=(0.0, 0.5, 1.0),
-                              levels=(2.0, 1.0))
-        bundle = simulate(control, GRID, 16, seed=113)
-        k = k_process(((0.0, 0.5, 1.0), (1.0, -1.0)), bundle)
-        np.testing.assert_array_equal(k, np.zeros_like(bundle.qv_paths))
+        # bottom: the compensator is attained and K never moves.  On the
+        # 6-step grid the node 5/6 sits one ulp below the break, and the
+        # control and the integrand must still switch at the same step
+        # (off by one step, K_T = -0.5); dt = 1/6 is not dyadic, so there
+        # the qv ledger's running sums leave K within rounding of zero
+        for grid, switch, tol in ((GRID, 0.5, 0.0),
+                                  (TimeGrid(1.0, 6), 5.0 / 6.0, 1e-15)):
+            breaks = (0.0, switch, 1.0)
+            control = StepControl(band=BAND, breaks=breaks, levels=(2.0, 1.0))
+            bundle = simulate(control, grid, 16, seed=113)
+            k = k_process((breaks, (1.0, -1.0)), bundle)
+            assert k.shape == bundle.qv_paths.shape
+            assert np.max(np.abs(k)) <= tol
+
+    def test_step_form_is_the_per_step_form_off_a_linspace_node(self):
+        # the 6-step grid's node 5/6 is one ulp below the break 5/6; the
+        # step still starts there, so on the lower edge K_T = -3 * 5/6
+        grid = TimeGrid(1.0, 6)
+        assert grid.times()[5] < 5.0 / 6.0
+        bundle = lo_bundle(8, grid=grid)
+        got = k_process(((0.0, 5.0 / 6.0, 1.0), (1.0, -1.0)), bundle)
+        want = k_process(np.array([1.0] * 5 + [-1.0]), bundle)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.all(got[:, -1] == -2.5)
 
     def test_non_increasing_for_any_control_and_step_integrand(self):
         rng = np.random.default_rng(127)
@@ -583,7 +601,8 @@ class TestIdentifyDrift:
     @pytest.mark.parametrize("breaks, values", [
         ((0.0, 0.5, 0.5, 1.0), (1.0, -1.0, 1.0)),
         ((0.0, 0.75, 0.5, 1.0), (1.0, -1.0, 1.0)),
-    ], ids=["repeated", "decreasing"])
+        ((0.0, math.nan, 0.5, 1.0), (1.0, -1.0, 1.0)),
+    ], ids=["repeated", "decreasing", "nan"])
     def test_breaks_must_increase(self, breaks, values):
         with pytest.raises(UsageError, match=r"strictly increasing.*0\.5"):
             identify_drift((breaks, values), BAND, self.family(), GRID, 64,
@@ -647,6 +666,10 @@ class TestStep2Table:
     def test_validation(self):
         with pytest.raises(UsageError):
             step2_limit_check(((0.0, 0.5), (1.0, 2.0)), 0.25, (1,))
+        for breaks in ((0.0, 0.75, 0.25, 1.0), (0.0, math.nan, 0.75, 1.0)):
+            with pytest.raises(UsageError, match="zeta breaks must be finite "
+                                                 "and strictly increasing"):
+                step2_limit_check((breaks, (1.0, 2.0, 3.0)), 0.25, (1,))
         with pytest.raises(DomainError):
             step2_limit_check(self.ZETA, 1.5, (1,))
         with pytest.raises(DomainError):

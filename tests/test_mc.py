@@ -400,6 +400,22 @@ class TestSupOverControls:
         _, low_est = rows[0]
         assert pde_value - low_est.mean > 3.0 * low_est.stderr
 
+    def test_feedback_reads_the_surface_at_the_simulation_time_to_go(self):
+        # a surface solved past the simulation's horizon holds the shorter
+        # one's rows bitwise (equal dt): the feedback must read the same rows
+        space = SpaceGrid(-8.0, 8.0, 161)
+        xi = CylinderFunctional(times=(1.0,), payoff=oracles.butterfly,
+                                lipschitz_bound=1.0, value_bound=1.0)
+        tables = []
+        for horizon, n_steps in ((1.0, 400), (2.0, 800)):
+            surface = solve_gheat(oracles.butterfly, BAND,
+                                  TimeGrid(horizon, n_steps), space)
+            family = [FeedbackControl(band=BAND, surface=surface)]
+            ((_, est),) = sup_over_controls_table(xi, family, GRID, 3000,
+                                                  seed=47)
+            tables.append((est.mean.hex(), est.stderr.hex(), est.n_paths))
+        assert tables[0] == tables[1]
+
 
 class TestPerturbedControls:
     def sched(self, refinement=0, alpha=0.25):
