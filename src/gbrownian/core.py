@@ -202,11 +202,16 @@ class TimeGrid:
     def step_intervals(self, breaks, what: str) -> np.ndarray:
         """Interval index of each step under increasing ``breaks``, nodes
         from 0 to the horizon (by :meth:`index_of`, so up to 1e-9
-        relative): step k takes the interval of the largest start <= k."""
+        relative): step k takes the interval of the largest start <= k.
+        Every interval must start on its own node before the horizon's, so
+        each gets a step at least."""
         self.require_horizon(breaks[-1], what)
         starts = [self.index_of(b) for b in breaks[:-1]]
         if starts[0] != 0:
             raise UsageError(f"{what} must span [0, horizon], got {breaks!r}")
+        if any(b <= a for a, b in zip(starts, starts[1:] + [self.n_steps])):
+            raise UsageError(f"{what} breaks {list(breaks)} start two intervals "
+                             f"on one node of the grid (dt={self.dt!r})")
         return np.searchsorted(starts, np.arange(self.n_steps),
                                side="right") - 1
 

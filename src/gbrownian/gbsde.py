@@ -23,11 +23,11 @@ backward-equation triple is read off:
 
 with ``K_0 = 0`` and K non-increasing pathwise.  A solution stores Y
 only; Z is ``gheat.gradient`` of the rows a reader needs, taken where it
-is read.  The triple comes node by node from the walk that also
-decomposes conditional values along paths (``ito._node_rows``), so both
-read K off one ledger and interpolate with ``gheat.FramePoints``;
-:func:`gbsde_residual` reduces it in one walk, as it goes, and never
-holds the triple.  The pair
+is read.  The triple comes node by node from the node reader and the K
+carry that also decompose conditional values along paths
+(``ito._node_reader``, ``ito._carry_k``), so both read K off one ledger
+and interpolate with ``gheat.FramePoints``; :func:`gbsde_residual`
+reduces it in one walk, as it goes, and never holds the triple.  The pair
 (surface solves the equation) <-> (triple satisfies the backward relation
 ``Y_t = xi + integral_t^T f - integral_t^T Z dB - (K_T - K_t)``) is
 checked in both directions by :func:`equivalence_check`.
@@ -49,7 +49,7 @@ from .errors import CapabilityError, ConfigurationError, UsageError
 from .gheat import (FramePoints, ValueSurface, _check_data_row, gradient,
                     march_steps, pde_residual)
 from .mc import PathBundle
-from .ito import _admit_bundle, _node_rows, eval_on_paths
+from .ito import _admit_bundle, _carry_k, _node_reader, eval_on_paths
 
 
 # ---------------------------------------------------------------------------
@@ -274,24 +274,26 @@ def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidual
     node as the running sums F of ``f dt`` and S of ``Z dB``.  Node j's gap
     is ``A_j - C``, with ``A_j = ((Y_j + F_j) - S_j) - K_j`` known at node j
     and ``C = ((F_T + xi) - S_T) - K_T`` one constant per path.  ``A - C``
-    rounds monotonically in A, so the one along-path walk
-    (``ito._node_rows``) keeps each path's largest and smallest A only,
-    and ``max(A_max - C, C - A_min)`` is bitwise the largest ``|A_j - C|``.  The scratch is a few rows of one
-    value per path, whatever the bundle's length.
+    rounds monotonically in A, so the walk (``ito._node_reader`` and
+    ``ito._carry_k``) keeps each path's largest and smallest A only, and
+    ``max(A_max - C, C - A_min)`` is bitwise the largest ``|A_j - C|``.
+    The scratch is a few rows of one value per path, whatever the
+    bundle's length.
     """
     frames, n_paths = solution._frames_for(bundle), bundle.n_paths
     driver, tg, bt = solution.problem.driver, bundle.time_grid, bundle.b_paths.T
-    times, ring = tg.times(), np.empty((3, 2, n_paths))
-    f_sum, z_sum, step, a = (np.zeros(n_paths) for _ in range(4))
+    read = _node_reader(len(frames), bundle, (), solution.space_grid)
+    times, qv, k_monotone = tg.times(), 0.0, True
+    y, z, k, k_last, f_sum, z_sum, step, a = (np.zeros(n_paths)
+                                              for _ in range(8))
     a_max, a_min = np.full(n_paths, -np.inf), np.full(n_paths, np.inf)
-    k_monotone = True
-    for j, (y, z, k) in enumerate(_node_rows(frames, bundle, (),
-                                             solution.space_grid, ring)):
-        if j == 0:
-            k_initial = np.max(np.abs(k))
-        else:
+    k_initial = np.max(np.abs(k))
+    for j, frame in enumerate(frames):
+        if j:   # half node j - 1's curvature, parked in k_last, becomes K_j
+            k, k_last = k_last, k
+            qv = _carry_k(k, k_last, j, qv, bundle)
             k_monotone &= bool(np.all(np.subtract(k, k_last) <= 1e-15))
-        k_last = k
+        read(j, frame, y, z, k_last if j < tg.n_steps else None)
         np.add(y, f_sum, out=a)
         a -= z_sum
         a -= k

@@ -17,21 +17,22 @@ has far fewer distinct rows than rows -- 702 of 14641 for the 3-date
 not depend on its neighbours, so every frame is bitwise the full-mesh
 sweep's.  A mesh whose rows are all distinct is marched in place.  Cost
 scales like ``n_steps * distinct rows * n_points``; memory still scales
-like ``n_points ** n`` (the payoff mesh and every frame are full), so the
-number of monitoring dates stays capped (see ``N_MAX``).  Each interval
-is marched by ``gheat.march_steps``, one cache-sized block of rows at a
-time, each block as one flat contiguous run of nodes, so the sweep's
-scratch is bounded by one block on top of the rows and the recorded
-frames.
+like ``n_points ** n`` (the payoff mesh is full, as is a frame gathered
+from grouped rows), so the number of monitoring dates stays capped (see
+``N_MAX``).  Each interval is marched by ``gheat.march_steps``, one
+cache-sized block of rows at a time, each block as one flat contiguous
+run of nodes, so the sweep's scratch is bounded by one block on top of
+the rows and the frame being read.
 
-Conditional values have one home, the frames of
-:func:`conditional_frames`, photographed in one sweep at the requested
-times.  They are multilinearly interpolated in the observed values and
+Conditional values have one home, the frames of one sweep at the
+requested times, each handed to a visitor as it is photographed and not
+kept.  They are multilinearly interpolated in the observed values and
 the current position by ``gheat.FramePoints``, the grid interpolator that
 also serves ``ValueSurface.value`` and the along-path walk of ``ito``
 (which ``gbsde`` reads too); points off the grid raise
-:class:`ExtrapolationError`.  :func:`g_expectation` is the frame at
-``t = 0`` read at the origin.
+:class:`ExtrapolationError`.  :func:`g_expectation` reads the frame at
+``t = 0`` at the origin, and :func:`conditional_frames` keeps a copy of
+each.
 """
 
 from __future__ import annotations
@@ -101,22 +102,24 @@ def _distinct_rows(u: np.ndarray):
 
 def _backward_sweep(xi: CylinderFunctional, band: GParams,
                     space_grid: SpaceGrid, dt_max: float,
-                    record_times) -> list:
+                    record_times, visit) -> None:
     """March the nested backward solves, photographing requested times.
 
     ``record_times`` must be finite and sorted ascending within
-    ``[0, horizon]``.
-    Returns one array per requested time; the array for a time in the
-    interval ``[t_k, t_{k+1})`` has ``k + 1`` axes (observed values first,
-    current position last), all indexed by the space grid.  A requested
-    time equal to ``t_k`` is photographed *before* the diagonal stitch, so
-    its frame still carries the k-th observed value as its own axis.
+    ``[0, horizon]``.  ``visit(i, frame)`` sees each requested time's frame,
+    the latest first, valid and read-only during the call: none is kept.
+    A frame for a time in ``[t_k, t_{k+1})`` has ``k + 1`` axes (observed
+    values first, current position last), all indexed by the space grid.
+    A requested time equal to ``t_k`` is photographed *before* the
+    diagonal stitch, so its frame still carries the k-th observed value as
+    its own axis.
 
-    Each interval marches the distinct rows of ``u`` (:func:`_distinct_rows`,
-    ``u`` itself when every row is distinct) and a frame inside it is
-    gathered back to the full mesh through the inverse index; the stitch
-    gathers the diagonal ``u[..., i, i]`` from the distinct rows directly.
+    Each interval marches the distinct rows of ``u`` (:func:`_distinct_rows`);
+    a frame is ``u`` itself when every row is distinct, else gathered back
+    through the inverse index, and the stitch gathers the diagonal
+    ``u[..., i, i]`` from the distinct rows directly.
     """
+    _validate_functional(xi, band, space_grid)
     check_cfl(band, dt_max, space_grid)
     x = space_grid.points()
     dx = space_grid.dx
@@ -138,13 +141,12 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
     if not (math.isfinite(np.min(u)) and math.isfinite(np.max(u))):   # NaN too
         raise UsageError("payoff produced non-finite values on the mesh")
 
-    frames: list = [None] * len(rec)
     tol = 1e-12 * max(1.0, horizon)
     next_rec = len(rec) - 1
     current_t = horizon
     # photograph anything sitting exactly at the horizon
     while next_rec >= 0 and rec[next_rec] >= horizon - tol:
-        frames[next_rec] = u.copy()
+        visit(next_rec, u)
         next_rec -= 1
 
     for k in range(n - 1, -1, -1):
@@ -163,7 +165,8 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
                 march_steps(rows, band, duration / steps, steps, dx)
             current_t = target
             while next_rec >= 0 and abs(rec[next_rec] - current_t) <= tol:
-                frames[next_rec] = rows.take(index, axis=0)
+                visit(next_rec, rows.reshape(shape) if len(rows) == index.size
+                      else rows.take(index, axis=0))
                 next_rec -= 1
             if current_t <= lower + tol:
                 break
@@ -171,7 +174,6 @@ def _backward_sweep(xi: CylinderFunctional, band: GParams,
             # observed value at t_k becomes the current position: take the
             # diagonal of the last two axes as the earlier interval's data
             u = rows[index, np.arange(shape[-1])]
-    return frames
 
 
 def g_expectation(xi: CylinderFunctional, band: GParams,
@@ -182,20 +184,22 @@ def g_expectation(xi: CylinderFunctional, band: GParams,
     ``time_grid`` fixes the marching resolution (its dt must satisfy the
     CFL bound for the space grid) and must span the functional's horizon.
     """
-    _validate_functional(xi, band, space_grid)
     time_grid.require_horizon(xi.horizon, "functional")
-    frame, = _backward_sweep(xi, band, space_grid, time_grid.dt, [0.0])
-    return float(FramePoints(space_grid, [[0.0]])(frame)[0])
+    value = np.empty(1)
+    _backward_sweep(xi, band, space_grid, time_grid.dt, [0.0], lambda i, frame:
+                    FramePoints(space_grid, [[0.0]])(frame, out=value))
+    return float(value[0])
 
 
 def conditional_frames(xi: CylinderFunctional, band: GParams,
                        space_grid: SpaceGrid, record_times,
                        dt_max: float) -> list:
-    """Conditional-value arrays photographed at many times in one sweep.
-
-    This is the bulk interface behind the pathwise decompositions: it
-    amortises one backward solve over all requested times instead of
-    re-solving per time.  See ``_backward_sweep`` for the frames' layout.
+    """Conditional-value arrays photographed at many times in one sweep,
+    each a kept copy: the sweep with a visitor that collects every frame,
+    the reference for the along-path walks, which read each frame as the
+    sweep photographs it.  See ``_backward_sweep`` for the frames' layout.
     """
-    _validate_functional(xi, band, space_grid)
-    return _backward_sweep(xi, band, space_grid, dt_max, record_times)
+    frames: list = []
+    _backward_sweep(xi, band, space_grid, dt_max, record_times,
+                    lambda i, frame: frames.append(frame.copy()))
+    return frames[::-1]

@@ -9,10 +9,11 @@ The decomposition of a conditional-value process along paths is
 
 with K starting at zero and non-increasing pathwise (the curvature c
 satisfies ``c * h^2 / 2 <= G(c)`` for every band level h, with equality at
-the bang-bang choice, so each step's increment is <= 0 exactly).  Frames
-are read along paths by ``gheat.FramePoints`` and G is ``core.g_value``,
-one node at a time in the bundle's time-major layout, so the three
-processes come out time-major like the bundle's paths.
+the bang-bang choice, so each step's increment is <= 0 exactly).  Each
+frame is read along paths as the sweep photographs it, by one node reader
+(``gheat.FramePoints``), and K by one carry (G is ``core.g_value``), one
+node at a time in the bundle's time-major layout, so the three processes
+come out time-major like the bundle's paths.
 
 The dyadic quadratic variation ``Q^n`` satisfies the discrete identity
 ``Q^n = integral(lambda^n dB) + Q^finest`` where ``Q^finest`` is the
@@ -32,7 +33,7 @@ import numpy as np
 from .core import (CylinderFunctional, GParams, SpaceGrid, TimeGrid, g_eps_value,
                    g_value, running_sum)
 from .errors import DomainError, ExtrapolationError, UsageError
-from .gexp import conditional_frames
+from .gexp import _backward_sweep
 from .gheat import FramePoints, curvature, gradient
 from .mc import PathBundle, _qv_steps, _simulate_reduce
 
@@ -170,8 +171,8 @@ def k_process(varsigma, bundle: PathBundle) -> np.ndarray:
     The running sum of :func:`_k_steps` over the whole ledger: the peak is
     the node-shaped result and one step-shaped temporary (two if
     ``varsigma`` has one row per path).  Given half the curvature c each
-    step is ``0.5 c dqv - G(c) dt`` bitwise; along paths, the walk
-    :func:`_node_rows` adds the same steps node by node instead and holds
+    step is ``0.5 c dqv - G(c) dt`` bitwise; along paths,
+    :func:`_carry_k` adds the same steps node by node instead and holds
     no such array.
     """
     qv = bundle.qv_paths
@@ -251,51 +252,48 @@ def eval_on_paths(frames, bundle: PathBundle, date_nodes,
                   space_grid: SpaceGrid) -> tuple:
     """The walk of ``frames[j]`` along the bundle's paths, one frame per
     node: value, Z (the gradient) and K, three ``(n_paths, n_frames)``
-    arrays, each the transpose of a time-major buffer that
-    :func:`_node_rows` writes node by node (``date_nodes`` as there).  The
-    peak is the three outputs plus ``O(n_paths)`` scratch, whatever the
-    bundle's length.
+    arrays, each the transpose of a time-major buffer (:func:`_walk`;
+    ``date_nodes`` as in :func:`_node_reader`).  The peak is the three
+    outputs plus ``O(n_paths)`` scratch, whatever the bundle's length.
     """
-    out = [np.empty((len(frames), bundle.n_paths)) for _ in range(3)]
-    for _ in _node_rows(frames, bundle, date_nodes, space_grid, out):
-        pass
-    return tuple(o.T for o in out)
+    return _walk(lambda visit: [visit(j, f) for j, f in enumerate(frames)],
+                 len(frames), bundle, date_nodes, space_grid)
 
 
-def _node_rows(frames, bundle: PathBundle, date_nodes, space_grid: SpaceGrid,
-               out):
-    """The one along-path walk: yields node j's value, Z (the gradient)
-    and K rows, one value per path, written into row ``j % m`` of each of
-    the three ``(m, n_paths)`` buffers ``out``.  Node j's K adds to node
-    j - 1's row, so m = 2, the least, streams the walk.
+def _walk(feed, n_frames: int, bundle: PathBundle, date_nodes,
+          space_grid: SpaceGrid) -> tuple:
+    """Each frame that ``feed`` hands to ``visit(j, frame)`` read into row
+    j of three time-major buffers, half its curvature in K's row j + 1,
+    which :func:`_carry_k` then turns into K in place."""
+    read = _node_reader(n_frames, bundle, date_nodes, space_grid)
+    m, z, k = (np.empty(bundle.b_paths.T.shape) for _ in range(3))
+    feed(lambda j, frame: read(j, frame, m[j], z[j],
+                               k[j + 1] if j + 1 < len(k) else None))
+    k[0], qv = 0.0, 0.0
+    for j in range(1, len(k)):
+        qv = _carry_k(k[j], k[j - 1], j, qv, bundle)
+    return m.T, z.T, k.T
+
+
+def _node_reader(n_frames: int, bundle: PathBundle, date_nodes,
+                 space_grid: SpaceGrid):
+    """The one reader of ``n_frames`` frames, one per bundle node (or
+    :class:`UsageError`): ``read(j, frame, value, z, half)`` writes frame
+    j's value, Z (the gradient) and, unless ``half`` is None, half its
+    curvature at node j into the caller's rows, one value per path.
 
     Frame j carries its axes as ``gexp`` makes them: its coordinates are
     the paths at the first ``frame.ndim - 1`` of ``date_nodes`` (the
     observed dates' nodes), then at node j (the current position, the
     derivatives' axis); more observed axes raise :class:`UsageError`.
-    Each frame's points are located once and shared by its fields.  K
-    accumulates inside the walk: node j + 1 holds node j's value plus the
-    :func:`_k_steps` step for half frame j's curvature, added in
-    ``cumsum``'s order, so K is bitwise ``k_process(0.5 * curvature)`` and
-    no node-shaped curvature exists; the qv ledger is carried likewise
-    from each node's levels.  Paths and levels are read as the rows of
-    their transposes, in place on a simulated bundle's time-major buffers.
+    Each frame's points are located once and shared by its fields.
     """
-    bt, ht = bundle.b_paths.T, bundle.control_paths.T
-    (n_nodes, n_paths), n = bt.shape, len(frames)
-    if n != n_nodes:
-        raise UsageError(f"{n} frames for a bundle of {n_nodes} nodes")
+    bt, dx = bundle.b_paths.T, space_grid.dx
+    if n_frames != len(bt):
+        raise UsageError(f"{n_frames} frames for a bundle of {len(bt)} nodes")
     observed = [bt[c] for c in date_nodes]
-    half = np.empty(n_paths)
-    qv, dx, dt = 0.0, space_grid.dx, bundle.time_grid.dt
-    for j, frame in enumerate(frames):
-        value, z, k = (o[j % len(o)] for o in out)
-        if j == 0:
-            k[...] = 0.0
-        elif j == 1:    # cumsum's order: K_1 is step 0 itself (-0.0 stays -0.0)
-            k[...] = step
-        else:
-            np.add(k_last, step, out=k)
+
+    def read(j, frame, value, z, half):
         if frame.ndim - 1 > len(observed):
             raise UsageError(
                 f"the frame at node {j} has {frame.ndim - 1} observed axes, "
@@ -303,13 +301,23 @@ def _node_rows(frames, bundle: PathBundle, date_nodes, space_grid: SpaceGrid,
         at = FramePoints(space_grid, observed[:frame.ndim - 1] + [bt[j]])
         at(frame, out=value)
         at(gradient(frame, dx), out=z)
-        if j + 1 < n:
+        if half is not None:
             at(curvature(frame, dx), out=half)
             half *= 0.5
-            qv, qv_lo = qv + _qv_steps(ht[j], dt), qv
-            step = _k_steps(half, qv_lo, qv, bundle)
-        k_last = k
-        yield value, z, k
+    return read
+
+
+def _carry_k(k, k_last, j, qv, bundle: PathBundle):
+    """The one K carry: node j's K over ``k`` (half node j - 1's curvature),
+    ``k_last`` plus its :func:`_k_steps` step in ``cumsum``'s order; returns
+    the qv ledger ``qv`` carried from the levels of node j - 1 to node j."""
+    qv_hi = qv + _qv_steps(bundle.control_paths.T[j - 1], bundle.time_grid.dt)
+    step = _k_steps(k, qv, qv_hi, bundle)
+    if j == 1:      # cumsum's order: K_1 is step 0 itself (-0.0 stays -0.0)
+        k[...] = step
+    else:
+        np.add(k_last, step, out=k)
+    return qv_hi
 
 
 def martingale_decomposition(xi: CylinderFunctional, band: GParams,
@@ -319,18 +327,18 @@ def martingale_decomposition(xi: CylinderFunctional, band: GParams,
 
     ``time_grid`` caps the backward-solve step (its dt must satisfy the
     CFL bound); conditional values are recorded exactly at the bundle's
-    nodes, which must include the functional's monitoring dates.  Paths
-    must stay inside the space grid — no extrapolation.
+    nodes, which must include the functional's monitoring dates, and read
+    along the paths as the sweep photographs them.  Paths must stay inside
+    the space grid — no extrapolation.
     """
     _admit_bundle(bundle, band, xi.horizon, space_grid,
                   ("requested", "functional"))
     # raises if the bundle grid misses a monitoring date
     cyl_idx = [bundle.time_grid.index_of(t) for t in xi.times]
-
-    frames = conditional_frames(xi, band, space_grid,
-                                bundle.time_grid.times(), time_grid.dt)
-    return ItoDecomposition(*eval_on_paths(frames, bundle, cyl_idx,
-                                           space_grid), bundle)
+    return ItoDecomposition(*_walk(
+        lambda visit: _backward_sweep(xi, band, space_grid, time_grid.dt,
+                                      bundle.time_grid.times(), visit),
+        bundle.time_grid.n_steps + 1, bundle, cyl_idx, space_grid), bundle)
 
 
 # ---------------------------------------------------------------------------

@@ -313,6 +313,15 @@ class TestControls:
             StepControl(band=BAND, breaks=(0.0, math.nan, 1.0),
                         levels=(1.0, 2.0))
 
+    def test_step_control_refuses_breaks_sharing_a_start_node(self):
+        # 0.5 and 0.5 + 1e-12 both start on node 2: read unchecked, the
+        # middle level 2.0 would never apply
+        c = StepControl(band=BAND, breaks=(0.0, 0.5, 0.5 + 1e-12, 1.0),
+                        levels=(1.0, 2.0, 1.5))
+        with pytest.raises(UsageError, match=r"control breaks \[0\.0, 0\.5, "
+                           r".*\] start two intervals on one node"):
+            c.make_driver(TimeGrid(1.0, 4), n_paths=1)
+
     def test_step_control_horizon_mismatch(self):
         c = StepControl(band=BAND, breaks=(0.0, 2.0), levels=(1.0,))
         with pytest.raises(UsageError, match=r"horizon 2\.0 .*horizon 1\.0"):

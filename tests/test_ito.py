@@ -247,6 +247,17 @@ class TestKProcess:
         with pytest.raises(UsageError, match="finite and strictly increasing"):
             k_process((breaks, values), lo_bundle(4))
 
+    @pytest.mark.parametrize("breaks", [
+        (0.0, 0.5, 0.5 + 1e-12, 1.0), (0.0, 0.5, 1.0 - 1e-12, 1.0)],
+        ids=["one-start", "horizon"])
+    def test_no_interval_loses_its_steps_to_a_shared_node(self, breaks):
+        # read unchecked, the breaks 0.5 and 0.5 + 1e-12 both start on
+        # node 2 and the value 7.0 is dropped: [1, 1, 3, 3]; near the
+        # horizon the last interval starts on node 4 and gets no step
+        with pytest.raises(UsageError, match=r"step function breaks \[0\.0, "
+                           r"0\.5, .*\] start two intervals on one node"):
+            ito.step_values_on_grid(breaks, (1.0, 7.0, 3.0), TimeGrid(1.0, 4))
+
     @pytest.mark.parametrize("integrand, named", [
         (math.nan, "got nan$"),
         (np.r_[np.ones(GRID.n_steps - 1), math.inf], r"got inf at index \(511,\)"),
@@ -386,6 +397,33 @@ class TestAlongPathKernel:
     MEAN3 = CylinderFunctional(times=(1 / 3, 2 / 3, 1.0),
                                payoff=lambda a, b, c: (a + b + c) / 3.0,
                                lipschitz_bound=1.0, value_bound=40.0)
+
+    # |mean| has 292 distinct rows of 3721 at 61 points
+    ABS_MEAN3 = CylinderFunctional(times=(1 / 3, 2 / 3, 1.0),
+                                   payoff=lambda a, b, c: np.abs(a + b + c) / 3.0,
+                                   lipschitz_bound=1.0, value_bound=40.0)
+
+    @pytest.mark.parametrize("xi, n_points, n_steps", [
+        (INCREMENT, 201, 32), (ABS_MEAN3, 61, 12)],
+        ids=["distinct-rows", "grouped-rows"])
+    def test_peak_is_the_outputs_one_photograph_and_a_few_rows(
+            self, xi, n_points, n_steps):
+        # each frame is read as the sweep photographs it and none is kept:
+        # the peak is the three outputs, one photograph (a view of the mesh
+        # when every row is distinct, a gathered mesh otherwise) with the
+        # three meshes of its curvature, and a few rows of one value per
+        # path, however many nodes the bundle has
+        space = SpaceGrid(-10.0, 10.0, n_points)
+        bundle = lo_bundle(n_paths=500, seed=7, grid=TimeGrid(1.0, n_steps))
+        tracemalloc.start()
+        try:
+            dec = martingale_decomposition(xi, BAND, TimeGrid(1.0, 400), space,
+                                           bundle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rest = peak - 3 * dec.m_paths.nbytes - 4 * 8 * n_points ** xi.n_times
+        assert rest <= 128 * 8 * bundle.n_paths, rest / (8 * bundle.n_paths)
 
     @pytest.mark.parametrize("seed, xi, n_steps", [
         (1, INCREMENT, 16), (5, INCREMENT, 16), (64, INCREMENT, 16),
