@@ -4,13 +4,14 @@ The scheme solves the terminal-value problem
 
     D_t u + G(D2_x u) + f(t, u, D_x u) = 0,   u(T, .) = payoff,
 
-by explicit backward marching on a space grid: ``gheat.march_steps``, the
-one march loop, runs in reversed time with a hook, so each row is one
-step of the later row, then ``+ dt * f`` on that row.  Picard's iterates
-are lanes of that one march, each forced by the driver frozen on the
-lane before.  The driver meets grid rows in
+by explicit backward marching on a space grid: the surface march of
+``gheat.solve_gheat`` runs in the time to go, forced after each step, so
+each row is one step of the later row, then ``+ dt * f`` on that row,
+and a solution is the forward ``gheat.ValueSurface`` it returns.
+Picard's iterates are lanes of that one march, each forced by the driver
+frozen on the lane before.  The driver meets grid rows in
 ``_driver_row`` only, and the residual is ``gheat.pde_residual`` of the
-reversed rows less f.  The guards are the CFL bound
+solution's surface less f.  The guards are the CFL bound
 ``dt <= dx^2 / var_hi`` and the driver step bound
 ``dt * L * (1 + 1/dx) <= 0.5``, L the declared Lipschitz constant.  They
 do not make the scheme monotone: ``f = -y`` on the CFL-maximal grid
@@ -46,10 +47,9 @@ import numpy as np
 
 from .core import CylinderFunctional, GParams, SpaceGrid, TimeGrid
 from .errors import CapabilityError, ConfigurationError, UsageError
-from .gheat import (FramePoints, ValueSurface, _check_data_row, gradient,
-                    march_steps, pde_residual)
+from .gheat import ValueSurface, _march_surface, gradient, pde_residual
 from .mc import PathBundle
-from .ito import _admit_bundle, _carry_k, _node_reader, eval_on_paths
+from .ito import _admit_bundle, _carry_k, _node_reader, _walk
 
 
 # ---------------------------------------------------------------------------
@@ -104,38 +104,47 @@ def _check_driver_stability(problem: GBSDEProblem, dt: float, dx: float) -> None
 
 @dataclass(frozen=True, eq=False)
 class GBSDESolution:
-    """Solved backward surface Y; ``Z = D_x Y`` is not stored: each reader
-    takes :func:`gheat.gradient` of the rows it needs."""
+    """Solved backward surface Y, held as a forward
+    :class:`gheat.ValueSurface` in the time to go: its row i is Y at
+    ``T - t_i``, so its data row is the terminal payoff, and every surface
+    reader takes it.  ``Z = D_x Y`` is not stored: each reader takes
+    :func:`gheat.gradient` of the rows it needs."""
 
     problem: GBSDEProblem
-    time_grid: TimeGrid
-    space_grid: SpaceGrid
-    y_values: np.ndarray     # (n_steps + 1, n_points), row i at t_i, data last
+    surface: ValueSurface
+
+    @property
+    def y_values(self) -> np.ndarray:   # read-only; row i at t_i, data last
+        y = self.surface.values[::-1]
+        y.flags.writeable = False
+        return y
 
     @property
     def initial(self) -> float:     # Y at time 0 and the origin
-        return float(FramePoints(self.space_grid, [[0.0]])(self.y_values[0])[0])
+        return self.surface.value(self.surface.time_grid.horizon, 0.0)
 
     def paths_view(self, bundle: PathBundle) -> tuple:
         """(Y, Z, K) along the bundle's paths at the bundle's nodes, each
         ``(n_paths, n_nodes)`` and time-major like the bundle's paths: the
         peak is the three outputs plus a few rows of one value per path
-        (see :func:`ito.eval_on_paths`).  :func:`gbsde_residual` reads the
-        same walk without storing it."""
-        return eval_on_paths(self._frames_for(bundle), bundle, (),
-                             self.space_grid)
+        (see :func:`ito._walk`).  :func:`gbsde_residual` reads the same
+        walk without storing it."""
+        frames = self._frames_for(bundle)
+        return _walk(lambda visit: [visit(j, f) for j, f in enumerate(frames)],
+                     len(frames), bundle, (), self.surface.space_grid)
 
     def _frames_for(self, bundle: PathBundle) -> np.ndarray:
         """The rows of Y at the bundle's nodes, once the bundle is admitted
         (:func:`ito._admit_bundle`) on a grid that divides the solution
         grid."""
-        _admit_bundle(bundle, self.problem.band, self.time_grid.horizon,
-                      self.space_grid, ("problem", "solution"))
-        stride, rest = divmod(self.time_grid.n_steps, bundle.time_grid.n_steps)
+        tg = self.surface.time_grid
+        _admit_bundle(bundle, self.problem.band, tg.horizon,
+                      self.surface.space_grid, ("problem", "solution"))
+        stride, rest = divmod(tg.n_steps, bundle.time_grid.n_steps)
         if rest or stride < 1:
             raise UsageError(
                 f"bundle grid ({bundle.time_grid.n_steps} steps) must divide "
-                f"the solution grid ({self.time_grid.n_steps} steps)"
+                f"the solution grid ({tg.n_steps} steps)"
             )
         return self.y_values[::stride]
 
@@ -150,19 +159,20 @@ def _driver_row(problem: GBSDEProblem, time_grid: TimeGrid,
 
 def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
                     space_grid: SpaceGrid, lanes: int = 1,
-                    watch=None) -> np.ndarray:
+                    watch=None) -> ValueSurface:
     """Explicit backward sweep of ``lanes`` copies of the terminal row:
-    :func:`gheat.march_steps` in reversed time, so row k of each lane is
-    one step of its row k+1, then ``+ dt * f``, f one driver row
-    (:func:`_driver_row`) at row k+1, read before the step.  The march's
-    hook adds the forcing, keeps the last lane's row and reads the next
+    :func:`gheat._march_surface`, the march of :func:`gheat.solve_gheat`,
+    in the time to go, so row k of each lane is one step of its row k+1,
+    then ``+ dt * f``, f one driver row (:func:`_driver_row`) at row k+1,
+    read before the step.  The march's force adds it and reads the next
     f.  One lane is the direct solve, its driver live on the lane itself.
     More lanes are the zero-driver start and Picard iterates
     ``1 .. lanes-1``: lane 0 gets no forcing at all, and lane l's driver
-    is frozen on lane l-1.  Returns the last lane's surface; ``watch``, if
-    given, sees the whole ``(lanes, m)`` stack at every row, n down to 0.
-    Checks the horizon, the driver step bound, the CFL bound and that the
-    terminal row is finite, in that order.
+    is frozen on lane l-1.  Returns the last lane's surface, forward in
+    the time to go; ``watch``, if given, sees the whole ``(lanes, m)``
+    stack at every row, n down to 0.  Checks the horizon, the driver step
+    bound, the CFL bound and that the terminal row is finite, in that
+    order.
 
     ``march_steps`` holds the boundary nodes, so they carry the
     zero-curvature reduced equation ``v' = -f(t, v, one-sided D_x v)``:
@@ -173,39 +183,33 @@ def _march_backward(problem: GBSDEProblem, time_grid: TimeGrid,
     time_grid.require_horizon(problem.horizon, "terminal")
     dt, n = time_grid.dt, time_grid.n_steps
     _check_driver_stability(problem, dt, space_grid.dx)
-    data = problem.terminal.payoff(space_grid.points())
-    _check_data_row(data, problem.band, dt, space_grid)
-    stack = np.empty((lanes, space_grid.n_points))
-    stack[...] = data
     lag = min(lanes - 1, 1)
-    read, fed = stack[:lanes - lag], stack[lag:]
-    # one lane goes to the driver as a row: indexing a one-row stack
-    # costs the driver (its gradient) about 2 us more per step
-    if len(read) == 1:
-        read, fed = read[0], fed[0]
     driver_row = _driver_row(problem, time_grid, space_grid)
-    values = np.empty((n + 1, space_grid.n_points))
     f = None
 
-    def step(i, rows):
+    def force(i, rows):
         nonlocal f
+        read, fed = rows[:lanes - lag], rows[lag:]
+        # one lane goes to the driver as a row: indexing a one-row stack
+        # costs the driver (its gradient) about 2 us more per step
+        if len(read) == 1:
+            read, fed = read[0], fed[0]
         if i > 0:
             np.add(fed, dt * f, out=fed)
-        values[n - i] = rows[-1]
         if watch is not None:
             watch(rows)
         if i < n:
             f = driver_row(n - i, read)
 
-    march_steps(stack, problem.band, dt, n, space_grid.dx, step)
-    return values
+    return _march_surface(problem.terminal.payoff(space_grid.points()),
+                          problem.band, time_grid, space_grid, lanes, force)
 
 
 def solve_ppde(problem: GBSDEProblem, time_grid: TimeGrid,
                space_grid: SpaceGrid) -> GBSDESolution:
     """Solve the backward equation by direct explicit marching."""
-    values = _march_backward(problem, time_grid, space_grid)
-    return GBSDESolution(problem, time_grid, space_grid, values)
+    return GBSDESolution(problem, _march_backward(problem, time_grid,
+                                                  space_grid))
 
 
 def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
@@ -238,16 +242,16 @@ def solve_ppde_picard(problem: GBSDEProblem, time_grid: TimeGrid,
         np.subtract(lanes[1:], lanes[:-1], out=gap)
         np.maximum(reach, np.abs(gap, out=gap), out=reach)
 
-    values = _march_backward(problem, time_grid, space_grid, 11, watch)
+    surface = _march_backward(problem, time_grid, space_grid, 11, watch)
     moves = np.max(reach, axis=1)   # moves[it - 1] = max |Y_it - Y_it-1|
     settled = np.flatnonzero(moves <= 1e-10)
     iterations = int(settled[0]) + 1 if settled.size else 10
     if iterations < 10:
-        del values          # freed before the second pass makes its own
-        values = _march_backward(problem, time_grid, space_grid,
-                                 iterations + 1)
-    return (GBSDESolution(problem, time_grid, space_grid, values),
-            iterations, float(moves[iterations - 1]))
+        del surface         # freed before the second pass makes its own
+        surface = _march_backward(problem, time_grid, space_grid,
+                                  iterations + 1)
+    return (GBSDESolution(problem, surface), iterations,
+            float(moves[iterations - 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +286,7 @@ def gbsde_residual(solution: GBSDESolution, bundle: PathBundle) -> GBSDEResidual
     """
     frames, n_paths = solution._frames_for(bundle), bundle.n_paths
     driver, tg, bt = solution.problem.driver, bundle.time_grid, bundle.b_paths.T
-    read = _node_reader(len(frames), bundle, (), solution.space_grid)
+    read = _node_reader(len(frames), bundle, (), solution.surface.space_grid)
     times, qv, k_monotone = tg.times(), 0.0, True
     y, z, k, k_last, f_sum, z_sum, step, a = (np.zeros(n_paths)
                                               for _ in range(8))
@@ -351,18 +355,18 @@ class EquivalenceReport:
 def ppde_residual(solution: GBSDESolution) -> float:
     """Interior residual of the discrete equation the sweep advanced.
 
-    The reversed rows ``y[::-1]`` are a forward surface in the time to go
-    solving ``u_tau = G(u_xx) + f``, so this is
-    ``max |pde_residual(y[::-1]) - f|``, f the driver on the rows the sweep
-    read, n down to 1.  Each entry is the backward form
+    The solution's surface runs forward in the time to go, solving
+    ``u_tau = G(u_xx) + f``, so this is
+    ``max |pde_residual(solution.surface) - f|``, f the driver on the rows
+    the sweep read, n down to 1.  Each entry is the backward form
     ``((y[i+1] - y[i]) / dt + G(D2_x y[i+1])) + f[i+1]`` with every
     operation on negated operands, so exactly negated: the value is bitwise
     that formula's.  Rounding noise for genuine solutions, O(1) for
     surfaces that do not solve the equation.
     """
-    y, tg, sg = solution.y_values, solution.time_grid, solution.space_grid
-    driver_row = _driver_row(solution.problem, tg, sg)
-    resid = pde_residual(ValueSurface(solution.problem.band, tg, sg, y[::-1]))
+    y, tg = solution.y_values, solution.surface.time_grid
+    driver_row = _driver_row(solution.problem, tg, solution.surface.space_grid)
+    resid = pde_residual(solution.surface)
     f = np.empty(y.shape[1:])
     for k, row in zip(range(tg.n_steps, 0, -1), resid):
         f[...] = driver_row(k, y[k])    # a float row, even for a scalar driver
@@ -382,7 +386,7 @@ def equivalence_check(solution: GBSDESolution,
     ``8 var_hi sqrt(dt * T)`` on the bundle grid for the relation, whose
     realized-vs-ledger quadratic variation noise shrinks like sqrt(dt).
     """
-    y = solution.y_values
+    y = solution.surface.values
     scale = max(1.0, float(np.max(y)), -float(np.min(y)))   # no |y| temporary
     tg = bundle.time_grid
     return EquivalenceReport(

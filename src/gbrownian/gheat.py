@@ -8,17 +8,18 @@ nonlinear equation; the CFL bound is enforced, never silently repaired.
 
 A surface solved forward from initial data satisfies
 ``u(t, x) ~ E[payoff(x + B_t)]`` under the band's sublinear expectation.
-Every :class:`ValueSurface` runs forward from its data row; read in
-reverse, ``gbsde``'s backward rows are one too, and :func:`pde_residual`
-checks both.
+Every :class:`ValueSurface` runs forward from its data row, ``gbsde``'s
+solutions too (in the time to go), and every surface reader takes both.
 
 :func:`march_steps`, the one march loop, takes G from ``core``'s one
 kernel and marches a contiguous run of whole rows as one flat array.
 Without a hook it marches cache-sized blocks of rows, each through every
 step (``gexp``'s nested sweeps); with one, all rows march as one run,
-step by step, and the hook sees them after every step: it copies out the
-forward surface's rows, and in reversed time it forces ``gbsde``'s
-direct solution and the lanes of its Picard iterates.
+step by step, and the hook sees them after every step.  The one surface
+march, ``_march_surface``, uses that hook: it forces the rows when asked
+(``gbsde`` adds ``dt * f`` to its direct solution and to the lanes of
+its Picard iterates) and keeps the last lane as the surface's row, for
+:func:`solve_gheat` and ``gbsde`` alike.
 :class:`FramePoints`, the only grid interpolator, serves
 :meth:`ValueSurface.value`, ``gexp`` and the along-path walks of ``ito``
 and ``gbsde``.
@@ -32,6 +33,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -65,16 +67,6 @@ def _block_rows(u: np.ndarray) -> int:
     """Rows of ``u`` (along its last axis) in one block of about
     ``_BLOCK_BYTES``, at least one."""
     return max(1, _BLOCK_BYTES // (u.shape[-1] * u.itemsize))
-
-
-def _check_data_row(data, band: GParams, dt: float,
-                    space_grid: SpaceGrid) -> None:
-    """The guard of a march from one data row: the CFL bound, then
-    finite data."""
-    check_cfl(band, dt, space_grid)
-    # min and max take no temporary, and a NaN makes both NaN
-    if not (math.isfinite(np.min(data)) and math.isfinite(np.max(data))):
-        raise UsageError("payoff produced non-finite values on the grid")
 
 
 def march_steps(u: np.ndarray, band: GParams, dt: float, n: int, dx: float,
@@ -273,8 +265,10 @@ class ValueSurface:
     """Solved values on a time x space grid.
 
     ``values[i, j]`` is the solution at ``(times()[i], points()[j])``.
-    The surface runs forward: ``values[0]`` is the payoff and time is the
-    time elapsed since it, so row i holds ``x -> E[payoff(x + B_{t_i})]``.
+    The surface runs forward: ``values[0]`` is its data row and row i is
+    the solution i steps after it.  Without forcing (:func:`solve_gheat`)
+    that is ``x -> E[payoff(x + B_{t_i})]``; a ``gbsde`` solution's row i
+    is Y at the time to go t_i, the driver included.
     """
 
     band: GParams
@@ -312,14 +306,32 @@ def solve_gheat(payoff, band: GParams, time_grid: TimeGrid,
     data = np.asarray(payoff(x) if callable(payoff) else payoff, dtype=float)
     if data.shape != x.shape:
         raise UsageError(f"payoff samples shape {data.shape} != grid shape {x.shape}")
-    _check_data_row(data, band, time_grid.dt, space_grid)
+    return _march_surface(data, band, time_grid, space_grid)
+
+
+def _march_surface(data, band: GParams, time_grid: TimeGrid,
+                   space_grid: SpaceGrid, lanes: int = 1,
+                   force=None) -> ValueSurface:
+    """The one surface march: ``lanes`` copies of the data row, a
+    ``(lanes, m)`` stack, through :func:`march_steps`, whose hook calls
+    ``force(i, rows)`` (if given) after step i and then keeps the last
+    lane as the surface's row i.  Checks the CFL bound, then that the data
+    row is finite."""
+    check_cfl(band, time_grid.dt, space_grid)
+    # min and max take no temporary, and a NaN makes both NaN
+    if not (math.isfinite(np.min(data)) and math.isfinite(np.max(data))):
+        raise UsageError("payoff produced non-finite values on the grid")
+    stack = np.empty((lanes, space_grid.n_points))
+    stack[...] = data
     values = np.empty((time_grid.n_steps + 1, space_grid.n_points))
 
-    def keep(i, rows):
-        values[i] = rows[0]
+    def hook(i, rows):
+        if force is not None:
+            force(i, rows)
+        values[i] = rows[-1]
 
-    march_steps(data.copy(), band, time_grid.dt, time_grid.n_steps,
-                space_grid.dx, keep)
+    march_steps(stack, band, time_grid.dt, time_grid.n_steps, space_grid.dx,
+                hook)
     return ValueSurface(band, time_grid, space_grid, values)
 
 
@@ -344,7 +356,11 @@ def gradient(u: np.ndarray, dx: float) -> np.ndarray:
 def curvature(u: np.ndarray, dx: float) -> np.ndarray:
     """Centred second difference along the last axis; edges copy their neighbour."""
     d2u = np.empty_like(u)
-    d2u[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / (dx * dx)
+    mid = d2u[..., 1:-1]        # ((u[2:] - 2 u[1:-1]) + u[:-2]) / dx^2, in place
+    np.multiply(u[..., 1:-1], 2.0, out=mid)
+    np.subtract(u[..., 2:], mid, out=mid)
+    np.add(mid, u[..., :-2], out=mid)
+    mid /= dx * dx
     d2u[..., 0] = d2u[..., 1]
     d2u[..., -1] = d2u[..., -2]
     return d2u
@@ -393,13 +409,16 @@ def feedback_field(surface: ValueSurface) -> np.ndarray:
 def export_surface_csv(surface: ValueSurface, path, time_stride: int = 1) -> int:
     """Write ``t,x,u,du_dx,d2u_dx2`` rows; returns the number of rows.
 
-    ``time_stride`` thins the time axis for bulky CFL-limited surfaces;
-    the stencils act row by row, so only the written rows are differentiated.
+    ``time_stride`` thins the time axis for bulky CFL-limited surfaces: an
+    integer >= 1, not a bool (else :class:`UsageError`); the stencils act
+    row by row, so only the written rows are differentiated.
     Floats are written with ``repr`` so identical surfaces produce
     byte-identical files.
     """
-    if time_stride < 1:
-        raise UsageError("time_stride must be >= 1")
+    if isinstance(time_stride, bool) or not isinstance(time_stride, Integral) \
+            or time_stride < 1:
+        raise UsageError(
+            f"time_stride must be an integer >= 1, got {time_stride!r}")
     times = surface.time_grid.times()
     idx = [*range(0, len(times) - 1, time_stride), len(times) - 1]
     u, dx = surface.values[idx], surface.space_grid.dx

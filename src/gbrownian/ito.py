@@ -248,23 +248,15 @@ def _admit_bundle(bundle: PathBundle, band: GParams, horizon: float,
         )
 
 
-def eval_on_paths(frames, bundle: PathBundle, date_nodes,
-                  space_grid: SpaceGrid) -> tuple:
-    """The walk of ``frames[j]`` along the bundle's paths, one frame per
-    node: value, Z (the gradient) and K, three ``(n_paths, n_frames)``
-    arrays, each the transpose of a time-major buffer (:func:`_walk`;
-    ``date_nodes`` as in :func:`_node_reader`).  The peak is the three
-    outputs plus ``O(n_paths)`` scratch, whatever the bundle's length.
-    """
-    return _walk(lambda visit: [visit(j, f) for j, f in enumerate(frames)],
-                 len(frames), bundle, date_nodes, space_grid)
-
-
 def _walk(feed, n_frames: int, bundle: PathBundle, date_nodes,
           space_grid: SpaceGrid) -> tuple:
     """Each frame that ``feed`` hands to ``visit(j, frame)`` read into row
     j of three time-major buffers, half its curvature in K's row j + 1,
-    which :func:`_carry_k` then turns into K in place."""
+    which :func:`_carry_k` then turns into K in place: value, Z (the
+    gradient) and K, three ``(n_paths, n_frames)`` arrays, each the
+    transpose of a time-major buffer (``date_nodes`` as in
+    :func:`_node_reader`).  The peak is the three outputs plus
+    ``O(n_paths)`` scratch, whatever the bundle's length."""
     read = _node_reader(n_frames, bundle, date_nodes, space_grid)
     m, z, k = (np.empty(bundle.b_paths.T.shape) for _ in range(3))
     feed(lambda j, frame: read(j, frame, m[j], z[j],

@@ -6,6 +6,7 @@ byte-identical reruns, and the --seed / --out / environment precedence.
 """
 
 import csv
+import dataclasses
 import filecmp
 import json
 import math
@@ -371,8 +372,8 @@ class TestBudgetScales:
                                GParams(1.0, 2.0), 0.1)
         solution = solve_ppde(problem, self.TIME, self.SPACE)
         y = solution.y_values
-        picard = gbsde_mod.GBSDESolution(problem, self.TIME, self.SPACE,
-                                         y * (1.0 + 1e-12))
+        picard = gbsde_mod.GBSDESolution(problem, dataclasses.replace(
+            solution.surface, values=solution.surface.values * (1.0 + 1e-12)))
         relation = SimpleNamespace(k_initial=0.0, k_monotone=True)
         equiv = SimpleNamespace(pde_residual=0.0, pde_tol=1.0,
                                 bsde_residual=0.0, bsde_tol=1.0,

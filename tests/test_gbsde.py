@@ -3,8 +3,8 @@ driver, Picard cross-validation, and the pathwise backward-relation
 residual.
 
 The zero-driver sweep must agree *bitwise* with the forward band-heat
-solver (same kernel, reversed bookkeeping); that anchor test is what makes
-the remaining tolerances meaningful.
+solver (one surface march, read in the time to go); that anchor test is
+what makes the remaining tolerances meaningful.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ from gbrownian import (
     ConfigurationError,
     ConstantControl,
     CylinderFunctional,
+    FeedbackControl,
     GBSDEProblem,
     GBSDESolution,
     GParams,
@@ -26,8 +27,10 @@ from gbrownian import (
     TimeGrid,
     UsageError,
     equivalence_check,
+    export_surface_csv,
     g_value,
     gbsde_residual,
+    pde_residual,
     ppde_residual,
     simulate,
     solve_gheat,
@@ -90,6 +93,14 @@ class TestSolvePpde:
         # x-independence: the whole row discounts uniformly
         np.testing.assert_allclose(solution.y_values[0],
                                    math.exp(-0.1), atol=1e-3)
+
+    def test_y_values_is_a_read_only_view_of_the_surface(self):
+        problem = GBSDEProblem(terminal_square(), zero_driver, BAND)
+        solution = solve_ppde(problem, TIME, SPACE)
+        y = solution.y_values
+        assert np.shares_memory(y, solution.surface.values)
+        assert not y.flags.writeable
+        assert np.array_equal(y[-1], solution.surface.values[0])
 
     def test_two_date_terminal_is_out_of_scope(self):
         xi = CylinderFunctional(times=(0.5, 1.0), payoff=lambda a, b: a + b,
@@ -159,6 +170,52 @@ PICARD_DRIVERS = [
                                           np.nan, -0.1 * y),
                  0.1, id="nan-node"),
 ]
+
+
+def tent(x):
+    return np.maximum(0.0, 1.0 - np.abs(x))
+
+
+class TestSolutionIsASurface:
+    """A solution's surface runs forward in the time to go: under the zero
+    driver it is the G-heat surface, and every surface reader takes it."""
+
+    def solutions(self):
+        xi = CylinderFunctional(times=(1.0,), payoff=tent,
+                                lipschitz_bound=1.0, value_bound=1.0)
+        return (solve_ppde(GBSDEProblem(xi, zero_driver, BAND), TIME, SPACE),
+                solve_gheat(tent, BAND, TIME, SPACE))
+
+    def test_equation_residual_is_the_forward_solvers_bitwise(self):
+        solution, forward = self.solutions()
+        got, want = pde_residual(solution.surface), pde_residual(forward)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert solution.initial.hex() == forward.value(1.0, 0.0).hex()
+
+    def test_csv_export_is_the_forward_solvers_byte_for_byte(self, tmp_path):
+        solution, forward = self.solutions()
+        for name, surface in (("bsde", solution.surface), ("heat", forward)):
+            export_surface_csv(surface, tmp_path / f"{name}.csv", time_stride=100)
+        assert (tmp_path / "bsde.csv").read_bytes() == \
+            (tmp_path / "heat.csv").read_bytes()
+
+    @pytest.mark.parametrize("c", [0.0, 0.7], ids=["zero", "constant"])
+    def test_ppde_residual_is_the_surface_residual_less_the_driver(self, c):
+        problem = GBSDEProblem(terminal_square(),
+                               lambda t, y, z: np.full_like(y, c), BAND)
+        solution = solve_ppde(problem, TIME, SPACE)
+        want = np.max(np.abs(pde_residual(solution.surface) - c))
+        assert ppde_residual(solution).hex() == float(want).hex()
+
+    def test_feedback_control_reads_the_solution_surface(self):
+        solution, forward = self.solutions()
+        grid = TimeGrid(1.0, 64)
+        got, want = (simulate(FeedbackControl(band=BAND, surface=s), grid, 200, 5)
+                     for s in (solution.surface, forward))
+        assert np.array_equal(got.b_paths, want.b_paths)
+        assert np.array_equal(got.control_paths, want.control_paths)
+        # the tent's curvature takes both signs, so both band edges are used
+        assert set(np.unique(got.control_paths)) == {BAND.sigma_lo, BAND.sigma_hi}
 
 
 class TestPicard:
@@ -366,8 +423,7 @@ class TestPathsAndResiduals:
         clean = GBSDEProblem(terminal_square(), lambda t, y, z: -0.1 * y,
                              BAND, driver_lipschitz=0.1)
         solution = GBSDESolution(dataclasses.replace(clean, driver=driver),
-                                 TIME, SPACE,
-                                 solve_ppde(clean, TIME, SPACE).y_values)
+                                 solve_ppde(clean, TIME, SPACE).surface)
         bundle = self.lo_bundle(n_steps=100, n_paths=7)
         assert math.isnan(gbsde_residual(solution, bundle).max_residual)
         report = equivalence_check(solution, bundle)
@@ -425,8 +481,8 @@ class TestPathsAndResiduals:
 
     def test_ppde_residual_peak_is_one_surface_and_a_block(self,
                                                              monkeypatch):
-        # the forward residual of the reversed rows, less the driver row by
-        # row: the result, one block of pde_residual's scratch and a row
+        # the forward residual of the solution's surface, less the driver
+        # row by row: the result, one block of pde_residual's scratch and a row
         problem = GBSDEProblem(terminal_square(), lambda t, y, z: -0.1 * y,
                                BAND, driver_lipschitz=0.1)
         solution = solve_ppde(problem, TIME, SPACE)
@@ -480,8 +536,8 @@ class TestPathsAndResiduals:
         good = self.solved()
         y_bad = good.y_values.copy()
         y_bad[:800] += 1.0
-        bad = GBSDESolution(good.problem, good.time_grid, good.space_grid,
-                            y_bad)
+        bad = GBSDESolution(good.problem,
+                            dataclasses.replace(good.surface, values=y_bad[::-1]))
         bundle = self.lo_bundle(n_steps=64, n_paths=64)
         report = equivalence_check(bad, bundle)
         assert not report.pde_ok

@@ -404,7 +404,7 @@ class TestPdeResidual:
                              ids=["forward", "reversed"])
     def test_row_blocks_change_no_bits(self, butterfly_surface, rows, reverse,
                                        monkeypatch):
-        # the reversed view is how the backward residual reads its rows
+        # any view of the values, a reversed one too
         if rows is not None:
             monkeypatch.setattr(gheat, "_BLOCK_BYTES",
                                 8 * SPACE.n_points * rows)
@@ -492,3 +492,15 @@ class TestExport:
     def test_stride_must_be_positive(self, square_surface, tmp_path):
         with pytest.raises(UsageError):
             export_surface_csv(square_surface, tmp_path / "s.csv", time_stride=0)
+
+    def test_stride_must_be_an_integer(self, square_surface, tmp_path):
+        # range would raise a bare TypeError for a float
+        with pytest.raises(UsageError, match="time_stride .* got 2.5"):
+            export_surface_csv(square_surface, tmp_path / "s.csv",
+                               time_stride=2.5)
+
+    def test_stride_must_not_be_a_bool(self, square_surface, tmp_path):
+        # range would read True as 1
+        with pytest.raises(UsageError, match="time_stride .* got True"):
+            export_surface_csv(square_surface, tmp_path / "s.csv",
+                               time_stride=True)

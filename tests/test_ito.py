@@ -51,6 +51,12 @@ def lo_bundle(n_paths=256, seed=101, grid=GRID):
     return simulate(ConstantControl(band=BAND, level=1.0), grid, n_paths, seed)
 
 
+def walk(frames, bundle, space):
+    """``frames[j]`` read along the bundle's paths at node j, no date nodes."""
+    return ito._walk(lambda visit: [visit(j, f) for j, f in enumerate(frames)],
+                     len(frames), bundle, (), space)
+
+
 class TestStochasticIntegral:
     def test_parts_identity_with_realized_qv(self):
         # sum B dB + (1/2) sum (dB)^2 telescopes to B^2/2 identically
@@ -410,9 +416,9 @@ class TestAlongPathKernel:
             self, xi, n_points, n_steps):
         # each frame is read as the sweep photographs it and none is kept:
         # the peak is the three outputs, one photograph (a view of the mesh
-        # when every row is distinct, a gathered mesh otherwise) with the
-        # three meshes of its curvature, and a few rows of one value per
-        # path, however many nodes the bundle has
+        # when every row is distinct, a gathered mesh otherwise) with one
+        # derivative mesh, and a few rows of one value per path, however
+        # many nodes the bundle has
         space = SpaceGrid(-10.0, 10.0, n_points)
         bundle = lo_bundle(n_paths=500, seed=7, grid=TimeGrid(1.0, n_steps))
         tracemalloc.start()
@@ -422,7 +428,7 @@ class TestAlongPathKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rest = peak - 3 * dec.m_paths.nbytes - 4 * 8 * n_points ** xi.n_times
+        rest = peak - 3 * dec.m_paths.nbytes - 2 * 8 * n_points ** xi.n_times
         assert rest <= 128 * 8 * bundle.n_paths, rest / (8 * bundle.n_paths)
 
     @pytest.mark.parametrize("seed, xi, n_steps", [
@@ -468,7 +474,7 @@ class TestAlongPathKernel:
         # every path starts on node 40, where this curvature is -0.0: step 0
         # is -0.0, and K_1 keeps cumsum's -0.0, not 0.0 + (-0.0)
         frames[0, 39:42] = (-0.0, 0.0, -0.0)
-        fields = ito.eval_on_paths(frames, bundle, (), self.SPACE)
+        fields = walk(frames, bundle, self.SPACE)
         pts, dx, b = self.SPACE.points(), self.SPACE.dx, bundle.b_paths
         want = np.empty((3,) + b.shape)
         for j, frame in enumerate(frames):
@@ -485,7 +491,7 @@ class TestAlongPathKernel:
         # like the bundle's paths
         bundle = lo_bundle(n_paths=6, seed=3, grid=TimeGrid(1.0, 8))
         frames = np.random.default_rng(3).normal(size=(9, self.SPACE.n_points))
-        for field in ito.eval_on_paths(frames, bundle, (), self.SPACE):
+        for field in walk(frames, bundle, self.SPACE):
             assert field.shape == bundle.b_paths.shape
             assert field.T.flags.c_contiguous
         xi = CylinderFunctional(times=(1.0,), payoff=lambda x: x * x,
@@ -497,8 +503,7 @@ class TestAlongPathKernel:
     def test_one_frame_per_node(self):
         bundle = lo_bundle(n_paths=2, grid=TimeGrid(1.0, 4))
         with pytest.raises(UsageError, match="4 frames for a bundle of 5 nodes"):
-            ito.eval_on_paths(np.zeros((4, self.SPACE.n_points)), bundle,
-                              (), self.SPACE)
+            walk(np.zeros((4, self.SPACE.n_points)), bundle, self.SPACE)
 
     def test_frames_observe_no_more_dates_than_given(self):
         # from node 3 on the frames carry one observed axis, but the walk
@@ -508,7 +513,7 @@ class TestAlongPathKernel:
         frames = [np.zeros(n)] * 3 + [np.zeros((n, n))] * 2
         with pytest.raises(UsageError, match="node 3 has 1 observed axes, "
                                              r"but 0 date node\(s\)"):
-            ito.eval_on_paths(frames, bundle, (), self.SPACE)
+            walk(frames, bundle, self.SPACE)
 
 
 class TestMartingaleTest:
